@@ -49,6 +49,10 @@ class RunConfig:
             raise ValidationError("bounds must be at least 1")
 
 
+# The largest n that load_index builds for cyclic:<n>, whose table has n*n entries.
+MAX_CYCLIC_ORDER = 256
+
+
 # --------------------------------------------------------------------------
 # .fincat parsing
 # --------------------------------------------------------------------------
@@ -80,10 +84,7 @@ def parse_fincat(text: str, name: str = "") -> FinCategory:
             raise ParseError(f"unknown directive {fields[0]!r}", lineno)
     if not objects:
         raise ParseError("no objects declared", None)
-    try:
-        cat = FinCategory(objects, arrows, compositions, name=name)
-    except ValidationError:
-        raise
+    cat = FinCategory(objects, arrows, compositions, name=name)
     report = validate_category(cat)
     if not report.passed:
         raise ValidationError(report.line())
@@ -93,7 +94,15 @@ def parse_fincat(text: str, name: str = "") -> FinCategory:
 def load_index(descriptor: str) -> FinCategory:
     """Builtin index descriptors, else a .fincat file path."""
     if descriptor.startswith("cyclic:"):
-        return cyclic_category(int(descriptor.split(":", 1)[1]))
+        try:
+            n = int(descriptor.split(":", 1)[1])
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ParseError(f"cyclic:<n> needs an integer n >= 1, got {descriptor!r}")
+        if n > MAX_CYCLIC_ORDER:
+            raise ValidationError(f"cyclic:<n> takes n <= {MAX_CYCLIC_ORDER}, got {descriptor!r}")
+        return cyclic_category(n)
     if descriptor == "trivial":
         return trivial_category()
     with open(descriptor, encoding="utf-8") as handle:

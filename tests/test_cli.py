@@ -5,7 +5,8 @@ import pytest
 
 from pcmcat.category import from_semiring
 from pcmcat.cauchy import cauchy_product
-from pcmcat.cli import main, parse_arrow, parse_fincat, parse_scalar
+from pcmcat import cli
+from pcmcat.cli import MAX_CYCLIC_ORDER, main, parse_arrow, parse_fincat, parse_scalar
 from pcmcat.errors import (
     ParseError,
     ScalarParseError,
@@ -84,6 +85,29 @@ def test_validate_command_rejects_incomplete_table():
     code, out, err = run_cli("validate", "--index", str(DATA / "missing_composite.fincat"))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:x", "cyclic:", "cyclic:0", "cyclic:-2"])
+def test_validate_malformed_cyclic_descriptor_exits_two(descriptor):
+    code, out, err = run_cli("validate", "--index", descriptor)
+    assert (code, out) == (2, "")
+    assert "cyclic:<n> needs an integer n >= 1" in err
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:257", "cyclic:100000"])
+def test_validate_oversized_cyclic_descriptor_is_refused_before_building(descriptor, monkeypatch):
+    def no_build(n):
+        raise AssertionError(f"cyclic_category({n}) was built")
+
+    monkeypatch.setattr(cli, "cyclic_category", no_build)
+    code, out, err = run_cli("validate", "--index", descriptor)
+    assert (code, out) == (2, "")
+    assert f"n <= {MAX_CYCLIC_ORDER}" in err
+
+
+def test_validate_largest_cyclic_descriptor_passes():
+    code, out, _ = run_cli("validate", "--index", f"cyclic:{MAX_CYCLIC_ORDER}")
+    assert (code, out) == (0, f"CHECK category[Z{MAX_CYCLIC_ORDER}] PASS\n")
 
 
 def test_laws_int_exits_zero():

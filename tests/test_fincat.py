@@ -1,8 +1,13 @@
+import collections
 import itertools
+import random
 
 import pytest
 
-from pcmcat.errors import NotAMonoidError
+from pcmcat import fincat
+from pcmcat.category import resolve_base
+from pcmcat.cauchy import cauchy_product
+from pcmcat.errors import NotAMonoidError, ValidationError
 from pcmcat.fincat import (
     FinCategory,
     compose_functors,
@@ -19,6 +24,31 @@ from pcmcat.fincat import (
     validate_category,
     validate_functor,
 )
+from pcmcat.report import failing, passing
+
+
+def reference_validate(cat: FinCategory):
+    """The plain triple loop that validate_category must agree with, line for line."""
+    name = f"category[{cat.name or 'unnamed'}]"
+    for g, f in cat.composable_pairs():
+        try:
+            h = cat.compose(g, f)
+        except ValidationError:
+            return failing(name, (g, f), detail="composite missing")
+        if cat.src(h) != cat.src(f) or cat.tgt(h) != cat.tgt(g):
+            return failing(name, (g, f), detail="composite has wrong endpoints")
+    for a in cat.arrows:
+        if cat.compose(cat.identity_of[cat.tgt(a)], a) != a:
+            return failing(name, a, detail="left identity law fails")
+        if cat.compose(a, cat.identity_of[cat.src(a)]) != a:
+            return failing(name, a, detail="right identity law fails")
+    for h, g in cat.composable_pairs():
+        for f in cat.arrows:
+            if cat.src(g) != cat.tgt(f):
+                continue
+            if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
+                return failing(name, (h, g, f), detail="associativity fails")
+    return passing(name)
 
 
 def test_trivial_category_is_valid():
@@ -165,3 +195,107 @@ def test_compose_functors():
     identity = identity_functor(z2)
     composite = compose_functors(identity, down)
     assert validate_functor(composite, z4, z2).passed
+
+
+def _composite(g, f):
+    """g after f, for arrows (src, tgt, values) between the sets range(n)."""
+    return f[0], g[1], tuple(g[2][i] for i in f[2])
+
+
+def _concrete_table(rng, objects):
+    """A random category of functions between small sets, closed under composition.
+
+    Each arrow is (src, tgt, values) with values[i] the image of i; returns the
+    arrows, in random order, and the identities, or None when the closure
+    grows past 12 arrows.
+    """
+    size = {obj: rng.randint(1, 3 if len(objects) == 1 else 2) for obj in objects}
+    identities = {obj: (obj, obj, tuple(range(size[obj]))) for obj in objects}
+    arrows = set(identities.values())
+    for _ in range(rng.randint(2, 4)):
+        src, tgt = rng.choice(objects), rng.choice(objects)
+        arrows.add((src, tgt, tuple(rng.randrange(size[tgt]) for _ in range(size[src]))))
+    grown = True
+    while grown:
+        if len(arrows) > 12:
+            return None
+        composites = {_composite(g, f) for g in arrows for f in arrows if g[0] == f[1]}
+        grown = not composites <= arrows
+        arrows |= composites
+    arrows = sorted(arrows)
+    rng.shuffle(arrows)
+    return arrows, identities
+
+
+def _random_category(rng):
+    """A table that is a category, or one with a single planted defect."""
+    objects = ("*",) if rng.random() < 0.5 else ("U", "V")
+    drawn = None
+    while drawn is None:
+        drawn = _concrete_table(rng, objects)
+    arrows, identities = drawn
+    names = {a: f"a{k}" for k, a in enumerate(arrows)}
+    table = {(names[g], names[f]): names[_composite(g, f)]
+             for g in arrows for f in arrows if g[0] == f[1]}
+    ends = {names[a]: (a[0], a[1]) for a in arrows}
+    ident = {obj: names[a] for obj, a in identities.items()}
+    pairs = sorted(table)
+    # identity composites left out of the table are filled in by FinCategory
+    plain = [(g, f) for g, f in pairs if g not in ident.values() and f not in ident.values()]
+    defect = rng.choice(("none", "missing", "endpoints", "identity", "entry", "magma"))
+    if defect == "missing":
+        del table[rng.choice(plain or pairs)]
+    elif defect == "endpoints":
+        g, f = rng.choice(pairs)
+        wrong = [h for h in ends if ends[h] != (ends[f][0], ends[g][1])]
+        if wrong:
+            table[(g, f)] = rng.choice(wrong)
+    elif defect == "identity":
+        a = rng.choice(sorted(ends))
+        pair = rng.choice([(ident[ends[a][1]], a), (a, ident[ends[a][0]])])
+        table[pair] = rng.choice([h for h in ends if ends[h] == ends[a] and h != a] or [a])
+    elif defect == "entry":
+        g, f = rng.choice(plain or pairs)
+        table[(g, f)] = rng.choice([h for h in ends if ends[h] == (ends[f][0], ends[g][1])])
+    elif defect == "magma":
+        for g, f in plain:
+            table[(g, f)] = rng.choice([h for h in ends if ends[h] == (ends[f][0], ends[g][1])])
+    return FinCategory(objects, [(a, *ends[a]) for a in ends], table, ident, name=defect)
+
+
+def test_kernel_matches_reference_on_random_tables():
+    rng = random.Random(20131)
+    details = collections.Counter()
+    for _ in range(2400):
+        cat = _random_category(rng)
+        report = validate_category(cat)
+        assert report.line() == reference_validate(cat).line()
+        details[(len(cat.objects), report.detail or "pass")] += 1
+        for u, v in itertools.product(cat.objects, repeat=2):
+            assert cat.hom(u, v) == tuple(
+                a for a in cat.arrows if (cat.src(a), cat.tgt(a)) == (u, v))
+    for objects, outcome in itertools.product((1, 2), (
+            "pass", "composite missing", "left identity law fails",
+            "right identity law fails", "associativity fails")):
+        assert details[(objects, outcome)] >= 20, details
+    assert details[(2, "composite has wrong endpoints")] >= 20, details
+
+
+def test_validation_report_is_stored_on_the_category():
+    cat = two_object_five_arrow_category()
+    report = validate_category(cat)
+    assert report.passed
+    assert validate_category(cat) is report
+
+
+def test_cauchy_product_runs_the_kernel_once(monkeypatch):
+    runs = []
+    check_table = fincat._check_table
+
+    def counted(cat):
+        runs.append(cat.name)
+        return check_table(cat)
+
+    monkeypatch.setattr(fincat, "_check_table", counted)
+    cauchy_product(resolve_base("int"), cyclic_category(5))
+    assert runs == ["Z5"]
