@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import ParseError, ShapeMismatchError
-from .family import IndexedFamily, family_of, make_family
+from .family import IndexedFamily, families_over, family_of, make_family
 from .pcm import (
     DEFAULT_TOLERANCE,
     INT_ADD,
@@ -403,12 +403,6 @@ def _object_triples(cat):
     return itertools.product(cat.objects, repeat=3)
 
 
-def _small_families(grid, max_size):
-    for size in range(max_size + 1):
-        for combo in itertools.combinations_with_replacement(grid, size):
-            yield family_of(combo)
-
-
 def _random_family(grid, max_size, rng, prefix="r"):
     size = rng.randint(0, max_size)
     return family_of([rng.choice(grid) for _ in range(size)], prefix=prefix)
@@ -451,8 +445,8 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
     for x, y, z in _object_triples(cat):
         grid_f = cat.hom_pcm(x, y).grid[:exhaustive_grid]
         grid_g = cat.hom_pcm(y, z).grid[:exhaustive_grid]
-        for fam_f in _small_families(grid_f, exhaustive_size):
-            for fam_g in _small_families(grid_g, exhaustive_size):
+        for fam_f in families_over(grid_f, exhaustive_size):
+            for fam_g in families_over(grid_g, exhaustive_size):
                 if violation(x, y, z, fam_f, fam_g):
                     def recheck(witness, _ctx=(x, y, z)):
                         wf, wg = witness
@@ -483,7 +477,7 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
 
 def _summable_families(pcm: Pcm, max_size: int, limit: int = 40):
     found = 0
-    for fam in _small_families(pcm.grid, max_size):
+    for fam in families_over(pcm.grid, max_size):
         if isinstance(pcm.sum(fam), Summable):
             yield fam
             found += 1

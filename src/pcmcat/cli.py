@@ -8,6 +8,7 @@ violation was found, 2 parse or validation error, 3 a summation was refused.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .errors import (
     UnknownIndexArrowError,
     ValidationError,
 )
-from .family import family_of
+from .family import EXHAUSTIVE_PARTITION_LIMIT, family_of
 from .fincat import FinCategory, cyclic_category, trivial_category, validate_category
 from .laws import run_category_suite, run_pcm_suite
 from .pcm import DEFAULT_TOLERANCE, Pcm, Residue, Summable, format_element
@@ -43,10 +44,15 @@ class RunConfig:
     order: int = 8
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError("tolerance must be finite and positive")
         if self.family_size < 1 or self.trials < 1 or self.order < 0:
             raise ValidationError("bounds must be at least 1")
+        if self.family_size > EXHAUSTIVE_PARTITION_LIMIT:
+            raise ValidationError(
+                f"family size must be at most {EXHAUSTIVE_PARTITION_LIMIT}, "
+                "the largest set whose partitions are enumerated exhaustively"
+            )
 
 
 # The largest n that load_index builds for cyclic:<n>, whose table has n*n entries.
@@ -247,7 +253,8 @@ def cmd_laws(args, out) -> int:
 
 
 def _build_cauchy(args) -> CauchyCategory:
-    base = resolve_base(args.base, tolerance=args.tolerance)
+    config = RunConfig(args.command, base=args.base, index=args.index, tolerance=args.tolerance)
+    base = resolve_base(config.base, tolerance=config.tolerance)
     if isinstance(base, Pcm):
         raise ValidationError(f"base {args.base!r} carries no composition")
     return cauchy_product(base, load_index(args.index))
@@ -342,8 +349,9 @@ def _parse_base_object(cc: CauchyCategory, text: str):
 def cmd_product(args, out) -> int:
     from .category import check_strong_distributivity
 
-    first = resolve_base(args.base, tolerance=args.tolerance)
-    second = resolve_base(args.base2, tolerance=args.tolerance)
+    config = RunConfig("product", base=args.base, tolerance=args.tolerance)
+    first = resolve_base(config.base, tolerance=config.tolerance)
+    second = resolve_base(args.base2, tolerance=config.tolerance)
     if isinstance(first, Pcm) or isinstance(second, Pcm):
         raise ValidationError("product needs two composition-carrying bases")
     product = pcm_product(first, second)
@@ -474,13 +482,7 @@ def main(argv=None, out=None, err=None) -> int:
     except NotSummableError as exc:
         err.write(f"not summable: {exc}\n")
         return 3
-    except (ParseError, ValidationError) as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except PcmcatError as exc:
+    except (PcmcatError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
@@ -65,6 +67,13 @@ def family_of(values: Iterable, prefix: str = "i") -> IndexedFamily:
     return IndexedFamily(tuple((f"{prefix}{k}", v) for k, v in enumerate(values)))
 
 
+def families_over(grid: tuple, max_size: int) -> Iterator[IndexedFamily]:
+    """All multiset families over the grid, sizes 0..max_size, fixed order."""
+    for size in range(max_size + 1):
+        for combo in itertools.combinations_with_replacement(grid, size):
+            yield family_of(combo)
+
+
 def reindex(fam: IndexedFamily, bij: Mapping[str, str]) -> IndexedFamily:
     """Relabel a family along a bijection of its label set."""
     images = []
@@ -119,38 +128,50 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
-def enumerate_partitions(labels: Iterable[str]) -> list[Partition]:
-    """All set partitions of the label set, in a fixed order.
+@lru_cache(maxsize=None)
+def partition_table(n: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]], ...]:
+    """All set partitions of the ranks 0..n-1, computed once per n.
 
-    Enumerates restricted-growth strings lexicographically over the sorted
-    labels, so the result is deterministic and has exactly Bell(n) entries.
+    Each entry is ``(blocks, masks)``: the blocks as tuples of ranks and, per
+    block, the bitmask of its ranks.  Entries come in the lexicographic order
+    of their restricted-growth strings, and every block lists its ranks in
+    increasing order.
     """
-    labels = sorted(set(labels))
-    n = len(labels)
     if n > EXHAUSTIVE_PARTITION_LIMIT:
         raise TooLargeError(
             f"{n} labels exceeds the exhaustive bound {EXHAUSTIVE_PARTITION_LIMIT}; "
             "use sample_partition"
         )
     if n == 0:
-        return [Partition(())]
-    partitions = []
+        return (((), ()),)
+    table = []
     code = [0] * n
 
     def grow(i: int, max_used: int) -> None:
         if i == n:
-            blocks: list[list[str]] = [[] for _ in range(max_used + 1)]
-            for label, block_id in zip(labels, code):
-                blocks[block_id].append(label)
-            partitions.append(Partition(tuple(tuple(b) for b in blocks)))
+            blocks: list[list[int]] = [[] for _ in range(max_used + 1)]
+            for rank, block_id in enumerate(code):
+                blocks[block_id].append(rank)
+            table.append((tuple(tuple(b) for b in blocks),
+                          tuple(sum(1 << r for r in b) for b in blocks)))
             return
         for block_id in range(max_used + 2):
             code[i] = block_id
             grow(i + 1, max(max_used, block_id))
 
-    code[0] = 0
     grow(1, 0)
-    return partitions
+    return tuple(table)
+
+
+def enumerate_partitions(labels: Iterable[str]) -> list[Partition]:
+    """All set partitions of the label set, in a fixed order.
+
+    Relabels ``partition_table`` over the sorted labels, so the result is
+    deterministic and has exactly Bell(n) entries.
+    """
+    labels = sorted(set(labels))
+    return [Partition(tuple(tuple(labels[r] for r in block) for block in blocks))
+            for blocks, _ in partition_table(len(labels))]
 
 
 def sample_partition(labels: Iterable[str], rng: random.Random) -> Partition:

@@ -10,31 +10,28 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import NotFailingError
 from .family import (
+    EXHAUSTIVE_PARTITION_LIMIT,
     IndexedFamily,
+    Partition,
     enumerate_partitions,
+    families_over,
     family_of,
     make_family,
+    partition_table,
     reindex,
     subfamily,
 )
-from .pcm import Pcm, Summable
+from .pcm import NotSummable, Pcm, Summable
 from .report import Report, failing, passing
 
 SIGMA_COMPATIBLE = "SIGMA_MONOID_COMPATIBLE"
 WPA_ONLY = "WPA_ONLY"
 POSITIVE = "POSITIVE"
 NONPOSITIVE = "NONPOSITIVE"
-
-
-def families_over(grid: tuple, max_size: int) -> Iterable[IndexedFamily]:
-    """All multiset families over the grid, sizes 0..max_size, fixed order."""
-    for size in range(max_size + 1):
-        for combo in itertools.combinations_with_replacement(grid, size):
-            yield family_of(combo)
 
 
 def check_unary(pcm: Pcm, samples: tuple | None = None) -> Report:
@@ -65,38 +62,108 @@ def check_zero_laws(pcm: Pcm, samples: tuple | None = None) -> Report:
     return passing(name)
 
 
-def check_wpa(pcm: Pcm, fam: IndexedFamily) -> Report:
-    """One-way partition law for a single family, over all of its partitions."""
+# Labels of the regrouped family of block sums; a partition has at most
+# EXHAUSTIVE_PARTITION_LIMIT blocks.
+_BLOCK_LABELS = tuple(f"b{k}" for k in range(EXHAUSTIVE_PARTITION_LIMIT))
+
+
+class _SubsetSums:
+    """``pcm.sum`` of each subfamily of one family, each computed on first use.
+
+    A subfamily is keyed by the bitmask of its labels' ranks among the
+    family's sorted labels; the full mask holds the family total, which is
+    computed first.
+    """
+
+    def __init__(self, pcm: Pcm, fam: IndexedFamily):
+        self.pcm, self.fam = pcm, fam
+        self.labels = sorted(set(fam.labels))
+        self.bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
+        self.total = pcm.sum(fam)
+        self.slots = {(1 << len(self.labels)) - 1: self.total}
+
+    def __getitem__(self, mask: int) -> Summable | NotSummable:
+        result = self.slots.get(mask)
+        if result is None:
+            keep = [label for label, bit in self.bit.items() if mask & bit]
+            result = self.slots[mask] = self.pcm.sum(subfamily(self.fam, keep))
+        return result
+
+    def partition(self, index: int) -> Partition:
+        """Entry ``index`` of the family's partition table, as a witness."""
+        return enumerate_partitions(self.labels)[index]
+
+
+def _regrouped(sums: _SubsetSums, masks: tuple[int, ...]) -> IndexedFamily | None:
+    """The family of block sums b0, b1, ..., or None at the first refused block."""
+    block_sums = []
+    for label, mask in zip(_BLOCK_LABELS, masks):
+        result = sums[mask]
+        if not isinstance(result, Summable):
+            return None
+        block_sums.append((label, result.value))
+    return IndexedFamily(tuple(block_sums))
+
+
+def _wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
     name = f"wpa[{pcm.name}]"
-    total = pcm.sum(fam)
+    total = sums.total
     if not isinstance(total, Summable):
         return passing(name, detail="family not summable; vacuous")
-    for part in enumerate_partitions(fam.labels):
-        block_sums = []
-        for k, block in enumerate(part.blocks):
-            result = pcm.sum(subfamily(fam, block))
-            if not isinstance(result, Summable):
-                return failing(name, (fam, part), detail="block not summable")
-            block_sums.append((f"b{k}", result.value))
-        regrouped = pcm.sum(IndexedFamily(tuple(block_sums)))
-        if not isinstance(regrouped, Summable):
-            return failing(name, (fam, part), detail="block sums not summable")
-        if not pcm.close(regrouped.value, total.value):
-            return failing(name, (fam, part), detail="block sums disagree with total")
+    for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
+        regrouped = _regrouped(sums, masks)
+        if regrouped is None:
+            return failing(name, (fam, sums.partition(index)), detail="block not summable")
+        result = pcm.sum(regrouped)
+        if not isinstance(result, Summable):
+            return failing(name, (fam, sums.partition(index)), detail="block sums not summable")
+        if not pcm.close(result.value, total.value):
+            return failing(name, (fam, sums.partition(index)),
+                           detail="block sums disagree with total")
+    return passing(name)
+
+
+def check_wpa(pcm: Pcm, fam: IndexedFamily) -> Report:
+    """One-way partition law for a single family, over all of its partitions."""
+    return _wpa(pcm, fam, _SubsetSums(pcm, fam))
+
+
+def _subfamilies(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
+    name = f"subfamilies[{pcm.name}]"
+    if not isinstance(sums.total, Summable):
+        return passing(name, detail="family not summable; vacuous")
+    labels, bit = fam.labels, sums.bit
+    for size in range(len(labels) + 1):
+        for keep in itertools.combinations(labels, size):
+            mask = 0
+            for label in keep:
+                mask |= bit[label]
+            if not isinstance(sums[mask], Summable):
+                return failing(name, (fam, keep), detail="subfamily refused")
     return passing(name)
 
 
 def check_subfamilies(pcm: Pcm, fam: IndexedFamily) -> Report:
     """Every subfamily of a summable family must be summable."""
-    name = f"subfamilies[{pcm.name}]"
-    if not isinstance(pcm.sum(fam), Summable):
-        return passing(name, detail="family not summable; vacuous")
-    labels = fam.labels
-    for size in range(len(labels) + 1):
-        for keep in itertools.combinations(labels, size):
-            if not isinstance(pcm.sum(subfamily(fam, keep)), Summable):
-                return failing(name, (fam, keep), detail="subfamily refused")
-    return passing(name)
+    return _subfamilies(pcm, fam, _SubsetSums(pcm, fam))
+
+
+def _full_pa(pcm: Pcm, fam: IndexedFamily, wpa_passed: bool) -> Report:
+    name = f"full-pa[{pcm.name}]"
+    sums = _SubsetSums(pcm, fam)
+    if isinstance(sums.total, Summable):
+        if not wpa_passed:
+            wpa = _wpa(pcm, fam, sums)
+            if not wpa.passed:
+                return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
+        return Report(name, SIGMA_COMPATIBLE)
+    for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
+        regrouped = _regrouped(sums, masks)
+        if regrouped is not None and isinstance(pcm.sum(regrouped), Summable):
+            # blocks and block sums are admitted but the whole family is
+            # not: the two-way law fails here
+            return Report(name, WPA_ONLY, witness=(fam, sums.partition(index)))
+    return Report(name, SIGMA_COMPATIBLE)
 
 
 def check_full_pa(pcm: Pcm, fam: IndexedFamily) -> Report:
@@ -105,37 +172,23 @@ def check_full_pa(pcm: Pcm, fam: IndexedFamily) -> Report:
     Verdict names whether the tested data is compatible with the two-way law
     (the one-way direction is check_wpa's job).
     """
+    return _full_pa(pcm, fam, wpa_passed=False)
+
+
+def _classify_full_pa(pcm: Pcm, max_size: int, wpa_passed: int) -> Report:
+    """``classify_full_pa``, told that the first ``wpa_passed`` families of the
+    grid already passed check_wpa."""
     name = f"full-pa[{pcm.name}]"
-    fam_summable = isinstance(pcm.sum(fam), Summable)
-    if fam_summable:
-        wpa = check_wpa(pcm, fam)
-        if not wpa.passed:
-            return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
-        return Report(name, SIGMA_COMPATIBLE)
-    for part in enumerate_partitions(fam.labels):
-        block_sums = []
-        for k, block in enumerate(part.blocks):
-            result = pcm.sum(subfamily(fam, block))
-            if not isinstance(result, Summable):
-                break
-            block_sums.append((f"b{k}", result.value))
-        else:
-            regrouped = pcm.sum(IndexedFamily(tuple(block_sums)))
-            if isinstance(regrouped, Summable):
-                # blocks and block sums are admitted but the whole family is
-                # not: the two-way law fails here
-                return Report(name, WPA_ONLY, witness=(fam, part))
-    return Report(name, SIGMA_COMPATIBLE)
+    for index, fam in enumerate(families_over(pcm.grid, max_size)):
+        report = _full_pa(pcm, fam, wpa_passed=index < wpa_passed)
+        if report.verdict != SIGMA_COMPATIBLE:
+            return report
+    return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
 
 
 def classify_full_pa(pcm: Pcm, max_size: int = 4) -> Report:
     """Aggregate check_full_pa over the family grid."""
-    name = f"full-pa[{pcm.name}]"
-    for fam in families_over(pcm.grid, max_size):
-        report = check_full_pa(pcm, fam)
-        if report.verdict != SIGMA_COMPATIBLE:
-            return report
-    return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
+    return _classify_full_pa(pcm, max_size, wpa_passed=0)
 
 
 def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3) -> Report:
@@ -179,20 +232,26 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     wpa_name = f"wpa[{pcm.name}]"
     sub_name = f"subfamilies[{pcm.name}]"
     wpa_report, sub_report = passing(wpa_name), passing(sub_name)
+    # One subset-sum table per family serves both sweeps; only the count of
+    # families that passed wpa reaches the full-pa sweep, which walks a prefix
+    # of the same family order.
+    wpa_passed = 0
     for fam in families_over(pcm.grid, family_size):
-        report = check_wpa(pcm, fam)
+        sums = _SubsetSums(pcm, fam)
+        report = _wpa(pcm, fam, sums)
         if not report.passed:
             wpa_report = report
             break
+        wpa_passed += 1
         if len(fam) <= 4:
-            sub = check_subfamilies(pcm, fam)
+            sub = _subfamilies(pcm, fam, sums)
             if not sub.passed:
                 sub_report = sub
                 break
     reports.append(wpa_report)
     reports.append(sub_report)
     reports.append(check_reindexing(pcm, trials=trials, seed=seed))
-    reports.append(classify_full_pa(pcm, max_size=min(4, family_size)))
+    reports.append(_classify_full_pa(pcm, min(4, family_size), wpa_passed))
     reports.append(check_positivity(pcm))
     return reports
 

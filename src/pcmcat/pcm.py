@@ -22,7 +22,7 @@ from .errors import (
     NotAMonoidError,
     NotCommutativeError,
 )
-from .family import IndexedFamily, family_of, make_family
+from .family import IndexedFamily, families_over, make_family
 from .report import format_complex
 
 DEFAULT_TOLERANCE = 1e-9
@@ -654,12 +654,6 @@ def compose_homs(g: PcmHom, f: PcmHom) -> PcmHom:
     return PcmHom(f.source, g.target, lambda x: g.map(f.map(x)))
 
 
-def _families_over(grid: tuple, max_size: int):
-    for size in range(max_size + 1):
-        for combo in itertools.combinations_with_replacement(grid, size):
-            yield family_of(combo)
-
-
 def check_hom(h: PcmHom, max_size: int = 3):
     """Brute-force the homomorphism law over families drawn from the source grid.
 
@@ -669,7 +663,7 @@ def check_hom(h: PcmHom, max_size: int = 3):
     from .report import failing, passing
 
     name = f"hom[{h.source.name}->{h.target.name}]"
-    for fam in _families_over(h.source.grid, max_size):
+    for fam in families_over(h.source.grid, max_size):
         result = h.source.sum(fam)
         if not isinstance(result, Summable):
             continue

@@ -263,3 +263,56 @@ def test_identical_seeds_give_identical_bytes():
         return "".join(chunks)
 
     assert run_battery() == run_battery()
+
+
+def _refuse_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the base was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "resolve_base", fail)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_laws_non_finite_or_non_positive_tolerance_exits_two(tolerance, monkeypatch):
+    _refuse_any_work(monkeypatch)
+    code, out, err = run_cli("laws", "--base", "complex", f"--tolerance={tolerance}")
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite and positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--base", "complex", "--base2", "complex", "--trials", "20"),
+    ("cauchy", "describe", "--base", "complex"),
+    ("convolve", "--base", "complex", str(DATA / "f_z2.arrow"), str(DATA / "g_z2.arrow")),
+])
+def test_other_commands_refuse_a_nan_tolerance(argv, monkeypatch):
+    _refuse_any_work(monkeypatch)
+    code, out, err = run_cli(*argv, "--tolerance=nan")
+    assert (code, out) == (2, "")
+    assert "tolerance must be finite and positive" in err
+
+
+@pytest.mark.parametrize("size", ["9", "20", "100000"])
+def test_laws_family_size_above_the_partition_limit_exits_two(size, monkeypatch):
+    _refuse_any_work(monkeypatch)
+    code, out, err = run_cli("laws", "--base", "int", "--family-size", size)
+    assert code == 2
+    assert out == ""
+    assert "family size must be at most 8" in err
+
+
+def test_run_config_accepts_the_partition_limit():
+    assert cli.RunConfig("laws", family_size=8, tolerance=1e-12).family_size == 8
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("laws", "--base", "nope"), "error: unknown base descriptor 'nope'"),
+    (("validate", "--index", str(DATA / "no_such.fincat")), "error: [Errno 2]"),
+    (("validate", "--index", str(DATA / "malformed.fincat")), "error: line 2: "),
+    (("validate", "--index", str(DATA / "missing_composite.fincat")), "error: CHECK category"),
+])
+def test_library_parse_validation_and_file_errors_exit_two(argv, prefix):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.endswith("\n")
