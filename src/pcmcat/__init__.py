@@ -59,17 +59,14 @@ from .cauchy import (
     CauchyArrow,
     CauchyCategory,
     cauchy_product,
-    convolve,
     eta_functor,
     gamma_functor,
     geometric_stream,
-    identity_arrow,
     map_base,
     map_index,
     series_convolve,
     sigma_functor,
     star_embed,
-    sum_arrows,
 )
 from .universal import (
     SubstitutionData,

@@ -10,6 +10,7 @@ trusted.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .pcm import (
     DEFAULT_TOLERANCE,
     INT_ADD,
     RATIONAL_ADD,
+    UNIT_BALL_NORMS,
     NotSummable,
     PartialFn,
     Pcm,
@@ -108,7 +110,7 @@ def from_semiring(descriptor: str, tolerance: float = DEFAULT_TOLERANCE) -> PcmC
         )
         return _one_object("rational", pcm, lambda g, f: g * f, Fraction(1))
     if descriptor.startswith("mod:"):
-        n = int(descriptor.split(":", 1)[1])
+        n = _int_parameter(descriptor, descriptor.split(":", 1)[1], least=1)
         pcm = make_finite_families_pcm(mod_add(n))
         return _one_object(f"mod:{n}", pcm, lambda g, f: g * f, Residue(1, n))
     if descriptor == "complex":
@@ -175,6 +177,43 @@ class Matrix:
         return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in self.rows) + "]"
 
 
+def _exact_product(g: Matrix, f: Matrix) -> Matrix:
+    """``g @ f`` for Fraction matrices, each entry summed from its first product.
+
+    The sum is exact either way; a fold from the int 0 sends its first add
+    through the slow ``Fraction.__radd__``.
+    """
+    if g.shape[1] != f.shape[0]:
+        raise ShapeMismatchError(f"cannot compose {g.shape} with {f.shape}")
+    cols = tuple(zip(*f.rows))
+    return Matrix(tuple(
+        tuple(sum(map(operator.mul, row[1:], col[1:]), row[0] * col[0]) for col in cols)
+        for row in g.rows
+    ))
+
+
+def _exact_sum(entries: tuple, zero: Matrix) -> Matrix:
+    """The sum of Fraction matrices, each entry in one pass from its first term."""
+    if not entries:
+        return zero
+    return Matrix(tuple(
+        tuple(sum(cells[1:], cells[0]) for cells in zip(*rows))
+        for rows in zip(*(v.rows for _, v in entries))
+    ))
+
+
+def _label_ordered_sum(entries: tuple, zero: Matrix) -> Matrix:
+    """Matrix additions from ``zero`` in label order.
+
+    Complex sums need the fixed order: rounding and signed zeros would
+    otherwise depend on the order of the entries.
+    """
+    total = zero
+    for _, v in sorted(entries, key=lambda e: e[0]):
+        total = total + v
+    return total
+
+
 def _matrix_samples(n: int, m: int, scalar: str) -> tuple[Matrix, ...]:
     if scalar == "rational":
         zero_s, one_s = Fraction(0), Fraction(1)
@@ -205,10 +244,12 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
         zero_s, one_s = Fraction(0), Fraction(1)
         scalar_ok = lambda v: isinstance(v, Fraction)
         close = exact_eq
+        product, matrix_sum = _exact_product, _exact_sum
     elif scalar == "complex":
         zero_s, one_s = 0j, 1 + 0j
         scalar_ok = lambda v: isinstance(v, complex)
         ctol = complex_close(tolerance)
+        product, matrix_sum = operator.matmul, _label_ordered_sum
 
         def close(a: Matrix, b: Matrix) -> bool:
             return a.shape == b.shape and all(
@@ -227,14 +268,10 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
                 and all(scalar_ok(c) for row in v.rows for c in row)
             )
 
+        zero = Matrix.zero(n, m, zero_s)
+
         def oracle(fam: IndexedFamily):
-            total = Matrix.zero(n, m, zero_s)
-            entries = fam.entries
-            if scalar == "complex":
-                entries = sorted(entries, key=lambda e: e[0])
-            for _, v in entries:
-                total = total + v
-            return Summable(total)
+            return Summable(matrix_sum(fam.entries, zero))
 
         return Pcm(
             name=f"matrices[{n}x{m},{scalar}]",
@@ -243,6 +280,7 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
             sample_elements=_matrix_samples(n, m, scalar),
             family_grid=_matrix_samples(n, m, scalar)[:5],
             close=close,
+            total=True,
         )
 
     def identity(x):
@@ -256,7 +294,7 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
         name=f"matrix:{','.join(str(d) for d in dims)}" + ("" if scalar == "rational" else ":complex"),
         objects=dims,
         hom_pcm=hom_pcm,
-        compose=lambda g, f: g @ f,
+        compose=product,
         identity=identity,
         arrow_hom=arrow_hom,
     )
@@ -282,28 +320,47 @@ def partial_injection_category(n: int, mode: str = "overlap") -> PcmCategory:
     return _one_object(f"pinj-{mode}:{n}", pcm, lambda g, f: g.compose(f), identity)
 
 
+def _int_parameter(descriptor: str, text: str, least: int) -> int:
+    """The integer ``text`` read from ``descriptor``; ParseError unless it is at least ``least``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise ParseError(
+            f"descriptor {descriptor!r} needs an integer >= {least} where it has {text!r}"
+        )
+    return value
+
+
 def resolve_base(descriptor: str, tolerance: float = DEFAULT_TOLERANCE):
-    """Map a base descriptor string to a category or, for unitball, a bare Pcm."""
+    """Map a base descriptor string to a category or, for unitball, a bare Pcm.
+
+    A malformed parameter raises ParseError naming the descriptor.
+    """
     if descriptor in ("int", "rational", "complex") or descriptor.startswith("mod:"):
         return from_semiring(descriptor, tolerance)
-    if descriptor.startswith("matrix:"):
-        dims = [int(d) for d in descriptor.split(":", 1)[1].split(",")]
-        return matrix_category(dims)
-    if descriptor.startswith("rel:"):
-        return relations_category(int(descriptor.split(":", 1)[1]))
-    if descriptor.startswith("pfn:"):
-        return partial_fn_category(int(descriptor.split(":", 1)[1]))
-    if descriptor.startswith("pinj-overlap:"):
-        return partial_injection_category(int(descriptor.split(":", 1)[1]), "overlap")
-    if descriptor.startswith("pinj-disjoint:"):
-        return partial_injection_category(int(descriptor.split(":", 1)[1]), "disjoint")
-    if descriptor.startswith("kbounded:"):
-        return k_bounded_category(int(descriptor.split(":", 1)[1]))
-    if descriptor.startswith("unitball:"):
-        parts = descriptor.split(":")
-        if len(parts) != 3:
+    kind, _, rest = descriptor.partition(":")
+    if ":" not in descriptor:
+        raise ParseError(f"unknown base descriptor {descriptor!r}")
+    if kind == "matrix":
+        return matrix_category([_int_parameter(descriptor, d, 1) for d in rest.split(",")])
+    if kind == "rel":
+        return relations_category(_int_parameter(descriptor, rest, 0))
+    if kind == "pfn":
+        return partial_fn_category(_int_parameter(descriptor, rest, 0))
+    if kind in ("pinj-overlap", "pinj-disjoint"):
+        mode = kind.split("-", 1)[1]
+        return partial_injection_category(_int_parameter(descriptor, rest, 0), mode)
+    if kind == "kbounded":
+        return k_bounded_category(_int_parameter(descriptor, rest, 1))
+    if kind == "unitball":
+        parts = rest.split(":")
+        if len(parts) != 2:
             raise ParseError(f"expected unitball:<dim>:<norm>, got {descriptor!r}")
-        return make_unit_ball_pcm(int(parts[1]), parts[2])
+        if parts[1] not in UNIT_BALL_NORMS:
+            raise ParseError(f"descriptor {descriptor!r} needs a norm in {UNIT_BALL_NORMS}")
+        return make_unit_ball_pcm(_int_parameter(descriptor, parts[0], 1), parts[1])
     raise ParseError(f"unknown base descriptor {descriptor!r}")
 
 

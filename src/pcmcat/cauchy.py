@@ -7,7 +7,11 @@ inherits a summation computed on the flattened coefficient family.
 
 The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
-rather than swallowed.
+rather than swallowed.  Over a partial base carrier every check runs the
+oracle.  Over a total one (``Pcm.total``: finite families, relations,
+matrices) no family of carrier elements can be refused, so arrow
+construction, composition and the flattened check of ``sum_arrows`` keep
+only the membership half of the check, through ``Pcm.admits``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ from .report import Report, failing, passing
 
 @dataclass(frozen=True)
 class CauchyArrow:
-    """A coefficient map: one base arrow per index arrow, stored sorted."""
+    """A coefficient map: one base arrow per index arrow, stored sorted.
+
+    ``CauchyCategory.compose`` reads coefficients by their position in this
+    sorted order.
+    """
 
     src: tuple
     tgt: tuple
@@ -88,15 +96,34 @@ class CauchyCategory:
     # -- structure ---------------------------------------------------------
 
     def _factorizations(self, u: str, v: str, w: str) -> dict[str, tuple]:
-        """c -> all (b, a) with b in D(v,w), a in D(u,v), c = b.a."""
+        """c -> one ``(label, b, a)`` per factorization c = b.a, built once per triple.
+
+        The keys run through D(u,w) in hom order, and the factorizations of
+        each c in the order b then a run through D(v,w) and D(u,v).  The label
+        is ``"b*a"``; b and a are positions in the sorted D(v,w) and D(u,v),
+        which is how an arrow stores its coefficients.
+        """
         key = (u, v, w)
         if key not in self._fact:
-            table: dict[str, list] = {c: [] for c in self.index.hom(u, w)}
-            for b in self.index.hom(v, w):
-                for a in self.index.hom(u, v):
-                    table[self.index.compose(b, a)].append((b, a))
+            index = self.index
+            b_hom, a_hom = index.hom(v, w), index.hom(u, v)
+            b_pos = {b: k for k, b in enumerate(sorted(b_hom))}
+            a_pos = {a: k for k, a in enumerate(sorted(a_hom))}
+            table: dict[str, list] = {c: [] for c in index.hom(u, w)}
+            for b in b_hom:
+                for a in a_hom:
+                    table[index.compose(b, a)].append((f"{b}*{a}", b_pos[b], a_pos[a]))
             self._fact[key] = {c: tuple(pairs) for c, pairs in table.items()}
         return self._fact[key]
+
+    @staticmethod
+    def _admitted(arrow: CauchyArrow, base_pcm: Pcm) -> CauchyArrow:
+        """The arrow, once ``base_pcm`` admits its coefficient family."""
+        if not base_pcm.admits(arrow.coeff_family):
+            raise NotSummableError(
+                f"coefficient family of {arrow} is not summable in {base_pcm.name}"
+            )
+        return arrow
 
     def make_arrow(self, src, tgt, coeffs: Mapping[str, object]) -> CauchyArrow:
         """Build and defensively validate an arrow; missing coefficients are zero."""
@@ -111,12 +138,7 @@ class CauchyCategory:
         filled = tuple(
             (a, coeffs.get(a, base_pcm.zero)) for a in sorted(hom)
         )
-        arrow = CauchyArrow(src, tgt, filled)
-        if not isinstance(base_pcm.sum(arrow.coeff_family), Summable):
-            raise NotSummableError(
-                f"coefficient family of {arrow} is not summable in {base_pcm.name}"
-            )
-        return arrow
+        return self._admitted(CauchyArrow(src, tgt, filled), base_pcm)
 
     def identity(self, obj) -> CauchyArrow:
         x, u = obj
@@ -130,23 +152,24 @@ class CauchyCategory:
         """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a."""
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
-        (x, u) = f.src
-        (y, v) = f.tgt
-        (z, w) = g.tgt
+        (x, u), (_, v), (z, w) = f.src, f.tgt, g.tgt
         target_pcm = self.base.hom_pcm(x, z)
+        base_compose = self.base.compose
+        gs = [value for _, value in g.coeffs]
+        fs = [value for _, value in f.coeffs]
         coeffs = {}
         for c, pairs in self._factorizations(u, v, w).items():
-            entries = tuple(
-                (f"{b}*{a}", self.base.compose(g.coeff(b), f.coeff(a))) for b, a in pairs
-            )
-            result = target_pcm.sum(IndexedFamily(entries))
+            result = target_pcm.sum(IndexedFamily(tuple(
+                (label, base_compose(gs[b], fs[a])) for label, b, a in pairs
+            )))
             if not isinstance(result, Summable):
                 raise NotSummableError(
                     f"convolution coefficient at {c} refused by {target_pcm.name}; "
                     "the base instance violates its composition law"
                 )
             coeffs[c] = result.value
-        return self.make_arrow(f.src, g.tgt, coeffs)
+        arrow = CauchyArrow(f.src, g.tgt, tuple(sorted(coeffs.items())))
+        return self._admitted(arrow, target_pcm)
 
     def sum_arrows(self, fam: IndexedFamily, src=None, tgt=None):
         """Summable exactly when the flattened coefficient family is; pointwise sums."""
@@ -164,7 +187,7 @@ class CauchyCategory:
         flattened = tuple(
             (f"{i}|{a}", arrow.coeff(a)) for i, arrow in fam.entries for a in hom
         )
-        if not isinstance(base_pcm.sum(IndexedFamily(flattened)), Summable):
+        if not base_pcm.admits(IndexedFamily(flattened)):
             return NOT_SUMMABLE
         coeffs = {}
         for a in hom:
@@ -254,18 +277,6 @@ class CauchyCategory:
 
 def cauchy_product(base: PcmCategory, index: FinCategory) -> CauchyCategory:
     return CauchyCategory(base, index)
-
-
-def convolve(g: CauchyArrow, f: CauchyArrow, cc: CauchyCategory) -> CauchyArrow:
-    return cc.compose(g, f)
-
-
-def identity_arrow(cc: CauchyCategory, obj) -> CauchyArrow:
-    return cc.identity(obj)
-
-
-def sum_arrows(cc: CauchyCategory, fam: IndexedFamily, src=None, tgt=None):
-    return cc.sum_arrows(fam, src=src, tgt=tgt)
 
 
 # --------------------------------------------------------------------------

@@ -262,7 +262,11 @@ class Pcm:
 
     ``sample_elements`` is the instance's desk-scale element grid;
     ``family_grid`` is the (possibly smaller) subset that exhaustive
-    family sweeps enumerate multisets over.
+    family sweeps enumerate multisets over.  ``total`` declares that the
+    oracle returns ``Summable`` for every family of carrier elements, never
+    refusing and never raising; ``admits`` then checks membership only.
+    Set it only where that holds for every carrier element: the
+    finite-families, relations and matrix carriers.
     """
 
     name: str
@@ -271,15 +275,28 @@ class Pcm:
     sample_elements: tuple = ()
     family_grid: tuple = ()
     close: Callable[[object, object], bool] = exact_eq
+    total: bool = False
 
     def sum(self, fam: IndexedFamily) -> Summable | NotSummable:
         for label, value in fam.entries:
             if not self.contains(value):
-                raise CarrierMismatchError(
-                    f"{self.name}: entry {label!r} = {format_element(value)} "
-                    "is outside the carrier"
-                )
+                raise self._outside(label, value)
         return self.oracle(fam)
+
+    def admits(self, fam: IndexedFamily) -> bool:
+        """Whether ``fam`` is summable, without its sum when the carrier is total.
+
+        Entries outside the carrier raise as in ``sum``.
+        """
+        for label, value in fam.entries:
+            if not self.contains(value):
+                raise self._outside(label, value)
+        return self.total or isinstance(self.oracle(fam), Summable)
+
+    def _outside(self, label: str, value) -> CarrierMismatchError:
+        return CarrierMismatchError(
+            f"{self.name}: entry {label!r} = {format_element(value)} is outside the carrier"
+        )
 
     @cached_property
     def zero(self):
@@ -395,6 +412,7 @@ def make_finite_families_pcm(monoid: Monoid, family_grid: tuple = ()) -> Pcm:
         sample_elements=monoid.sample,
         family_grid=family_grid,
         close=monoid.close,
+        total=True,
     )
 
 
@@ -536,6 +554,7 @@ def make_relations_pcm(n: int, m: int, family_grid: tuple = ()) -> Pcm:
         oracle=oracle,
         sample_elements=all_relations(n, m),
         family_grid=family_grid,
+        total=True,
     )
 
 
@@ -597,11 +616,14 @@ def _unit_ball_samples(dim: int, norm: str) -> tuple[Vec, ...]:
     return tuple(out)
 
 
+UNIT_BALL_NORMS = ("l1", "l2", "linf")
+
+
 def make_unit_ball_pcm(dim: int, norm: str = "l1", family_grid: tuple = ()) -> Pcm:
     """Vectors of rationals; summable exactly when the norms sum to at most 1."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if norm not in ("l1", "l2", "linf"):
+    if norm not in UNIT_BALL_NORMS:
         raise ValueError(f"unknown norm {norm!r}")
 
     def contains(x):

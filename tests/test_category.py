@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pcmcat.errors import ParseError, ShapeMismatchError
-from pcmcat.family import family_of
+from pcmcat.family import family_of, make_family
 from pcmcat.pcm import NotSummable, Residue, Summable
 from pcmcat.category import (
     Matrix,
@@ -237,3 +237,57 @@ def test_resolve_base_unitball_returns_bare_pcm():
 def test_resolve_base_rejects_unknown():
     with pytest.raises(ParseError):
         resolve_base("octonions")
+
+
+# --------------------------------------------------------------------------
+# matrix product and sum against the plain folds
+# --------------------------------------------------------------------------
+
+
+def reference_matmul(g: Matrix, f: Matrix) -> Matrix:
+    """Each entry as a sum from the int 0, the fold complex matrices keep."""
+    (n, k), (_, m) = g.shape, f.shape
+    return Matrix(tuple(
+        tuple(sum(g.rows[i][t] * f.rows[t][j] for t in range(k)) for j in range(m))
+        for i in range(n)
+    ))
+
+
+def reference_matrix_sum(fam, n, m, zero):
+    """Matrix additions from the zero matrix, in label order."""
+    total = Matrix.zero(n, m, zero)
+    for _, v in sorted(fam.entries, key=lambda e: e[0]):
+        total = total + v
+    return total
+
+
+def _exact_rows(matrix: Matrix):
+    return tuple(tuple(repr(c) if isinstance(c, complex) else c for c in row)
+                 for row in matrix.rows)
+
+
+@pytest.mark.parametrize("scalar", ["rational", "complex"])
+def test_matrix_product_and_sum_match_the_plain_folds(scalar):
+    import random
+
+    rng = random.Random(f"matrix-folds:{scalar}")
+    if scalar == "rational":
+        values = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
+    else:
+        values = [complex(-0.0, -0.0), complex(-0.0, 0.0), 0j, 0.1 + 0.2j, -0.3 - 0.0j,
+                  1e16 + 1j, -1e16 + 0.5j, 1 + 0j]
+    dims = (1, 2, 3)
+    cat = matrix_category(dims, scalar)
+
+    def random_matrix(n, m):
+        return Matrix.of([[rng.choice(values) for _ in range(m)] for _ in range(n)])
+
+    for _ in range(300):
+        n, k, m = (rng.choice(dims) for _ in range(3))
+        g, f = random_matrix(n, k), random_matrix(k, m)
+        assert _exact_rows(cat.compose(g, f)) == _exact_rows(reference_matmul(g, f))
+        labels = rng.sample(range(100), rng.randint(0, 5))
+        fam = make_family((f"m{label}", random_matrix(n, k)) for label in labels)
+        got = cat.hom_pcm(k, n).sum(fam)
+        zero = Fraction(0) if scalar == "rational" else 0j
+        assert _exact_rows(got.value) == _exact_rows(reference_matrix_sum(fam, n, k, zero))

@@ -14,13 +14,11 @@ from pcmcat.cauchy import (
     eta_functor,
     gamma_functor,
     geometric_stream,
-    identity_arrow,
     map_base,
     map_index,
     series_convolve,
     sigma_functor,
     star_embed,
-    sum_arrows,
 )
 from pcmcat.errors import NotSummableError, UnboundedStreamError, ValidationError
 from pcmcat.family import family_of
@@ -80,14 +78,14 @@ def test_convolve_shifts_compose_in_z3():
 
 
 def test_identity_arrow_coefficients():
-    ident = identity_arrow(INT_Z2, OBJ2)
+    ident = INT_Z2.identity(OBJ2)
     assert ident == arrow(INT_Z2, {"z0": 1, "z1": 0})
 
 
 def test_identity_arrow_in_matrix_base():
     cc = cauchy_product(matrix_category([2]), Z2)
     obj = (2, "*")
-    ident = identity_arrow(cc, obj)
+    ident = cc.identity(obj)
     eye = Matrix.identity(2, Fraction(0), Fraction(1))
     assert ident.coeff("z0") == eye
     assert ident.coeff("z1") == Matrix.zero(2, 2, Fraction(0))
@@ -147,7 +145,7 @@ def test_convolve_agrees_with_double_loop_oracle_sampled_z4():
 def test_sum_arrows_pointwise():
     f = arrow(INT_Z2, {"z0": 1, "z1": 2})
     g = arrow(INT_Z2, {"z0": 10, "z1": 20})
-    result = sum_arrows(INT_Z2, family_of([f, g]))
+    result = INT_Z2.sum_arrows(family_of([f, g]))
     assert result == Summable(arrow(INT_Z2, {"z0": 11, "z1": 22}))
 
 
@@ -157,11 +155,11 @@ def test_sum_arrows_respects_bounded_base():
     obj = cc.objects[0]
     f = cc.make_arrow(obj, obj, {"z0": 5})
     g = cc.make_arrow(obj, obj, {"z0": 3})
-    assert sum_arrows(cc, family_of([f, g])) is NOT_SUMMABLE
+    assert cc.sum_arrows(family_of([f, g])) is NOT_SUMMABLE
 
 
 def test_sum_arrows_empty_family_is_zero_arrow():
-    result = sum_arrows(INT_Z2, family_of([]), src=OBJ2, tgt=OBJ2)
+    result = INT_Z2.sum_arrows(family_of([]), src=OBJ2, tgt=OBJ2)
     assert result == Summable(arrow(INT_Z2, {"z0": 0, "z1": 0}))
 
 
@@ -180,7 +178,7 @@ def test_make_arrow_rejects_unsummable_coefficients():
 def test_sigma_sums_all_coefficients():
     sigma = sigma_functor(INT_Z2)
     assert sigma.on_arr(arrow(INT_Z2, {"z0": 2, "z1": 3})) == 5
-    assert sigma.on_arr(identity_arrow(INT_Z2, OBJ2)) == 1
+    assert sigma.on_arr(INT_Z2.identity(OBJ2)) == 1
     assert sigma.on_arr(INT_Z2.zero(OBJ2, OBJ2)) == 0
     assert sigma.on_obj(OBJ2) == "*"
 
@@ -217,7 +215,7 @@ def test_gamma_places_unit_at_named_arrow():
 def test_gamma_is_functorial_on_z2():
     gamma = gamma_functor(INT_Z2, "*")
     assert INT_Z2.compose(gamma.on_arr("z1"), gamma.on_arr("z1")) == gamma.on_arr("z0")
-    assert gamma.on_arr("z0") == identity_arrow(INT_Z2, OBJ2)
+    assert gamma.on_arr("z0") == INT_Z2.identity(OBJ2)
 
 
 def test_gamma_injective_on_arrows():
@@ -236,7 +234,7 @@ def test_star_is_functorial_in_z2():
 
 
 def test_star_unit_pair_is_identity():
-    assert star_embed(INT_Z2, 1, "z0") == identity_arrow(INT_Z2, OBJ2)
+    assert star_embed(INT_Z2, 1, "z0") == INT_Z2.identity(OBJ2)
 
 
 def test_star_homomorphism_exhaustive_mod5_z3():

@@ -1,0 +1,311 @@
+"""The convolution kernel against plain reference versions.
+
+The reference functions below key factorizations and coefficients by index
+arrow name and run the full summability check (membership and oracle) on
+every arrow they build, as the kernel did before it read coefficients by
+position and left out the oracle call on total carriers.  The kernel must
+agree with them outcome for outcome: the same coefficients (for complex
+scalars, the same floats bit for bit), or the same exception type and
+message.
+"""
+
+import collections
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from pcmcat.category import Matrix, resolve_base
+from pcmcat.cauchy import CauchyArrow, cauchy_product
+from pcmcat.errors import (
+    CarrierMismatchError,
+    NotSummableError,
+    PcmcatError,
+    ValidationError,
+)
+from pcmcat.family import IndexedFamily, family_of
+from pcmcat.fincat import cyclic_category, product_category, two_object_five_arrow_category
+from pcmcat.pcm import NOT_SUMMABLE, PartialFn, Relation, Residue, Summable
+
+# --------------------------------------------------------------------------
+# reference versions
+# --------------------------------------------------------------------------
+
+
+def reference_factorizations(cc, u, v, w):
+    """c -> all (b, a) with b in D(v,w), a in D(u,v), c = b.a."""
+    table = {c: [] for c in cc.index.hom(u, w)}
+    for b in cc.index.hom(v, w):
+        for a in cc.index.hom(u, v):
+            table[cc.index.compose(b, a)].append((b, a))
+    return {c: tuple(pairs) for c, pairs in table.items()}
+
+
+def reference_make_arrow(cc, src, tgt, coeffs):
+    if src not in cc.objects or tgt not in cc.objects:
+        raise ValidationError(f"unknown object pair {src} or {tgt}")
+    (x, u), (y, v) = src, tgt
+    hom = cc.index.hom(u, v)
+    unknown = set(coeffs) - set(hom)
+    if unknown:
+        raise ValidationError(f"coefficients for arrows outside D({u},{v}): {sorted(unknown)}")
+    base_pcm = cc.base.hom_pcm(x, y)
+    filled = tuple((a, coeffs.get(a, base_pcm.zero)) for a in sorted(hom))
+    arrow = CauchyArrow(src, tgt, filled)
+    if not isinstance(base_pcm.sum(arrow.coeff_family), Summable):
+        raise NotSummableError(
+            f"coefficient family of {arrow} is not summable in {base_pcm.name}"
+        )
+    return arrow
+
+
+def reference_compose(cc, g, f):
+    if f.tgt != g.src:
+        raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
+    (x, u) = f.src
+    (y, v) = f.tgt
+    (z, w) = g.tgt
+    target_pcm = cc.base.hom_pcm(x, z)
+    coeffs = {}
+    for c, pairs in reference_factorizations(cc, u, v, w).items():
+        entries = tuple(
+            (f"{b}*{a}", cc.base.compose(g.coeff(b), f.coeff(a))) for b, a in pairs
+        )
+        result = target_pcm.sum(IndexedFamily(entries))
+        if not isinstance(result, Summable):
+            raise NotSummableError(
+                f"convolution coefficient at {c} refused by {target_pcm.name}; "
+                "the base instance violates its composition law"
+            )
+        coeffs[c] = result.value
+    return reference_make_arrow(cc, f.src, g.tgt, coeffs)
+
+
+def reference_sum_arrows(cc, fam, src=None, tgt=None):
+    if len(fam) == 0:
+        if src is None or tgt is None:
+            raise ValidationError("summing an empty arrow family needs src and tgt")
+    else:
+        heads = {(arrow.src, arrow.tgt) for _, arrow in fam.entries}
+        if len(heads) > 1:
+            raise CarrierMismatchError("arrows in a family must share src and tgt")
+        src, tgt = next(iter(heads))
+    (x, u), (y, v) = src, tgt
+    base_pcm = cc.base.hom_pcm(x, y)
+    hom = cc.index.hom(u, v)
+    flattened = tuple(
+        (f"{i}|{a}", arrow.coeff(a)) for i, arrow in fam.entries for a in hom
+    )
+    if not isinstance(base_pcm.sum(IndexedFamily(flattened)), Summable):
+        return NOT_SUMMABLE
+    coeffs = {}
+    for a in hom:
+        column = IndexedFamily(tuple((i, arrow.coeff(a)) for i, arrow in fam.entries))
+        result = base_pcm.sum(column)
+        if not isinstance(result, Summable):
+            raise NotSummableError(
+                f"pointwise sum at {a} refused although the flattened family "
+                "was admitted; the base instance violates the partition law"
+            )
+        coeffs[a] = result.value
+    return Summable(reference_make_arrow(cc, src, tgt, coeffs))
+
+
+# --------------------------------------------------------------------------
+# instances and outcomes
+# --------------------------------------------------------------------------
+
+BASES = ("int", "mod:5", "rational", "matrix:2", "rel:2", "complex",
+         "kbounded:1", "kbounded:2", "pfn:2", "pinj-overlap:2")
+INDEXES = {
+    "Z2": cyclic_category(2),
+    "Z3": cyclic_category(3),
+    "five-arrow": two_object_five_arrow_category(),
+    "Z2 x five-arrow": product_category(cyclic_category(2), two_object_five_arrow_category()),
+    # hom order z0, z1, z2, ... is not the sorted order z0, z1, z10, z11, z2, ...
+    "Z12": cyclic_category(12),
+}
+COMBOS = [(base, index) for base in BASES for index in INDEXES]
+
+# Complex values whose sums round, and signed zeros, so a changed fold shows.
+EXTRA_COMPLEX = (complex(-0.0, -0.0), complex(-0.0, 0.0), 0.1 + 0.2j, -0.3 + 1e-17j, 1e16 + 1j)
+
+# A value outside each base's carrier that is close to its elements.
+FOREIGN = {
+    "int": True,
+    "mod:5": Residue(1, 4),
+    "rational": 1,
+    "matrix:2": Matrix.of([[1, 0], [0, 1]]),
+    "rel:2": Relation.of([(2, 0)]),
+    "complex": 1.0,
+    "kbounded:1": Fraction(1, 2),
+    "kbounded:2": Fraction(1, 2),
+    "pfn:2": PartialFn.of({0: 2}),
+    "pinj-overlap:2": PartialFn.of({0: 0, 1: 0}),
+}
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("raise", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except PcmcatError as exc:
+        return ("raise", type(exc), str(exc))
+
+
+def exact(value):
+    """A comparable form of an outcome value that tells -0.0 from 0.0 in complex floats."""
+    if isinstance(value, Summable):
+        return ("summable", exact(value.value))
+    if isinstance(value, CauchyArrow):
+        coeffs = tuple((a, repr(c) if isinstance(c, complex) else c) for a, c in value.coeffs)
+        return (value.src, value.tgt, coeffs)
+    return value
+
+
+def assert_same(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+    else:
+        assert exact(got[1]) == exact(want[1])
+
+
+def random_coeffs(rng, cc, src, tgt):
+    """A random coefficient map; zeros are common so partial carriers admit some."""
+    (x, u), (y, v) = src, tgt
+    base_pcm = cc.base.hom_pcm(x, y)
+    pool = list(base_pcm.sample_elements)
+    if cc.base.name == "complex":
+        pool += EXTRA_COMPLEX
+    return {a: (base_pcm.zero if rng.random() < 0.35 else rng.choice(pool))
+            for a in cc.index.hom(u, v)}
+
+
+def build(base, index):
+    return cauchy_product(resolve_base(base), INDEXES[index])
+
+
+# --------------------------------------------------------------------------
+# tests
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_factorization_table_matches_the_name_keyed_pairs(index):
+    cc = build("int", index)
+    objects = cc.index.objects
+    for u, v, w in itertools.product(objects, repeat=3):
+        b_names, a_names = sorted(cc.index.hom(v, w)), sorted(cc.index.hom(u, v))
+        decoded = {c: tuple((label, b_names[b], a_names[a]) for label, b, a in pairs)
+                   for c, pairs in cc._factorizations(u, v, w).items()}
+        want = {c: tuple((f"{b}*{a}", b, a) for b, a in pairs)
+                for c, pairs in reference_factorizations(cc, u, v, w).items()}
+        assert list(decoded) == list(want)
+        assert decoded == want
+
+
+def compare_on_random_arrows(base, index) -> collections.Counter:
+    """Check make_arrow, compose and sum_arrows against the reference; count the outcomes."""
+    cc = build(base, index)
+    rng = random.Random(f"cauchy-reference:{base}:{index}")
+    seen = collections.Counter()
+    arrows = {pair: [] for pair in itertools.product(cc.objects, repeat=2)}
+    for (src, tgt), pool in arrows.items():
+        for _ in range(10):
+            coeffs = random_coeffs(rng, cc, src, tgt)
+            got = outcome(cc.make_arrow, src, tgt, coeffs)
+            assert_same(got, outcome(reference_make_arrow, cc, src, tgt, coeffs))
+            seen["make_arrow", got[0]] += 1
+            if got[0] == "ok":
+                pool.append(got[1])
+    for src, mid, tgt in itertools.product(cc.objects, repeat=3):
+        fs, gs = arrows[src, mid], arrows[mid, tgt]
+        for _ in range(12 if fs and gs else 0):
+            g, f = rng.choice(gs), rng.choice(fs)
+            got = outcome(cc.compose, g, f)
+            assert_same(got, outcome(reference_compose, cc, g, f))
+            seen["compose", got[0]] += 1
+    for (src, tgt), pool in arrows.items():
+        for size in (0, 1, 1, 2, 2, 3, 3, 4) if pool else ():
+            fam = family_of([rng.choice(pool) for _ in range(size)], prefix="f")
+            got = outcome(cc.sum_arrows, fam, src, tgt)
+            assert_same(got, outcome(reference_sum_arrows, cc, fam, src, tgt))
+            seen["sum_arrows", "refused" if got == ("ok", NOT_SUMMABLE) else got[0]] += 1
+    return seen
+
+
+@pytest.mark.parametrize("base, index", COMBOS, ids=[f"{b}[{i}]" for b, i in COMBOS])
+def test_kernel_matches_reference_on_random_arrows(base, index):
+    compare_on_random_arrows(base, index)
+
+
+def test_random_arrows_reach_every_outcome():
+    seen = sum((compare_on_random_arrows(base, index) for base, index in COMBOS),
+               collections.Counter())
+    for key in (("make_arrow", "ok"), ("make_arrow", "raise"), ("compose", "ok"),
+                ("compose", "raise"), ("sum_arrows", "ok"), ("sum_arrows", "refused")):
+        assert seen[key] >= 10, (key, seen)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_out_of_carrier_coefficient_raises_as_the_reference(base):
+    foreign = FOREIGN[base]
+    for index in ("Z3", "Z2 x five-arrow"):
+        cc = build(base, index)
+        rng = random.Random(f"cauchy-foreign:{base}:{index}")
+        for src, tgt in itertools.product(cc.objects, repeat=2):
+            hom = sorted(cc.index.hom(src[1], tgt[1]))
+            if not hom:
+                continue
+            bad = rng.choice(hom)
+            coeffs = {bad: foreign}
+            got = outcome(cc.make_arrow, src, tgt, coeffs)
+            assert got[:2] == ("raise", CarrierMismatchError)
+            assert got == outcome(reference_make_arrow, cc, src, tgt, coeffs)
+            good = cc.zero(src, tgt)
+            hand_built = CauchyArrow(src, tgt, tuple(
+                (a, foreign if a == bad else value) for a, value in good.coeffs))
+            fam = family_of([good, hand_built, good])
+            got = outcome(cc.sum_arrows, fam)
+            assert got[:2] == ("raise", CarrierMismatchError)
+            assert got == outcome(reference_sum_arrows, cc, fam)
+
+
+def test_kbounded_refusals_raise_as_the_reference():
+    z2 = build("kbounded:1", "Z2")
+    obj = z2.objects[0]
+    refused = {"z0": 1, "z1": 1}
+    got = outcome(z2.make_arrow, obj, obj, refused)
+    assert got[:2] == ("raise", NotSummableError)
+    assert got == outcome(reference_make_arrow, z2, obj, obj, refused)
+
+    z3 = build("kbounded:2", "Z3")
+    obj = z3.objects[0]
+    refused = {"z0": 1, "z1": -1, "z2": 2}
+    got = outcome(z3.make_arrow, obj, obj, refused)
+    assert got[:2] == ("raise", NotSummableError)
+    assert got == outcome(reference_make_arrow, z3, obj, obj, refused)
+
+    five = build("kbounded:2", "five-arrow")
+    uu = ("*", "U")
+    f = five.make_arrow(uu, uu, {"id_U": 1, "e": 1})
+    got = outcome(five.compose, f, f)
+    assert got[:2] == ("raise", NotSummableError)
+    assert "convolution coefficient at e refused" in got[2]
+    assert got == outcome(reference_compose, five, f, f)
+
+    fam = family_of([f, f])
+    assert five.sum_arrows(fam) is NOT_SUMMABLE
+    assert reference_sum_arrows(five, fam) is NOT_SUMMABLE
+
+
+@pytest.mark.parametrize("base", ["int", "kbounded:2", "complex"])
+def test_unknown_index_arrow_raises_as_the_reference(base):
+    cc = build(base, "Z2")
+    obj = cc.objects[0]
+    coeffs = {"z0": cc.base.hom_pcm("*", "*").zero, "z7": cc.base.hom_pcm("*", "*").zero}
+    got = outcome(cc.make_arrow, obj, obj, coeffs)
+    assert got[:2] == ("raise", ValidationError)
+    assert got == outcome(reference_make_arrow, cc, obj, obj, coeffs)

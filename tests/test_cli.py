@@ -316,3 +316,28 @@ def test_library_parse_validation_and_file_errors_exit_two(argv, prefix):
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert err.startswith(prefix) and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("laws", "--base", "mod:x"),
+    ("laws", "--base", "mod:0"),
+    ("laws", "--base", "matrix:0"),
+    ("laws", "--base", "matrix:2,x"),
+    ("laws", "--base", "kbounded:0"),
+    ("laws", "--base", "unitball:2:l3"),
+    ("laws", "--base", "unitball:x:l1"),
+    ("laws", "--base", "pfn:-1"),
+    ("cauchy", "describe", "--base", "mod:0"),
+    ("product", "--base", "int", "--base2", "kbounded:0"),
+])
+def test_malformed_descriptor_parameter_exits_two(argv):
+    descriptor = argv[-1]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: descriptor {descriptor!r} needs ") and err.endswith("\n")
+
+
+@pytest.mark.parametrize("descriptor", ["mod:0", "mod:x"])
+def test_from_semiring_names_a_malformed_modulus(descriptor):
+    with pytest.raises(ParseError, match=f"descriptor {descriptor!r}"):
+        from_semiring(descriptor)
