@@ -10,6 +10,7 @@ trusted.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -177,29 +178,60 @@ class Matrix:
         return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in self.rows) + "]"
 
 
-def _exact_product(g: Matrix, f: Matrix) -> Matrix:
-    """``g @ f`` for Fraction matrices, each entry summed from its first product.
+def _numerators(rows) -> tuple[list[list[int]], int]:
+    """The rational ``rows`` as integer numerators over their least common denominator."""
+    d = math.lcm(*[v.denominator for row in rows for v in row])
+    if d == 1:
+        return [[v.numerator for v in row] for row in rows], 1
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
 
-    The sum is exact either way; a fold from the int 0 sends its first add
-    through the slow ``Fraction.__radd__``.
+
+def _fraction(n: int, d: int) -> Fraction:
+    """``n/d`` as one Fraction: normalized once, and not at all when ``d`` is 1."""
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _exact_product(g: Matrix, f: Matrix) -> Matrix:
+    """``g @ f`` for rational matrices, one integer dot product per entry.
+
+    Each factor is put over one common denominator, so entry (i, j) is the
+    integer dot product of row i and column j of the numerators over the
+    product of the two denominators, and becomes one Fraction.  Fractions
+    are canonical, so the result equals the plain ``Fraction`` fold entry
+    for entry, ``repr`` included.
     """
     if g.shape[1] != f.shape[0]:
         raise ShapeMismatchError(f"cannot compose {g.shape} with {f.shape}")
-    cols = tuple(zip(*f.rows))
+    g_num, g_den = _numerators(g.rows)
+    f_num, f_den = _numerators(f.rows)
+    d = g_den * f_den
+    cols = list(zip(*f_num))
     return Matrix(tuple(
-        tuple(sum(map(operator.mul, row[1:], col[1:]), row[0] * col[0]) for col in cols)
-        for row in g.rows
+        tuple(_fraction(sum(map(operator.mul, row, col)), d) for col in cols) for row in g_num
     ))
 
 
 def _exact_sum(entries: tuple, zero: Matrix) -> Matrix:
-    """The sum of Fraction matrices, each entry in one pass from its first term."""
+    """The sum of rational matrices, one integer sum per entry.
+
+    Each entry's summands are put over their own least common denominator,
+    so a numerator grows by the denominators of that entry only, as in the
+    plain fold; the sum becomes one Fraction.
+    """
     if not entries:
         return zero
     return Matrix(tuple(
-        tuple(sum(cells[1:], cells[0]) for cells in zip(*rows))
+        tuple(_entry_sum(cells) for cells in zip(*rows))
         for rows in zip(*(v.rows for _, v in entries))
     ))
+
+
+def _entry_sum(cells) -> Fraction:
+    """The sum of the Fractions ``cells`` over their least common denominator."""
+    d = math.lcm(*[v.denominator for v in cells])
+    if d == 1:
+        return Fraction(sum([v.numerator for v in cells]))
+    return Fraction(sum([v.numerator * (d // v.denominator) for v in cells]), d)
 
 
 def _label_ordered_sum(entries: tuple, zero: Matrix) -> Matrix:

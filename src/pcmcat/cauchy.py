@@ -10,8 +10,12 @@ success: a refusal here means the base instance is broken, and is raised
 rather than swallowed.  Over a partial base carrier every check runs the
 oracle.  Over a total one (``Pcm.total``: finite families, relations,
 matrices) no family of carrier elements can be refused, so arrow
-construction, composition and the flattened check of ``sum_arrows`` keep
-only the membership half of the check, through ``Pcm.admits``.
+construction and composition keep only the membership half of the check,
+through ``Pcm.admits``.  ``sum_arrows`` checks each input coefficient for
+membership once, in the flattened order, builds the labelled flattened
+family only to ask the oracle of a partial carrier, and then sums each
+column with the bare oracle; only ``make_arrow``'s check of the pointwise
+sums follows.
 """
 
 from __future__ import annotations
@@ -184,15 +188,22 @@ class CauchyCategory:
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
         hom = self.index.hom(u, v)
-        flattened = tuple(
-            (f"{i}|{a}", arrow.coeff(a)) for i, arrow in fam.entries for a in hom
-        )
-        if not base_pcm.admits(IndexedFamily(flattened)):
-            return NOT_SUMMABLE
+        contains = base_pcm.contains
+        for i, arrow in fam.entries:
+            for a in hom:
+                value = arrow.coeff(a)
+                if not contains(value):
+                    raise base_pcm.outside_error(f"{i}|{a}", value)
+        if not base_pcm.total:
+            flattened = IndexedFamily(tuple(
+                (f"{i}|{a}", arrow.coeff(a)) for i, arrow in fam.entries for a in hom
+            ))
+            if not isinstance(base_pcm.oracle(flattened), Summable):
+                return NOT_SUMMABLE
         coeffs = {}
         for a in hom:
             column = IndexedFamily(tuple((i, arrow.coeff(a)) for i, arrow in fam.entries))
-            result = base_pcm.sum(column)
+            result = base_pcm.oracle(column)
             if not isinstance(result, Summable):
                 raise NotSummableError(
                     f"pointwise sum at {a} refused although the flattened family "

@@ -29,7 +29,7 @@ from .fincat import FinCategory, cyclic_category, trivial_category, validate_cat
 from .laws import run_category_suite, run_pcm_suite
 from .pcm import DEFAULT_TOLERANCE, Pcm, Residue, Summable, format_element
 from .report import format_complex
-from .universal import dft_substitute
+from .universal import dft_substitute, require_prime
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,10 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValidationError("tolerance must be finite and positive")
-        if self.family_size < 1 or self.trials < 1 or self.order < 0:
+        if self.family_size < 1 or self.trials < 1:
             raise ValidationError("bounds must be at least 1")
+        if self.order < 0:
+            raise ValidationError(f"order must be at least 0, got {self.order}")
         if self.family_size > EXHAUSTIVE_PARTITION_LIMIT:
             raise ValidationError(
                 f"family size must be at most {EXHAUSTIVE_PARTITION_LIMIT}, "
@@ -55,7 +57,8 @@ class RunConfig:
             )
 
 
-# The largest n that load_index builds for cyclic:<n>, whose table has n*n entries.
+# The largest n that load_index builds for cyclic:<n>, whose table has n*n entries,
+# and the largest prime that substitute takes for --p.
 MAX_CYCLIC_ORDER = 256
 
 
@@ -298,6 +301,9 @@ def cmd_sum(args, out) -> int:
 
 
 def cmd_substitute(args, out) -> int:
+    if args.p > MAX_CYCLIC_ORDER:
+        raise ValidationError(f"--p takes a prime p <= {MAX_CYCLIC_ORDER}, got {args.p}")
+    require_prime(args.p)
     base = resolve_base("int")
     cc = cauchy_product(base, cyclic_category(args.p))
     _, arrow = load_arrow(args.arrow, cc)
@@ -382,7 +388,8 @@ def _parse_stream(text: str):
 
 
 def cmd_series(args, out) -> int:
-    product = series_convolve(_parse_stream(args.p), _parse_stream(args.q), args.order)
+    config = RunConfig("series", order=args.order)
+    product = series_convolve(_parse_stream(args.p), _parse_stream(args.q), config.order)
     _emit(out, "coeffs: " + ", ".join(str(c) for c in product.coeffs))
     _emit(out, f"tail <= {product.tail_bound}")
     return 0

@@ -280,7 +280,7 @@ class Pcm:
     def sum(self, fam: IndexedFamily) -> Summable | NotSummable:
         for label, value in fam.entries:
             if not self.contains(value):
-                raise self._outside(label, value)
+                raise self.outside_error(label, value)
         return self.oracle(fam)
 
     def admits(self, fam: IndexedFamily) -> bool:
@@ -290,10 +290,11 @@ class Pcm:
         """
         for label, value in fam.entries:
             if not self.contains(value):
-                raise self._outside(label, value)
+                raise self.outside_error(label, value)
         return self.total or isinstance(self.oracle(fam), Summable)
 
-    def _outside(self, label: str, value) -> CarrierMismatchError:
+    def outside_error(self, label: str, value) -> CarrierMismatchError:
+        """The error for entry ``label`` = ``value`` found outside the carrier."""
         return CarrierMismatchError(
             f"{self.name}: entry {label!r} = {format_element(value)} is outside the carrier"
         )
@@ -308,15 +309,6 @@ class Pcm:
     @property
     def grid(self) -> tuple:
         return self.family_grid or self.sample_elements
-
-
-def zero(p: Pcm):
-    """The sum of the empty family."""
-    return p.zero
-
-
-def sum_family(p: Pcm, fam: IndexedFamily) -> Summable | NotSummable:
-    return p.sum(fam)
 
 
 # --------------------------------------------------------------------------

@@ -12,12 +12,13 @@ check reports.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .category import PcmCategory, from_semiring
-from .cauchy import CauchyArrow, CauchyCategory, cauchy_product, eta_functor, gamma_functor
+from .cauchy import CauchyArrow, cauchy_product, eta_functor, gamma_functor
 from .errors import BadResidueError, NotPrimeError, NotSummableError, ValidationError
 from .family import IndexedFamily, family_of
 from .fincat import FinCategory, cyclic_category
@@ -95,9 +96,10 @@ def substitution_hom(data: SubstitutionData, alpha: CauchyArrow):
     return result.value
 
 
-def substitution_category(data: SubstitutionData) -> CauchyCategory:
-    """The convolution category the substitution map is defined on."""
-    return cauchy_product(data.source, data.index)
+def require_prime(p: int) -> None:
+    """Raise NotPrimeError unless ``p`` is prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise NotPrimeError(f"{p} is not prime")
 
 
 def dft_substitute(p: int, s: int, alpha: list[int]) -> complex:
@@ -106,8 +108,7 @@ def dft_substitute(p: int, s: int, alpha: list[int]) -> complex:
     Specializes the substitution map with the canonical inclusion into the
     complex plane and the character m -> exp(2 pi i m s / p).
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise NotPrimeError(f"{p} is not prime")
+    require_prime(p)
     if not 0 < s < p:
         raise BadResidueError(f"s must lie strictly between 0 and {p}")
     if len(alpha) != p or any(a < 0 for a in alpha):
@@ -119,7 +120,7 @@ def dft_substitute(p: int, s: int, alpha: list[int]) -> complex:
         scalar_map=lambda n: complex(n),
         monoid_map={f"z{m}": cmath.exp(2j * cmath.pi * m * s / p) for m in range(p)},
     )
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     obj = cc.objects[0]
     arrow = cc.make_arrow(obj, obj, {f"z{m}": int(a) for m, a in enumerate(alpha)})
     return substitution_hom(data, arrow)
@@ -128,7 +129,7 @@ def dft_substitute(p: int, s: int, alpha: list[int]) -> complex:
 def check_triangles(data: SubstitutionData) -> Report:
     """h composed with the two embeddings restricts to f and g."""
     name = "substitution-triangles"
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     b_obj = data.target.objects[0]
     b_pcm = data.target.hom_pcm(b_obj, b_obj)
     a_obj = data.source.objects[0]
@@ -148,7 +149,7 @@ def check_hom_property(data: SubstitutionData, trials: int = 100, bound: int = 3
     """h is additive and multiplicative on sampled pairs, and is forced by
     its values on the embedded generators (extensional uniqueness)."""
     name = "substitution-hom"
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     obj = cc.objects[0]
     b_obj = data.target.objects[0]
     b_pcm = data.target.hom_pcm(b_obj, b_obj)

@@ -341,3 +341,27 @@ def test_malformed_descriptor_parameter_exits_two(argv):
 def test_from_semiring_names_a_malformed_modulus(descriptor):
     with pytest.raises(ParseError, match=f"descriptor {descriptor!r}"):
         from_semiring(descriptor)
+
+
+def test_series_negative_order_exits_two_before_any_stream_is_parsed(monkeypatch):
+    def fail(text):
+        raise AssertionError("a stream was parsed before the order was checked")
+
+    monkeypatch.setattr(cli, "_parse_stream", fail)
+    code, out, err = run_cli("series", "--order", "-1", "--p", "1,1", "--q", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: order must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("p, message", [
+    ("0", "error: 0 is not prime\n"),
+    ("4", "error: 4 is not prime\n"),
+    ("257", f"error: --p takes a prime p <= {MAX_CYCLIC_ORDER}, got 257\n"),
+])
+def test_substitute_checks_p_before_building_the_index(p, message, monkeypatch):
+    def fail(n):
+        raise AssertionError("the index was built before --p was checked")
+
+    monkeypatch.setattr(cli, "cyclic_category", fail)
+    code, out, err = run_cli("substitute", "--p", p, "--s", "1", str(DATA / "ones5.arrow"))
+    assert (code, out, err) == (2, "", message)

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from pcmcat.category import from_semiring
-from pcmcat.cauchy import eta_functor, gamma_functor
+from pcmcat.cauchy import cauchy_product, eta_functor, gamma_functor
 from pcmcat.errors import BadResidueError, NotPrimeError, ValidationError
 from pcmcat.fincat import cyclic_category
 from pcmcat.pcm import Residue
@@ -15,7 +15,6 @@ from pcmcat.universal import (
     check_triangles,
     dft_substitute,
     object_obstruction,
-    substitution_category,
     substitution_hom,
     validate_substitution_data,
 )
@@ -65,7 +64,7 @@ def test_validate_rejects_broken_monoid_map():
 
 def test_substitution_evaluates_sign_character():
     data = sign_character_data()
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     obj = cc.objects[0]
     one_plus_z = cc.make_arrow(obj, obj, {"z0": 1, "z1": 1})
     assert abs(substitution_hom(data, one_plus_z)) <= TOL
@@ -73,7 +72,7 @@ def test_substitution_evaluates_sign_character():
 
 def test_substitution_restricts_to_f_on_eta_images():
     data = mod7_data()
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     eta = eta_functor(cc, "*")
     for n in range(-3, 4):
         assert substitution_hom(data, eta.on_arr(n)) == Residue(n, 7)
@@ -81,7 +80,7 @@ def test_substitution_restricts_to_f_on_eta_images():
 
 def test_substitution_restricts_to_g_on_gamma_images():
     data = mod7_data()
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     gamma = gamma_functor(cc, "*")
     for m in range(3):
         assert substitution_hom(data, gamma.on_arr(f"z{m}")) == Residue(2**m, 7)
@@ -172,7 +171,7 @@ def test_substitution_with_identity_scalars_matches_total_sum():
         scalar_map=lambda n: n,
         monoid_map={f"z{m}": 1 for m in range(3)},
     )
-    cc = substitution_category(data)
+    cc = cauchy_product(data.source, data.index)
     from pcmcat.cauchy import sigma_functor
 
     sigma = sigma_functor(cc)
