@@ -497,17 +497,22 @@ def _random_family(grid, max_size, rng, prefix="r"):
     return family_of([rng.choice(grid) for _ in range(size)], prefix=prefix)
 
 
-def _product_family(cat, fam_g: IndexedFamily, fam_f: IndexedFamily) -> IndexedFamily:
-    entries = []
-    for j, g in fam_g.entries:
-        for i, f in fam_f.entries:
-            entries.append((f"{j}.{i}", cat.compose(g, f)))
-    return IndexedFamily(tuple(entries))
-
-
 # --------------------------------------------------------------------------
 # strong distributivity
 # --------------------------------------------------------------------------
+
+
+def _distributivity_fails(cat, compose, pp: Pcm, fam_f, fam_g, rf, rg) -> bool:
+    """Whether ``fam_f`` and ``fam_g``, with sums ``rf`` and ``rg``, break
+    joint distributivity in ``pp``; a refused family is no witness."""
+    if not (isinstance(rf, Summable) and isinstance(rg, Summable)):
+        return False
+    rp = pp.sum(IndexedFamily(tuple(
+        (f"{j}.{i}", compose(g, f)) for j, g in fam_g.entries for i, f in fam_f.entries
+    )))
+    if not isinstance(rp, Summable):
+        return True
+    return not pp.close(rp.value, cat.compose(rg.value, rf.value))
 
 
 def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
@@ -517,32 +522,49 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
 
     Exhausts small families over a grid prefix first (so the canonical
     witness of a broken instance is stable), then runs seeded random trials.
+
+    Per object triple, the exhaustive phase sums each f-family and each
+    g-family once, kept by the family's position in the triple's
+    enumeration, and composes each pair of grid elements once, kept under
+    the identities of the two arrows (an entry holds both, so no other
+    object can take their identities while it lives).  Both are dropped at
+    the next triple, and the random trials compute afresh.  Each value is
+    computed at its first use, so every first call, any exception and the
+    witness come where the plain search has them.  The witness's
+    ``recheck`` reuses nothing.
     """
     name = f"strong-distributivity[{cat.name}]"
 
     def violation(x, y, z, fam_f, fam_g):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
-        rf, rg = pf.sum(fam_f), pg.sum(fam_g)
-        if not (isinstance(rf, Summable) and isinstance(rg, Summable)):
-            return False
-        prod = _product_family(cat, fam_g, fam_f)
-        rp = pp.sum(prod)
-        if not isinstance(rp, Summable):
-            return True
-        return not pp.close(rp.value, cat.compose(rg.value, rf.value))
+        return _distributivity_fails(cat, cat.compose, pp, fam_f, fam_g,
+                                     pf.sum(fam_f), pg.sum(fam_g))
+
+    def recheck_at(x, y, z):
+        return lambda witness: violation(x, y, z, *witness)
 
     for x, y, z in _object_triples(cat):
-        grid_f = cat.hom_pcm(x, y).grid[:exhaustive_grid]
-        grid_g = cat.hom_pcm(y, z).grid[:exhaustive_grid]
-        for fam_f in families_over(grid_f, exhaustive_size):
-            for fam_g in families_over(grid_g, exhaustive_size):
-                if violation(x, y, z, fam_f, fam_g):
-                    def recheck(witness, _ctx=(x, y, z)):
-                        wf, wg = witness
-                        return violation(*_ctx, wf, wg)
+        composites: dict = {}
 
-                    return failing(name, (fam_f, fam_g),
-                                   detail=f"hom ({x},{y},{z})", recheck=recheck)
+        def compose(g, f):
+            key = (id(g), id(f))
+            entry = composites.get(key)
+            if entry is None:
+                entry = composites[key] = (g, f, cat.compose(g, f))
+            return entry[2]
+
+        pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
+        fams_f = tuple(families_over(pf.grid[:exhaustive_grid], exhaustive_size))
+        fams_g = tuple(families_over(pg.grid[:exhaustive_grid], exhaustive_size))
+        sums_g: list = [None] * len(fams_g)
+        for fam_f in fams_f:
+            rf = pf.sum(fam_f)
+            for k, fam_g in enumerate(fams_g):
+                if sums_g[k] is None:
+                    sums_g[k] = pg.sum(fam_g)
+                if _distributivity_fails(cat, compose, pp, fam_f, fam_g, rf, sums_g[k]):
+                    return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
+                                   recheck=recheck_at(x, y, z))
     rng = random.Random(f"{seed}:strong-dist:{cat.name}")
     triples = list(_object_triples(cat))
     for _ in range(trials):
@@ -550,12 +572,8 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
         fam_f = _random_family(cat.hom_pcm(x, y).grid, max_family, rng, prefix="f")
         fam_g = _random_family(cat.hom_pcm(y, z).grid, max_family, rng, prefix="g")
         if violation(x, y, z, fam_f, fam_g):
-            def recheck(witness, _ctx=(x, y, z)):
-                wf, wg = witness
-                return violation(*_ctx, wf, wg)
-
             return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
-                           recheck=recheck)
+                           recheck=recheck_at(x, y, z))
     return passing(name)
 
 
@@ -565,64 +583,89 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
 
 
 def _summable_families(pcm: Pcm, max_size: int, limit: int = 40):
+    """The first ``limit`` summable families over the grid, each with its ``Summable``."""
     found = 0
     for fam in families_over(pcm.grid, max_size):
-        if isinstance(pcm.sum(fam), Summable):
-            yield fam
+        result = pcm.sum(fam)
+        if isinstance(result, Summable):
+            yield fam, result
             found += 1
             if found >= limit:
                 return
+
+
+class _Replayed:
+    """Iterates ``source`` lazily the first time; later passes replay what it gave."""
+
+    def __init__(self, source):
+        self._source, self._seen = iter(source), []
+
+    def __iter__(self):
+        yield from self._seen
+        for item in self._source:
+            self._seen.append(item)
+            yield item
 
 
 def check_left_right_distributivity(cat, max_size: int = 3) -> Report:
     name = f"left-right-distributivity[{cat.name}]"
     for x, y, z in _object_triples(cat):
         pf, pg = cat.hom_pcm(x, y), cat.hom_pcm(y, z)
-        for fam in _summable_families(pf, max_size, limit=12):
-            total = pf.sum(fam).value
+        for fam, total in _summable_families(pf, max_size, limit=12):
             for h in pg.grid[:4]:
                 mapped = make_family([(lbl, cat.compose(h, v)) for lbl, v in fam.entries])
                 result = cat.hom_pcm(x, z).sum(mapped)
                 if not isinstance(result, Summable):
                     return failing(name, fam, detail=f"left family not summable, h={h}")
-                if not cat.hom_pcm(x, z).close(result.value, cat.compose(h, total)):
+                if not cat.hom_pcm(x, z).close(result.value, cat.compose(h, total.value)):
                     return failing(name, fam, detail=f"left distributivity fails, h={h}")
-        for fam in _summable_families(pg, max_size, limit=12):
-            total = pg.sum(fam).value
+        for fam, total in _summable_families(pg, max_size, limit=12):
             for h in pf.grid[:4]:
                 mapped = make_family([(lbl, cat.compose(v, h)) for lbl, v in fam.entries])
                 result = cat.hom_pcm(x, z).sum(mapped)
                 if not isinstance(result, Summable):
                     return failing(name, fam, detail=f"right family not summable, h={h}")
-                if not cat.hom_pcm(x, z).close(result.value, cat.compose(total, h)):
+                if not cat.hom_pcm(x, z).close(result.value, cat.compose(total.value, h)):
                     return failing(name, fam, detail=f"right distributivity fails, h={h}")
     return passing(name)
 
 
 def check_reordering(cat, max_size: int = 3) -> Report:
-    """Iterated sums of a rectangular product family agree in either order."""
+    """Iterated sums of a rectangular product family agree in either order.
+
+    Each (g, f) is composed once per family pair, and ``pg``'s summable
+    families are enumerated and summed once per object triple.
+    """
     name = f"reordering[{cat.name}]"
     for x, y, z in _object_triples(cat):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
-        for fam_f in _summable_families(pf, max_size, limit=6):
-            for fam_g in _summable_families(pg, max_size, limit=6):
+        g_families = _Replayed(_summable_families(pg, max_size, limit=6))
+        for fam_f, _ in _summable_families(pf, max_size, limit=6):
+            for fam_g, _ in g_families:
                 rows = []  # for fixed i, sum over j
+                composed = []  # composed[i][j] = (j, g_j o f_i)
                 for i, f in fam_f.entries:
-                    row = make_family([(j, cat.compose(g, f)) for j, g in fam_g.entries])
-                    result = pp.sum(row)
+                    row = [(j, cat.compose(g, f)) for j, g in fam_g.entries]
+                    composed.append(row)
+                    result = pp.sum(make_family(row))
                     if not isinstance(result, Summable):
                         return failing(name, (fam_f, fam_g), detail="row not summable")
                     rows.append((i, result.value))
                 cols = []
-                for j, g in fam_g.entries:
-                    col = make_family([(i, cat.compose(g, f)) for i, f in fam_f.entries])
+                for k, (j, _) in enumerate(fam_g.entries):
+                    col = make_family([(i, row[k][1])
+                                       for (i, _), row in zip(fam_f.entries, composed)])
                     result = pp.sum(col)
                     if not isinstance(result, Summable):
                         return failing(name, (fam_f, fam_g), detail="column not summable")
                     cols.append((j, result.value))
                 by_rows = pp.sum(IndexedFamily(tuple(rows)))
                 by_cols = pp.sum(IndexedFamily(tuple(cols)))
-                whole = pp.sum(_product_family(cat, fam_g, fam_f))
+                whole = pp.sum(IndexedFamily(tuple(
+                    (f"{j}.{i}", row[k][1])
+                    for k, (j, _) in enumerate(fam_g.entries)
+                    for (i, _), row in zip(fam_f.entries, composed)
+                )))
                 if not (
                     isinstance(by_rows, Summable)
                     and isinstance(by_cols, Summable)
@@ -639,7 +682,7 @@ def check_composing_sums(cat, max_power: int = 3) -> Report:
     name = f"composing-sums[{cat.name}]"
     for x in cat.objects:
         pcm = cat.hom_pcm(x, x)
-        for fam in _summable_families(pcm, 2, limit=6):
+        for fam, _ in _summable_families(pcm, 2, limit=6):
             if len(fam) == 0:
                 continue
             for n in range(2, max_power + 1):
@@ -676,7 +719,7 @@ def check_monoid_sums(cat, bound: int = 8) -> Report:
     for x in cat.objects:
         pcm = cat.hom_pcm(x, x)
         identity = cat.identity(x)
-        for fam in _summable_families(pcm, 3, limit=30):
+        for fam, _ in _summable_families(pcm, 3, limit=30):
             values = list(fam.values)
             if not any(pcm.close(v, identity) for v in values):
                 continue
@@ -778,13 +821,12 @@ def check_pcm_functor(functor: PcmFunctor, source, target, bound: int = 3,
     for x, y in itertools.product(source.objects, repeat=2):
         pcm = source.hom_pcm(x, y)
         out = target.hom_pcm(functor.on_obj(x), functor.on_obj(y))
-        for fam in _summable_families(pcm, bound, limit=20):
-            total = pcm.sum(fam).value
+        for fam, total in _summable_families(pcm, bound, limit=20):
             image = make_family([(lbl, functor.on_arr(v)) for lbl, v in fam.entries])
             result = out.sum(image)
             if not isinstance(result, Summable):
                 return failing(name, fam, detail="image family not summable")
-            if not out.close(result.value, functor.on_arr(total)):
+            if not out.close(result.value, functor.on_arr(total.value)):
                 return failing(name, fam, detail="sum not preserved")
     return passing(name)
 

@@ -9,13 +9,15 @@ The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
 rather than swallowed.  Over a partial base carrier every check runs the
 oracle.  Over a total one (``Pcm.total``: finite families, relations,
-matrices) no family of carrier elements can be refused, so arrow
-construction and composition keep only the membership half of the check,
-through ``Pcm.admits``.  ``sum_arrows`` checks each input coefficient for
-membership once, in the flattened order, builds the labelled flattened
-family only to ask the oracle of a partial carrier, and then sums each
-column with the bare oracle; only ``make_arrow``'s check of the pointwise
-sums follows.
+matrices) no family of carrier elements can be refused, and its oracle sums
+members into the carrier.  So arrow construction keeps only the membership
+half of the check, through ``Pcm.admits``, and composition keeps only the
+membership check ``Pcm.sum`` makes of the factor products: the summed
+coefficients are not scanned again.  ``sum_arrows`` checks each input
+coefficient for membership once, in the flattened order, builds the
+labelled flattened family only to ask the oracle of a partial carrier, and
+then sums each column with the bare oracle; only ``make_arrow``'s check of
+the pointwise sums follows.
 """
 
 from __future__ import annotations
@@ -173,7 +175,9 @@ class CauchyCategory:
                 )
             coeffs[c] = result.value
         arrow = CauchyArrow(f.src, g.tgt, tuple(sorted(coeffs.items())))
-        return self._admitted(arrow, target_pcm)
+        # ``target_pcm.sum`` checked every factor product, and a total
+        # carrier's oracle sums carrier elements into the carrier.
+        return arrow if target_pcm.total else self._admitted(arrow, target_pcm)
 
     def sum_arrows(self, fam: IndexedFamily, src=None, tgt=None):
         """Summable exactly when the flattened coefficient family is; pointwise sums."""

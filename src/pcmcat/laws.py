@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import NotFailingError
 from .family import (
@@ -72,14 +72,15 @@ class _SubsetSums:
 
     A subfamily is keyed by the bitmask of its labels' ranks among the
     family's sorted labels; the full mask holds the family total, which is
-    computed first.
+    computed first unless the caller passes it in.
     """
 
-    def __init__(self, pcm: Pcm, fam: IndexedFamily):
+    def __init__(self, pcm: Pcm, fam: IndexedFamily,
+                 total: Summable | NotSummable | None = None):
         self.pcm, self.fam = pcm, fam
         self.labels = sorted(set(fam.labels))
         self.bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
-        self.total = pcm.sum(fam)
+        self.total = pcm.sum(fam) if total is None else total
         self.slots = {(1 << len(self.labels)) - 1: self.total}
 
     def __getitem__(self, mask: int) -> Summable | NotSummable:
@@ -148,15 +149,16 @@ def check_subfamilies(pcm: Pcm, fam: IndexedFamily) -> Report:
     return _subfamilies(pcm, fam, _SubsetSums(pcm, fam))
 
 
-def _full_pa(pcm: Pcm, fam: IndexedFamily, wpa_passed: bool) -> Report:
+def _full_pa(pcm: Pcm, fam: IndexedFamily, total: Summable | NotSummable,
+             wpa_passed: bool) -> Report:
     name = f"full-pa[{pcm.name}]"
-    sums = _SubsetSums(pcm, fam)
-    if isinstance(sums.total, Summable):
+    if isinstance(total, Summable):
         if not wpa_passed:
-            wpa = _wpa(pcm, fam, sums)
+            wpa = _wpa(pcm, fam, _SubsetSums(pcm, fam, total))
             if not wpa.passed:
                 return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
         return Report(name, SIGMA_COMPATIBLE)
+    sums = _SubsetSums(pcm, fam, total)
     for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
         regrouped = _regrouped(sums, masks)
         if regrouped is not None and isinstance(pcm.sum(regrouped), Summable):
@@ -172,15 +174,26 @@ def check_full_pa(pcm: Pcm, fam: IndexedFamily) -> Report:
     Verdict names whether the tested data is compatible with the two-way law
     (the one-way direction is check_wpa's job).
     """
-    return _full_pa(pcm, fam, wpa_passed=False)
+    return _full_pa(pcm, fam, pcm.sum(fam), wpa_passed=False)
 
 
-def _classify_full_pa(pcm: Pcm, max_size: int, wpa_passed: int) -> Report:
+def _family_totals(pcm: Pcm, grid: tuple, max_size: int, totals: Sequence):
+    """Each family of ``families_over(grid, max_size)`` with ``pcm.sum`` of it.
+
+    ``totals`` holds the sums of a prefix of the same family order, already
+    computed; only the families past it are summed here.
+    """
+    for index, fam in enumerate(families_over(grid, max_size)):
+        yield fam, totals[index] if index < len(totals) else pcm.sum(fam)
+
+
+def _classify_full_pa(pcm: Pcm, max_size: int, wpa_passed: int,
+                      totals: Sequence) -> Report:
     """``classify_full_pa``, told that the first ``wpa_passed`` families of the
-    grid already passed check_wpa."""
+    grid already passed check_wpa, and given the sums ``totals`` of a prefix."""
     name = f"full-pa[{pcm.name}]"
-    for index, fam in enumerate(families_over(pcm.grid, max_size)):
-        report = _full_pa(pcm, fam, wpa_passed=index < wpa_passed)
+    for index, (fam, total) in enumerate(_family_totals(pcm, pcm.grid, max_size, totals)):
+        report = _full_pa(pcm, fam, total, wpa_passed=index < wpa_passed)
         if report.verdict != SIGMA_COMPATIBLE:
             return report
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
@@ -188,16 +201,20 @@ def _classify_full_pa(pcm: Pcm, max_size: int, wpa_passed: int) -> Report:
 
 def classify_full_pa(pcm: Pcm, max_size: int = 4) -> Report:
     """Aggregate check_full_pa over the family grid."""
-    return _classify_full_pa(pcm, max_size, wpa_passed=0)
+    return _classify_full_pa(pcm, max_size, wpa_passed=0, totals=())
 
 
-def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3) -> Report:
-    """Does a zero total force every member to be zero, on tested families?"""
+def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3,
+                     totals: Sequence = ()) -> Report:
+    """Does a zero total force every member to be zero, on tested families?
+
+    ``totals`` may hold the sums of a prefix of the families, in their order,
+    which are then not summed again.
+    """
     name = f"positivity[{pcm.name}]"
     grid = samples if samples is not None else pcm.grid
     z = pcm.zero
-    for fam in families_over(tuple(grid), max_size):
-        result = pcm.sum(fam)
+    for fam, result in _family_totals(pcm, tuple(grid), max_size, totals):
         if not isinstance(result, Summable) or not pcm.close(result.value, z):
             continue
         if any(not pcm.close(v, z) for v in fam.values):
@@ -232,12 +249,16 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     wpa_name = f"wpa[{pcm.name}]"
     sub_name = f"subfamilies[{pcm.name}]"
     wpa_report, sub_report = passing(wpa_name), passing(sub_name)
-    # One subset-sum table per family serves both sweeps; only the count of
-    # families that passed wpa reaches the full-pa sweep, which walks a prefix
-    # of the same family order.
+    # One subset-sum table per family serves both sweeps.  The full-pa and
+    # positivity sweeps walk a prefix of the same family order (sizes up to 4
+    # and 3): they get the count of families that passed wpa and the totals
+    # of the families up to size 4, not the tables.
     wpa_passed = 0
+    totals = []
     for fam in families_over(pcm.grid, family_size):
         sums = _SubsetSums(pcm, fam)
+        if len(fam) <= 4:
+            totals.append(sums.total)
         report = _wpa(pcm, fam, sums)
         if not report.passed:
             wpa_report = report
@@ -251,8 +272,8 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     reports.append(wpa_report)
     reports.append(sub_report)
     reports.append(check_reindexing(pcm, trials=trials, seed=seed))
-    reports.append(_classify_full_pa(pcm, min(4, family_size), wpa_passed))
-    reports.append(check_positivity(pcm))
+    reports.append(_classify_full_pa(pcm, min(4, family_size), wpa_passed, totals))
+    reports.append(check_positivity(pcm, totals=totals))
     return reports
 
 

@@ -264,9 +264,11 @@ class Pcm:
     ``family_grid`` is the (possibly smaller) subset that exhaustive
     family sweeps enumerate multisets over.  ``total`` declares that the
     oracle returns ``Summable`` for every family of carrier elements, never
-    refusing and never raising; ``admits`` then checks membership only.
-    Set it only where that holds for every carrier element: the
-    finite-families, relations and matrix carriers.
+    refusing and never raising, and that the sum it returns is itself a
+    carrier element; ``admits`` then checks membership only, and a sum of
+    members needs no membership check of its own.  Set it only where that
+    holds for every carrier element: the finite-families, relations and
+    matrix carriers.
     """
 
     name: str

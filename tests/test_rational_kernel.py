@@ -4,7 +4,8 @@ Rational matrix products and hom sums are computed on integer numerators
 over a common denominator and must agree, entry for entry and by ``repr``,
 with the plain ``Fraction`` folds.  ``sum_arrows`` checks each coefficient
 for membership once, and a foreign coefficient still raises the message
-that names its flattened label ``"{i}|{a}"``.
+that names its flattened label ``"{i}|{a}"``.  ``compose`` checks each
+factor product once, and over a total carrier not its sums again.
 """
 
 import dataclasses
@@ -173,6 +174,25 @@ def test_sum_arrows_checks_each_coefficient_once(base, partial, size):
     assert calls["contains"] == size * len(hom) + len(hom)
     # one oracle call per column; a partial carrier adds the flattened family and make_arrow's
     assert calls["oracle"] == len(hom) + 2 * partial
+
+
+@pytest.mark.parametrize("base, partial",
+                         [(from_semiring("rational"), 0), (k_bounded_category(2), 1)],
+                         ids=["total", "partial"])
+def test_compose_checks_each_factor_product_once(base, partial):
+    calls = {"contains": 0, "oracle": 0}
+    cc = cauchy_product(_counting_base(base, calls), cyclic_category(3))
+    obj = cc.objects[0]
+    one = cc.base.identity("*")
+    f = cc.make_arrow(obj, obj, {"z0": one})
+    g = cc.make_arrow(obj, obj, {"z1": one, "z2": one})
+    calls.update(contains=0, oracle=0)
+    cc.compose(g, f)
+    # Z3 has 3 arrows, each with 3 factorizations: Pcm.sum checks the 9
+    # factor products, then sums each coefficient with one oracle call; a
+    # partial carrier adds make_arrow's check of the 3 coefficients
+    assert calls["contains"] == 9 + 3 * partial
+    assert calls["oracle"] == 3 + partial
 
 
 def test_sum_arrows_over_rational_matrices_matches_the_fraction_fold():

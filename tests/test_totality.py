@@ -1,8 +1,9 @@
 """Which builtin carriers declare ``Pcm.total``, and that the declaration holds.
 
 A total carrier's ``admits`` checks membership only and never asks the
-oracle, so the flag is safe only where the oracle cannot refuse or raise on
-any family of carrier elements.
+oracle, and the sums of its members are not checked for membership, so the
+flag is safe only where the oracle cannot refuse or raise on any family of
+carrier elements and sums every such family into the carrier.
 """
 
 import dataclasses
@@ -56,16 +57,30 @@ def test_total_is_declared_exactly_on_finite_families_relations_and_matrices():
     assert "matrices[2x1,complex]" in TOTAL
 
 
-@pytest.mark.parametrize("name", TOTAL)
-def test_a_total_carrier_admits_every_family(name):
+def grid_and_random_families(name: str) -> list:
+    """Every family of size 4 or less over the grid, and 200 seeded random ones."""
     pcm = CARRIERS[name]
     rng = random.Random(f"totality:{name}")
     families = list(families_over(pcm.grid, 4))
     families += [family_of([rng.choice(pcm.sample_elements) for _ in range(rng.randint(0, 6))])
                  for _ in range(200)]
-    for fam in families:
+    return families
+
+
+@pytest.mark.parametrize("name", TOTAL)
+def test_a_total_carrier_admits_every_family(name):
+    pcm = CARRIERS[name]
+    for fam in grid_and_random_families(name):
         assert isinstance(pcm.oracle(fam), Summable), fam
         assert pcm.admits(fam)
+
+
+@pytest.mark.parametrize("name", TOTAL)
+def test_a_total_carrier_sums_into_the_carrier(name):
+    """The promise that lets ``CauchyCategory.compose`` skip checking its sums."""
+    pcm = CARRIERS[name]
+    for fam in grid_and_random_families(name):
+        assert pcm.contains(pcm.oracle(fam).value), fam
 
 
 def _refused_or_raises(pcm: Pcm, fam) -> bool:
