@@ -23,7 +23,7 @@ from .family import (
     make_family,
     partition_table,
     reindex,
-    subfamily,
+    subfamily,  # noqa: F401 -- perfbench/tracing.py wraps laws.subfamily
 )
 from .pcm import NotSummable, Pcm, Summable
 from .report import Report, failing, passing
@@ -68,11 +68,14 @@ _BLOCK_LABELS = tuple(f"b{k}" for k in range(EXHAUSTIVE_PARTITION_LIMIT))
 
 
 class _SubsetSums:
-    """``pcm.sum`` of each subfamily of one family, each computed on first use.
+    """The oracle's sum of each subfamily of one family, each computed on first use.
 
     A subfamily is keyed by the bitmask of its labels' ranks among the
-    family's sorted labels; the full mask holds the family total, which is
-    computed first unless the caller passes it in.
+    family's sorted labels; the full mask holds the family total.  ``total``
+    must be ``pcm.sum(fam)``, and is computed here unless the caller passes
+    it in: that sum checked every entry's membership, so each subfamily,
+    built from the mask with its entries in family order, goes straight to
+    ``pcm.oracle``.
     """
 
     def __init__(self, pcm: Pcm, fam: IndexedFamily,
@@ -86,8 +89,9 @@ class _SubsetSums:
     def __getitem__(self, mask: int) -> Summable | NotSummable:
         result = self.slots.get(mask)
         if result is None:
-            keep = [label for label, bit in self.bit.items() if mask & bit]
-            result = self.slots[mask] = self.pcm.sum(subfamily(self.fam, keep))
+            bit = self.bit
+            entries = tuple(entry for entry in self.fam.entries if mask & bit[entry[0]])
+            result = self.slots[mask] = self.pcm.oracle(IndexedFamily(entries))
         return result
 
     def partition(self, index: int) -> Partition:
@@ -111,11 +115,13 @@ def _wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
     total = sums.total
     if not isinstance(total, Summable):
         return passing(name, detail="family not summable; vacuous")
+    # block sums of a total carrier are members (Pcm.total): no check for them
+    sum_blocks = pcm.oracle if pcm.total else pcm.sum
     for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
         regrouped = _regrouped(sums, masks)
         if regrouped is None:
             return failing(name, (fam, sums.partition(index)), detail="block not summable")
-        result = pcm.sum(regrouped)
+        result = sum_blocks(regrouped)
         if not isinstance(result, Summable):
             return failing(name, (fam, sums.partition(index)), detail="block sums not summable")
         if not pcm.close(result.value, total.value):

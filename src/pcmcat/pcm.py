@@ -10,10 +10,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt
+from functools import cache, cached_property
+from math import isqrt, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -153,15 +154,6 @@ class Vec:
             raise CarrierMismatchError("vector dimensions differ")
         return Vec(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self.coords), Fraction(0))
-
-    def linf_norm(self) -> Fraction:
-        return max((abs(c) for c in self.coords), default=Fraction(0))
-
-    def squared_l2_norm(self) -> Fraction:
-        return sum((c * c for c in self.coords), Fraction(0))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
@@ -177,52 +169,53 @@ def format_element(x) -> str:
 # --------------------------------------------------------------------------
 
 
-def _exact_sqrt(q: Fraction) -> Fraction | None:
-    """The rational square root of q, or None if q is not a perfect square."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    p, d = q.numerator, q.denominator
-    rp, rd = isqrt(p), isqrt(d)
-    if rp * rp == p and rd * rd == d:
-        return Fraction(rp, rd)
-    return None
-
-
-def compare_sqrt_sum(squares: Iterable[Fraction], bound: Fraction) -> int:
-    """Sign of (sum of sqrt(q) for q in squares) - bound, computed exactly.
+def _sqrt_sum_sign(radicands: Iterable[int], bound: int) -> int:
+    """Sign of (sum of sqrt(r) for r in radicands) - bound, for integers r >= 0.
 
     Splits off perfect squares; a nonempty sum of irrational square roots
-    of rationals is itself irrational, so the residual comparison is strict
-    and interval refinement with integer square roots terminates.
+    of integers is itself irrational, so the residual comparison is strict
+    and refinement with integer floor roots terminates.  At scale S each
+    irrational root r lies strictly between isqrt(r*S*S)/S and one S-th
+    above it.
     """
-    rational_part = Fraction(0)
-    irrational: list[Fraction] = []
-    for q in squares:
-        root = _exact_sqrt(Fraction(q))
-        if root is None:
-            irrational.append(Fraction(q))
+    target = bound
+    irrational: list[int] = []
+    for r in radicands:
+        root = isqrt(r)
+        if root * root == r:
+            target -= root
         else:
-            rational_part += root
-    target = bound - rational_part
+            irrational.append(r)
     if not irrational:
         return (0 > target) - (0 < target)
     if target <= 0:
         return 1
     shift = 32
     while True:
-        scale = 1 << shift
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for q in irrational:
-            n = q.numerator * q.denominator
-            r = isqrt(n * scale * scale)
-            lo += Fraction(r, q.denominator * scale)
-            hi += Fraction(r + 1, q.denominator * scale)
-        if lo > target:
+        lo = sum(isqrt(r << 2 * shift) for r in irrational)
+        scaled = target << shift
+        if lo >= scaled:
             return 1
-        if hi < target:
+        if lo + len(irrational) <= scaled:
             return -1
         shift += 32
+
+
+def compare_sqrt_sum(squares: Iterable[Fraction], bound: Fraction) -> int:
+    """Sign of (sum of sqrt(q) for q in squares) - bound, computed exactly.
+
+    Puts the squares and the bound over one common denominator d, where
+    sqrt(p/q) * d = sqrt(p*q*(d/q)**2), and compares integer roots.
+    """
+    squares = [Fraction(q) for q in squares]
+    if any(q < 0 for q in squares):
+        raise ValueError("negative radicand")
+    bound = Fraction(bound)
+    d = lcm(bound.denominator, *[q.denominator for q in squares])
+    return _sqrt_sum_sign(
+        [q.numerator * q.denominator * (d // q.denominator) ** 2 for q in squares],
+        bound.numerator * (d // bound.denominator),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -266,9 +259,10 @@ class Pcm:
     oracle returns ``Summable`` for every family of carrier elements, never
     refusing and never raising, and that the sum it returns is itself a
     carrier element; ``admits`` then checks membership only, and a sum of
-    members needs no membership check of its own.  Set it only where that
-    holds for every carrier element: the finite-families, relations and
-    matrix carriers.
+    members needs no membership check of its own: convolution composites
+    and the partition-law sweep's families of block sums go straight to the
+    oracle.  Set it only where that holds for every carrier element: the
+    finite-families, relations and matrix carriers.
     """
 
     name: str
@@ -347,6 +341,18 @@ def validate_monoid(monoid: Monoid, trials: int = 1000, seed: str = "monoid") ->
             raise NotAMonoidError(f"{monoid.name}: unit law fails on {a}")
 
 
+# Monoids that passed validate_monoid with its defaults; a Monoid compares
+# and hashes by identity, so each object is validated once.
+_VALIDATED = weakref.WeakSet()
+
+
+def _validated(monoid: Monoid) -> None:
+    """validate_monoid, unless this Monoid object already passed it."""
+    if monoid not in _VALIDATED:
+        validate_monoid(monoid)
+        _VALIDATED.add(monoid)
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -374,7 +380,9 @@ RATIONAL_ADD = Monoid(
 )
 
 
+@cache
 def mod_add(n: int) -> Monoid:
+    """The integers mod n under addition: one Monoid object per n."""
     return Monoid(
         name=f"(Z mod {n},+)",
         unit=Residue(0, n),
@@ -391,7 +399,7 @@ def mod_add(n: int) -> Monoid:
 
 def make_finite_families_pcm(monoid: Monoid, family_grid: tuple = ()) -> Pcm:
     """Every finite family is summable; the sum folds the monoid operation."""
-    validate_monoid(monoid)
+    _validated(monoid)
 
     def oracle(fam: IndexedFamily):
         total = monoid.unit
@@ -414,7 +422,7 @@ def make_k_bounded_pcm(monoid: Monoid, k: int, family_grid: tuple = ()) -> Pcm:
     """Summable exactly when at most k entries differ from the unit."""
     if k < 1:
         raise ValueError("k must be positive")
-    validate_monoid(monoid)
+    _validated(monoid)
 
     def oracle(fam: IndexedFamily):
         nonzero = sum(1 for _, value in fam.entries if value != monoid.unit)
@@ -614,30 +622,40 @@ UNIT_BALL_NORMS = ("l1", "l2", "linf")
 
 
 def make_unit_ball_pcm(dim: int, norm: str = "l1", family_grid: tuple = ()) -> Pcm:
-    """Vectors of rationals; summable exactly when the norms sum to at most 1."""
+    """Vectors of rationals; summable exactly when the norms sum to at most 1.
+
+    The oracle works on integer numerators: every coordinate of the family
+    goes over one least common denominator d, so each norm is an integer
+    over d (its square over d**2 for l2), the ball test is one integer
+    comparison (an exact comparison of integer square roots for l2), and
+    each coordinate of the sum becomes one Fraction.
+    """
     if dim < 1:
         raise ValueError("dimension must be positive")
     if norm not in UNIT_BALL_NORMS:
         raise ValueError(f"unknown norm {norm!r}")
+    zero = Vec((Fraction(0),) * dim)
 
     def contains(x):
-        return isinstance(x, Vec) and len(x.coords) == dim
+        return (isinstance(x, Vec) and len(x.coords) == dim
+                and all(isinstance(c, Fraction) for c in x.coords))
 
-    def within_ball(fam: IndexedFamily) -> bool:
+    def within_ball(rows: list[list[int]], d: int) -> bool:
         if norm == "l1":
-            return sum((v.l1_norm() for _, v in fam.entries), Fraction(0)) <= 1
+            return sum([abs(a) for row in rows for a in row]) <= d
         if norm == "linf":
-            return sum((v.linf_norm() for _, v in fam.entries), Fraction(0)) <= 1
-        squares = [v.squared_l2_norm() for _, v in fam.entries]
-        return compare_sqrt_sum(squares, Fraction(1)) <= 0
+            return sum([max(map(abs, row)) for row in rows]) <= d
+        return _sqrt_sum_sign([sum([a * a for a in row]) for row in rows], d) <= 0
 
     def oracle(fam: IndexedFamily):
-        if not within_ball(fam):
+        if not fam.entries:
+            return Summable(zero)
+        vectors = [v.coords for _, v in fam.entries]
+        d = lcm(*[c.denominator for coords in vectors for c in coords])
+        rows = [[c.numerator * (d // c.denominator) for c in coords] for coords in vectors]
+        if not within_ball(rows, d):
             return NOT_SUMMABLE
-        total = Vec(tuple(Fraction(0) for _ in range(dim)))
-        for _, v in fam.entries:
-            total = total + v
-        return Summable(total)
+        return Summable(Vec(tuple(Fraction(sum(column), d) for column in zip(*rows))))
 
     return Pcm(
         name=f"unit-ball[{norm},dim {dim}]",

@@ -5,12 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmcat.errors import CarrierMismatchError, NonFiniteError
+from pcmcat import pcm as pcm_module
+from pcmcat.errors import (
+    CarrierMismatchError,
+    NonFiniteError,
+    NotAMonoidError,
+    NotCommutativeError,
+)
 from pcmcat.family import family_of, make_family
 from pcmcat.pcm import (
     INT_ADD,
     NOT_SUMMABLE,
     RATIONAL_ADD,
+    Monoid,
     PartialFn,
     PcmHom,
     Relation,
@@ -248,3 +255,61 @@ def test_k_bounded_summability_rule(values, k):
         assert result == Summable(sum(values))
     else:
         assert result is NOT_SUMMABLE
+
+
+# --------------------------------------------------------------------------
+# monoid validation, once per Monoid object
+# --------------------------------------------------------------------------
+
+BUILDERS = (make_finite_families_pcm, lambda monoid: make_k_bounded_pcm(monoid, 2))
+
+CONCATENATION = Monoid(name="(str,+)", unit="", op=lambda a, b: a + b,
+                       contains=lambda x: isinstance(x, str), sample=("", "a", "b"))
+DISTANCE = Monoid(name="(N,|a-b|)", unit=0, op=lambda a, b: abs(a - b),
+                  contains=lambda x: isinstance(x, int), sample=(0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_a_non_commutative_monoid_is_refused_on_every_build(build):
+    for _ in range(2):
+        with pytest.raises(NotCommutativeError, match="op"):
+            build(CONCATENATION)
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_a_non_associative_monoid_is_refused_on_every_build(build):
+    for _ in range(2):
+        with pytest.raises(NotAMonoidError, match="associativity fails") as error:
+            build(DISTANCE)
+        assert not isinstance(error.value, NotCommutativeError)
+
+
+def test_a_monoid_runs_its_trials_on_its_first_build_only():
+    trials = []
+
+    def op(a, b):
+        trials.append((a, b))
+        return a + b
+
+    counted = Monoid(name="counted", unit=0, op=op, contains=lambda x: isinstance(x, int),
+                     sample=(0, 1, 2))
+    make_finite_families_pcm(counted)
+    assert len(trials) >= 1000
+    trials.clear()
+    make_finite_families_pcm(counted)
+    make_k_bounded_pcm(counted, 1)
+    assert trials == []
+
+
+def test_the_second_build_of_rational_add_runs_no_trials(monkeypatch):
+    make_finite_families_pcm(RATIONAL_ADD)
+    calls = []
+    monkeypatch.setattr(pcm_module, "validate_monoid", lambda *args, **kw: calls.append(args))
+    make_finite_families_pcm(RATIONAL_ADD)
+    make_k_bounded_pcm(RATIONAL_ADD, 1)
+    assert calls == []
+
+
+def test_mod_add_is_one_monoid_per_modulus():
+    assert mod_add(4) is mod_add(4)
+    assert mod_add(4) is not mod_add(5)

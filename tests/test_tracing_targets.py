@@ -1,0 +1,27 @@
+"""Every attribute the benchmark's tracer wraps must exist.
+
+``perfbench/tracing.py`` wraps pcmcat's entry points by owner and attribute
+name; a renamed function or a dropped import would otherwise show only when
+a traced benchmark run fails.  The tracer's source is read and executed
+here, so nothing is written under ``perfbench/``.
+"""
+
+import types
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing() -> types.ModuleType:
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_wrap_point_resolves():
+    points = load_tracing().wrap_points()
+    assert points
+    missing = [(name, getattr(owner, "__name__", owner), attr)
+               for name, owner, attr in points if not hasattr(owner, attr)]
+    assert missing == []
