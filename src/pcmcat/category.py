@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import ParseError, ShapeMismatchError
+from .errors import ParseError, ShapeMismatchError, ValidationError
 from .family import IndexedFamily, families_over, family_of, make_family
 from .pcm import (
     DEFAULT_TOLERANCE,
@@ -256,8 +256,12 @@ def _matrix_samples(n: int, m: int, scalar: str) -> tuple[Matrix, ...]:
     samples: list[Matrix] = [Matrix.zero(n, m, zero_s)]
     if n == m:
         samples.append(Matrix.identity(n, zero_s, one_s))
-    cells = list(itertools.product(entries, repeat=n * m))
-    for flat in cells[:: max(1, len(cells) // 16)]:
+    # Every (count // 16)-th tuple of ``itertools.product(entries, repeat=size)``,
+    # built from its index: the base-3 digits pick the entries, most significant first.
+    size, base = n * m, len(entries)
+    count = base**size
+    for index in range(0, count, max(1, count // 16)):
+        flat = [entries[index // base ** (size - 1 - j) % base] for j in range(size)]
         matrix = Matrix.of([flat[i * m : (i + 1) * m] for i in range(n)])
         if matrix not in samples:
             samples.append(matrix)
@@ -301,6 +305,7 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
             )
 
         zero = Matrix.zero(n, m, zero_s)
+        samples = _matrix_samples(n, m, scalar)
 
         def oracle(fam: IndexedFamily):
             return Summable(matrix_sum(fam.entries, zero))
@@ -309,8 +314,8 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
             name=f"matrices[{n}x{m},{scalar}]",
             contains=contains,
             oracle=oracle,
-            sample_elements=_matrix_samples(n, m, scalar),
-            family_grid=_matrix_samples(n, m, scalar)[:5],
+            sample_elements=samples,
+            family_grid=samples[:5],
             close=close,
             total=True,
         )
@@ -352,8 +357,21 @@ def partial_injection_category(n: int, mode: str = "overlap") -> PcmCategory:
     return _one_object(f"pinj-{mode}:{n}", pcm, lambda g, f: g.compose(f), identity)
 
 
-def _int_parameter(descriptor: str, text: str, least: int) -> int:
-    """The integer ``text`` read from ``descriptor``; ParseError unless it is at least ``least``."""
+# The largest parameters ``resolve_base`` builds: ``rel:<n>`` enumerates all
+# 2^(n*n) relations on n points, ``pfn:<n>`` and ``pinj-*:<n>`` all (n+1)^n
+# partial functions, and ``laws`` on ``matrix:<d>`` multiplies d-by-d matrices.
+# At the bounds, ``laws --family-size 3`` takes a few seconds.
+MAX_RELATION_POINTS = 4
+MAX_PARTIAL_FN_POINTS = 6
+MAX_MATRIX_DIM = 16
+
+
+def _int_parameter(descriptor: str, text: str, least: int, most: int | None = None) -> int:
+    """The integer ``text`` read from ``descriptor``.
+
+    ParseError unless it is at least ``least``; ValidationError, before
+    anything is built, when it is above ``most``.
+    """
     try:
         value = int(text)
     except ValueError:
@@ -362,13 +380,19 @@ def _int_parameter(descriptor: str, text: str, least: int) -> int:
         raise ParseError(
             f"descriptor {descriptor!r} needs an integer >= {least} where it has {text!r}"
         )
+    if most is not None and value > most:
+        raise ValidationError(
+            f"descriptor {descriptor!r} takes an integer <= {most} where it has {text!r}; "
+            "larger instances are refused because their cost explodes"
+        )
     return value
 
 
 def resolve_base(descriptor: str, tolerance: float = DEFAULT_TOLERANCE):
     """Map a base descriptor string to a category or, for unitball, a bare Pcm.
 
-    A malformed parameter raises ParseError naming the descriptor.
+    A malformed parameter raises ParseError naming the descriptor; one above
+    its ``MAX_*`` bound raises ValidationError naming the bound.
     """
     if descriptor in ("int", "rational", "complex") or descriptor.startswith("mod:"):
         return from_semiring(descriptor, tolerance)
@@ -376,14 +400,17 @@ def resolve_base(descriptor: str, tolerance: float = DEFAULT_TOLERANCE):
     if ":" not in descriptor:
         raise ParseError(f"unknown base descriptor {descriptor!r}")
     if kind == "matrix":
-        return matrix_category([_int_parameter(descriptor, d, 1) for d in rest.split(",")])
+        return matrix_category(
+            [_int_parameter(descriptor, d, 1, MAX_MATRIX_DIM) for d in rest.split(",")]
+        )
     if kind == "rel":
-        return relations_category(_int_parameter(descriptor, rest, 0))
+        return relations_category(_int_parameter(descriptor, rest, 0, MAX_RELATION_POINTS))
     if kind == "pfn":
-        return partial_fn_category(_int_parameter(descriptor, rest, 0))
+        return partial_fn_category(_int_parameter(descriptor, rest, 0, MAX_PARTIAL_FN_POINTS))
     if kind in ("pinj-overlap", "pinj-disjoint"):
         mode = kind.split("-", 1)[1]
-        return partial_injection_category(_int_parameter(descriptor, rest, 0), mode)
+        n = _int_parameter(descriptor, rest, 0, MAX_PARTIAL_FN_POINTS)
+        return partial_injection_category(n, mode)
     if kind == "kbounded":
         return k_bounded_category(_int_parameter(descriptor, rest, 1))
     if kind == "unitball":

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,41 @@ def test_matrix_shape_mismatch():
 def test_matrix_zero_arrow_shape():
     cat = matrix_category([2, 3])
     assert zero_arrow(cat, 3, 2) == Matrix.zero(2, 3, Fraction(0))
+
+
+def _listed_matrix_samples(n, m, entries, zero_s, one_s):
+    """The matrix samples taken, as before, as a stride through the full cell list."""
+    samples = [Matrix.zero(n, m, zero_s)]
+    if n == m:
+        samples.append(Matrix.identity(n, zero_s, one_s))
+    cells = list(itertools.product(entries, repeat=n * m))
+    for flat in cells[:: max(1, len(cells) // 16)]:
+        matrix = Matrix.of([flat[i * m : (i + 1) * m] for i in range(n)])
+        if matrix not in samples:
+            samples.append(matrix)
+        if len(samples) >= 16:
+            break
+    return tuple(samples)
+
+
+@pytest.mark.parametrize("scalar, entries, zero_s, one_s", [
+    ("rational", (Fraction(0), Fraction(1), Fraction(-1)), Fraction(0), Fraction(1)),
+    ("complex", (0j, 1 + 0j, 1j), 0j, 1 + 0j),
+])
+def test_matrix_samples_are_the_strided_cell_list(scalar, entries, zero_s, one_s):
+    for n, m in itertools.product((1, 2, 3), repeat=2):
+        cat = matrix_category([n, m], scalar=scalar)
+        pcm = cat.hom_pcm(m, n)
+        expected = _listed_matrix_samples(n, m, entries, zero_s, one_s)
+        assert repr(pcm.sample_elements) == repr(expected)
+        assert pcm.family_grid == expected[:5]
+
+
+def test_largest_matrix_descriptor_samples_without_listing_cells():
+    # 3^256 cells: only the strided ones are ever built.
+    pcm = resolve_base("matrix:16").hom_pcm(16, 16)
+    assert len(pcm.sample_elements) == 16
+    assert pcm.sample_elements[1] == Matrix.identity(16, Fraction(0), Fraction(1))
 
 
 def test_zero_composes_to_zero_in_matrix_category():

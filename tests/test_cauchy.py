@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from pcmcat.category import Matrix, PcmFunctor, from_semiring, matrix_category
 from pcmcat.cauchy import (
     BoundedStream,
+    CauchyCategory,
     cauchy_product,
     check_associativity,
     check_identity_laws,
@@ -336,6 +339,56 @@ def test_cauchy_validation_checks():
     parallel = cauchy_product(INT, two_object_parallel_pair())
     assert check_identity_laws(parallel).passed
     assert check_associativity(parallel).passed
+
+
+def _counting_compose(monkeypatch):
+    """Record the argument pairs of every ``CauchyCategory.compose`` call."""
+    calls = []
+    compose = CauchyCategory.compose
+
+    def counted(self, g, f):
+        calls.append((g, f))
+        return compose(self, g, f)
+
+    monkeypatch.setattr(CauchyCategory, "compose", counted)
+    return calls
+
+
+def test_sampled_associativity_composes_each_inner_pair_once(monkeypatch):
+    cc = cauchy_product(matrix_category([2]), Z3)
+    paths = []
+    for o1, o2, o3, o4 in itertools.product(cc.objects, repeat=4):
+        homs = (cc.hom_pcm(o3, o4), cc.hom_pcm(o2, o3), cc.hom_pcm(o1, o2))
+        paths.append(tuple(pcm.sample_elements for pcm in homs))
+    rng = random.Random(f"0:assoc:{cc.name}")
+    triples = []
+    for _ in range(500):
+        hs, gs, fs = rng.choice(paths)
+        triples.append((rng.choice(hs), rng.choice(gs), rng.choice(fs)))
+    after_g = {(h, g) for h, g, _ in triples}
+    before_g = {(g, f) for _, g, f in triples}
+    calls = _counting_compose(monkeypatch)
+    assert check_associativity(cc, seed=0).detail == "500 sampled triples"
+    # Two outer composes per triple, one inner compose per distinct pair.
+    assert len(calls) == 2 * 500 + len(after_g) + len(before_g)
+    assert after_g | before_g <= set(calls)
+
+
+def test_exhaustive_associativity_composes_each_inner_pair_once(monkeypatch):
+    obj = INT_Z2.objects[0]
+    samples = INT_Z2.hom_pcm(obj, obj).sample_elements
+    total = len(samples) ** 3
+    calls = _counting_compose(monkeypatch)
+    report = check_associativity(INT_Z2, exhaustive_limit=total)
+    assert report.detail == f"exhaustive over {total} triples"
+    # Each pair of sample arrows is composed once as h.g and once as g.f;
+    # every other call composes one of those composites.
+    assert len(calls) == 2 * total + 2 * len(samples) ** 2
+    sample_ids = {id(a) for a in samples}
+    inner = collections.Counter(
+        (id(g), id(f)) for g, f in calls if id(g) in sample_ids and id(f) in sample_ids
+    )
+    assert len(inner) == len(samples) ** 2 and set(inner.values()) == {2}
 
 
 def test_parallel_pair_index_full_law_suite():

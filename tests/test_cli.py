@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from pcmcat.category import from_semiring
+from pcmcat import category, pcm
+from pcmcat.category import (
+    MAX_MATRIX_DIM,
+    MAX_PARTIAL_FN_POINTS,
+    MAX_RELATION_POINTS,
+    from_semiring,
+)
 from pcmcat.cauchy import cauchy_product
 from pcmcat import cli
 from pcmcat.cli import MAX_CYCLIC_ORDER, main, parse_arrow, parse_fincat, parse_scalar
@@ -103,6 +109,28 @@ def test_validate_oversized_cyclic_descriptor_is_refused_before_building(descrip
     code, out, err = run_cli("validate", "--index", descriptor)
     assert (code, out) == (2, "")
     assert f"n <= {MAX_CYCLIC_ORDER}" in err
+
+
+@pytest.mark.parametrize("descriptor, most", [
+    ("rel:5", MAX_RELATION_POINTS),
+    ("rel:100000", MAX_RELATION_POINTS),
+    ("pfn:7", MAX_PARTIAL_FN_POINTS),
+    ("pinj-overlap:7", MAX_PARTIAL_FN_POINTS),
+    ("pinj-disjoint:7", MAX_PARTIAL_FN_POINTS),
+    ("matrix:17", MAX_MATRIX_DIM),
+    ("matrix:2,100000", MAX_MATRIX_DIM),
+])
+def test_laws_oversized_base_descriptor_is_refused_before_building(descriptor, most, monkeypatch):
+    def no_build(*args):
+        raise AssertionError(f"{descriptor} built its elements")
+
+    for owner in (category, pcm):
+        monkeypatch.setattr(owner, "all_relations", no_build)
+        monkeypatch.setattr(owner, "all_partial_fns", no_build)
+    monkeypatch.setattr(category, "matrix_category", no_build)
+    code, out, err = run_cli("laws", "--base", descriptor, "--family-size", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: descriptor {descriptor!r} takes an integer <= {most} ")
 
 
 def test_validate_largest_cyclic_descriptor_passes():
