@@ -192,12 +192,10 @@ class CauchyCategory:
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
         hom = self.index.hom(u, v)
-        contains = base_pcm.contains
-        for i, arrow in fam.entries:
-            for a in hom:
-                value = arrow.coeff(a)
-                if not contains(value):
-                    raise base_pcm.outside_error(f"{i}|{a}", value)
+        base_pcm._check_members(
+            (((i, a), arrow.coeff(a)) for i, arrow in fam.entries for a in hom),
+            label="{0[0]}|{0[1]}".format,
+        )
         if not base_pcm.total:
             flattened = IndexedFamily(tuple(
                 (f"{i}|{a}", arrow.coeff(a)) for i, arrow in fam.entries for a in hom

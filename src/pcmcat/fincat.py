@@ -53,7 +53,6 @@ class FinCategory:
                 raise ValidationError(f"identity {ident!r} is not an endo-arrow of {obj!r}")
         self.identity_of = dict(identities)
         self.arrows = tuple(arrow_names)
-        self._identities = set(identities.values())
         self._comp: dict[tuple[str, str], str] = {}
         for (g, f), h in compositions.items():
             for a in (g, f, h):
@@ -75,9 +74,6 @@ class FinCategory:
 
     def tgt(self, arrow: str) -> str:
         return self._tgt[arrow]
-
-    def is_identity(self, arrow: str) -> bool:
-        return arrow in self._identities
 
     def hom(self, u: str, v: str) -> tuple[str, ...]:
         return self._homs.get((u, v), ())
@@ -281,11 +277,6 @@ def validate_functor(functor: Functor, source: FinCategory, target: FinCategory)
 
 def projections(a: FinCategory, b: FinCategory, product: FinCategory) -> tuple[Functor, Functor]:
     """The two projection functors out of product_category(a, b)."""
-
-    def split_obj(pair_name):
-        inner = pair_name[1:-1]
-        return tuple(inner.split(",", 1))
-
     first_obj, second_obj = {}, {}
     for x in a.objects:
         for y in b.objects:

@@ -84,10 +84,6 @@ class PartialFn:
     def mapping(self) -> dict[int, int]:
         return dict(sorted(self.graph))
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(k for k, _ in self.graph)
-
     def is_injective(self) -> bool:
         values = [v for _, v in self.graph]
         return len(set(values)) == len(values)
@@ -274,9 +270,7 @@ class Pcm:
     total: bool = False
 
     def sum(self, fam: IndexedFamily) -> Summable | NotSummable:
-        for label, value in fam.entries:
-            if not self.contains(value):
-                raise self.outside_error(label, value)
+        self._check_members(fam.entries)
         return self.oracle(fam)
 
     def admits(self, fam: IndexedFamily) -> bool:
@@ -284,10 +278,16 @@ class Pcm:
 
         Entries outside the carrier raise as in ``sum``.
         """
-        for label, value in fam.entries:
-            if not self.contains(value):
-                raise self.outside_error(label, value)
+        self._check_members(fam.entries)
         return self.total or isinstance(self.oracle(fam), Summable)
+
+    def _check_members(self, entries: Iterable[tuple], label: Callable = lambda key: key) -> None:
+        """Raise ``outside_error`` at the first (key, value) of ``entries`` outside
+        the carrier; ``label`` names that entry from its key, and runs on it alone."""
+        contains = self.contains
+        for key, value in entries:
+            if not contains(value):
+                raise self.outside_error(label(key), value)
 
     def outside_error(self, label: str, value) -> CarrierMismatchError:
         """The error for entry ``label`` = ``value`` found outside the carrier."""

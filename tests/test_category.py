@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from pcmcat.errors import ParseError, ShapeMismatchError
-from pcmcat.family import family_of, make_family
-from pcmcat.pcm import NotSummable, Residue, Summable
+from pcmcat.family import families_over, family_of, make_family
+from pcmcat.pcm import NotSummable, Pcm, Residue, Summable
 from pcmcat.category import (
+    BUILTIN_BASES,
     Matrix,
     PcmFunctor,
     check_monoid_sums,
@@ -25,6 +26,7 @@ from pcmcat.category import (
     product_projections,
     relations_category,
     resolve_base,
+    shipped_pcm_instances,
     zero_arrow,
 )
 
@@ -265,14 +267,47 @@ def test_partial_categories_have_correct_identities():
 
 
 def test_resolve_base_unitball_returns_bare_pcm():
-    from pcmcat.pcm import Pcm
-
     assert isinstance(resolve_base("unitball:1:l1"), Pcm)
 
 
 def test_resolve_base_rejects_unknown():
     with pytest.raises(ParseError):
         resolve_base("octonions")
+
+
+# --------------------------------------------------------------------------
+# one carrier and one grid per builtin base
+# --------------------------------------------------------------------------
+
+
+def _hom_carriers(base):
+    return [base] if isinstance(base, Pcm) else [
+        base.hom_pcm(x, y) for x, y in itertools.product(base.objects, repeat=2)
+    ]
+
+
+def test_shipped_carriers_are_the_builtin_bases_own_carriers():
+    shipped = {pcm.name: pcm for pcm in shipped_pcm_instances()}
+    assert len(shipped) == len(BUILTIN_BASES)
+    for descriptor in BUILTIN_BASES:
+        (built,) = _hom_carriers(resolve_base(descriptor))
+        assert built.name in shipped, descriptor
+        assert list(shipped[built.name].grid) == list(built.grid), descriptor
+
+
+@pytest.mark.parametrize("descriptor", BUILTIN_BASES)
+def test_every_builtin_grid_holds_its_zero(descriptor):
+    for pcm in _hom_carriers(resolve_base(descriptor)):
+        assert pcm.zero in pcm.grid, pcm.name
+
+
+@pytest.mark.parametrize("descriptor", ["pfn:3", "pinj-disjoint:3"])
+def test_partial_function_grids_hold_a_nontrivial_summable_family(descriptor):
+    (pcm,) = _hom_carriers(resolve_base(descriptor))
+    assert any(
+        sum(v != pcm.zero for v in fam.values) >= 2 and isinstance(pcm.sum(fam), Summable)
+        for fam in families_over(pcm.grid, 3)
+    )
 
 
 # --------------------------------------------------------------------------

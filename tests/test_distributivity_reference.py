@@ -34,6 +34,7 @@ from pcmcat.fincat import cyclic_category, two_object_five_arrow_category
 from pcmcat.laws import minimize
 from pcmcat.pcm import Pcm, Summable
 from pcmcat.report import failing, passing, serialize
+from test_acceptance import CAUCHY_BASES
 
 # --------------------------------------------------------------------------
 # reference version
@@ -244,7 +245,6 @@ def assert_same(cat, check=check_strong_distributivity,
 # instances
 # --------------------------------------------------------------------------
 
-CAUCHY_BASES = ("int", "mod:5", "rational", "matrix:2", "rel:2")
 INDEXES = {
     "Z2": lambda: cyclic_category(2),
     "Z3": lambda: cyclic_category(3),

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from pcmcat.category import BUILTIN_BASES, matrix_category, resolve_base, shipped_pcm_instances
+from pcmcat.category import BUILTIN_BASES, matrix_category, resolve_base
 from pcmcat.errors import CarrierMismatchError, PcmcatError
 from pcmcat.family import families_over, family_of
 from pcmcat.pcm import Pcm, Summable
@@ -23,8 +23,8 @@ PARTIAL_KINDS = ("abs-convergence[", "1-bounded[", "2-bounded[", "partial-fns[",
 
 
 def builtin_carriers() -> dict[str, Pcm]:
-    """Every builtin carrier by name: the shipped instances, the hom carriers of
-    every builtin base, and rational and complex matrices of mixed shapes."""
+    """Every builtin carrier by name: the hom carriers of every builtin base,
+    and rational and complex matrices of mixed shapes."""
     carriers: dict[str, Pcm] = {}
     targets = [resolve_base(descriptor) for descriptor in BUILTIN_BASES]
     targets += [matrix_category([1, 2], scalar) for scalar in ("rational", "complex")]
@@ -35,8 +35,6 @@ def builtin_carriers() -> dict[str, Pcm]:
             homs = [target.hom_pcm(x, y) for x, y in itertools.product(target.objects, repeat=2)]
         for pcm in homs:
             carriers.setdefault(pcm.name, pcm)
-    for pcm in shipped_pcm_instances():
-        carriers.setdefault(pcm.name, pcm)
     return carriers
 
 
