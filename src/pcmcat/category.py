@@ -32,6 +32,7 @@ from .pcm import (
     Summable,
     complex_close,
     exact_eq,
+    fraction_sum,
     make_abs_convergence_pcm,
     make_finite_families_pcm,
     make_k_bounded_pcm,
@@ -217,17 +218,9 @@ def _exact_sum(entries: tuple, zero: Matrix) -> Matrix:
     if not entries:
         return zero
     return Matrix(tuple(
-        tuple(_entry_sum(cells) for cells in zip(*rows))
+        tuple(fraction_sum(cells) for cells in zip(*rows))
         for rows in zip(*(v.rows for _, v in entries))
     ))
-
-
-def _entry_sum(cells) -> Fraction:
-    """The sum of the Fractions ``cells`` over their least common denominator."""
-    d = math.lcm(*[v.denominator for v in cells])
-    if d == 1:
-        return Fraction(sum([v.numerator for v in cells]))
-    return Fraction(sum([v.numerator * (d // v.denominator) for v in cells]), d)
 
 
 def _label_ordered_sum(entries: tuple, zero: Matrix) -> Matrix:

@@ -16,8 +16,8 @@ membership check ``Pcm.sum`` makes of the factor products: the summed
 coefficients are not scanned again.  ``sum_arrows`` checks each input
 coefficient for membership once, in the flattened order, builds the
 labelled flattened family only to ask the oracle of a partial carrier, and
-then sums each column with the bare oracle; only ``make_arrow``'s check of
-the pointwise sums follows.
+then sums each column with the bare oracle.  Only over a partial carrier are
+the pointwise sums checked again.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ class CauchyCategory:
             self._fact[key] = {c: tuple(pairs) for c, pairs in table.items()}
         return self._fact[key]
 
+    def _require_objects(self, src, tgt) -> None:
+        if src not in self.objects or tgt not in self.objects:
+            raise ValidationError(f"unknown object pair {src} or {tgt}")
+
     @staticmethod
     def _admitted(arrow: CauchyArrow, base_pcm: Pcm) -> CauchyArrow:
         """The arrow, once ``base_pcm`` admits its coefficient family."""
@@ -133,8 +137,7 @@ class CauchyCategory:
 
     def make_arrow(self, src, tgt, coeffs: Mapping[str, object]) -> CauchyArrow:
         """Build and defensively validate an arrow; missing coefficients are zero."""
-        if src not in self.objects or tgt not in self.objects:
-            raise ValidationError(f"unknown object pair {src} or {tgt}")
+        self._require_objects(src, tgt)
         (x, u), (y, v) = src, tgt
         hom = self.index.hom(u, v)
         unknown = set(coeffs) - set(hom)
@@ -212,7 +215,10 @@ class CauchyCategory:
                     "was admitted; the base instance violates the partition law"
                 )
             coeffs[a] = result.value
-        return Summable(self.make_arrow(src, tgt, coeffs))
+        self._require_objects(src, tgt)
+        arrow = CauchyArrow(src, tgt, tuple(sorted(coeffs.items())))
+        # a total carrier's oracle sums carrier elements into the carrier
+        return Summable(arrow if base_pcm.total else self._admitted(arrow, base_pcm))
 
     # -- hom summation surface ----------------------------------------------
 

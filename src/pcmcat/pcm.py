@@ -314,7 +314,11 @@ class Pcm:
 
 @dataclass(frozen=True, eq=False)
 class Monoid:
-    """A commutative monoid given by its unit and binary operation."""
+    """A commutative monoid given by its unit and binary operation.
+
+    ``fold``, when given, sums a sequence of members in one pass; it must
+    return what folding ``op`` from ``unit`` over the sequence returns.
+    """
 
     name: str
     unit: object
@@ -322,13 +326,26 @@ class Monoid:
     contains: Callable[[object], bool]
     sample: tuple = ()
     close: Callable = exact_eq
+    fold: Callable[[list], object] | None = None
+
+    def sum(self, values: list):
+        """The fold of ``op`` from ``unit`` over ``values``, in one pass when ``fold`` is given."""
+        if self.fold is not None:
+            return self.fold(values)
+        total = self.unit
+        for value in values:
+            total = self.op(total, value)
+        return total
 
 
 def validate_monoid(monoid: Monoid, trials: int = 1000, seed: str = "monoid") -> None:
-    """Spot-check commutativity, associativity, and the unit on sampled triples."""
+    """Spot-check commutativity, associativity, the unit and ``fold`` on sampled triples."""
     if not monoid.sample:
         return
     rng = random.Random(f"{seed}:{monoid.name}")
+    fold = monoid.fold
+    if fold is not None and not monoid.close(fold([]), monoid.unit):
+        raise NotAMonoidError(f"{monoid.name}: fold of no values is not the unit")
     for _ in range(trials):
         a, b, c = (rng.choice(monoid.sample) for _ in range(3))
         if not monoid.close(monoid.op(a, b), monoid.op(b, a)):
@@ -337,6 +354,8 @@ def validate_monoid(monoid: Monoid, trials: int = 1000, seed: str = "monoid") ->
         right = monoid.op(a, monoid.op(b, c))
         if not monoid.close(left, right):
             raise NotAMonoidError(f"{monoid.name}: associativity fails on ({a},{b},{c})")
+        if fold is not None and not monoid.close(fold([a, b, c]), left):
+            raise NotAMonoidError(f"{monoid.name}: fold disagrees with op on ({a},{b},{c})")
         if not monoid.close(monoid.op(a, monoid.unit), a):
             raise NotAMonoidError(f"{monoid.name}: unit law fails on {a}")
 
@@ -357,6 +376,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def fraction_sum(values) -> Fraction:
+    """The sum of the Fractions ``values`` over their least common denominator."""
+    d = lcm(*[v.denominator for v in values])
+    if d == 1:
+        return Fraction(sum([v.numerator for v in values]))
+    return Fraction(sum([v.numerator * (d // v.denominator) for v in values]), d)
+
+
 # magnitude-first order keeps canonical witnesses small
 INT_ADD = Monoid(
     name="(Z,+)",
@@ -364,6 +391,7 @@ INT_ADD = Monoid(
     op=lambda a, b: a + b,
     contains=_is_int,
     sample=(0, 1, -1, 2, -2, 3, -3),
+    fold=sum,
 )
 
 RATIONAL_ADD = Monoid(
@@ -371,6 +399,7 @@ RATIONAL_ADD = Monoid(
     unit=Fraction(0),
     op=lambda a, b: a + b,
     contains=lambda x: isinstance(x, Fraction),
+    fold=fraction_sum,
     sample=tuple(
         sorted(
             {Fraction(p, q) for q in (1, 2, 3, 4) for p in range(-q - 1, q + 2)},
@@ -389,6 +418,7 @@ def mod_add(n: int) -> Monoid:
         op=lambda a, b: a + b,
         contains=lambda x: isinstance(x, Residue) and x.modulus == n,
         sample=tuple(Residue(k, n) for k in range(n)),
+        fold=lambda values: Residue(sum([v.value for v in values]), n),
     )
 
 
@@ -402,10 +432,7 @@ def make_finite_families_pcm(monoid: Monoid, family_grid: tuple = ()) -> Pcm:
     _validated(monoid)
 
     def oracle(fam: IndexedFamily):
-        total = monoid.unit
-        for _, value in fam.entries:
-            total = monoid.op(total, value)
-        return Summable(total)
+        return Summable(monoid.sum([value for _, value in fam.entries]))
 
     return Pcm(
         name=f"finite-families[{monoid.name}]",
@@ -425,13 +452,10 @@ def make_k_bounded_pcm(monoid: Monoid, k: int, family_grid: tuple = ()) -> Pcm:
     _validated(monoid)
 
     def oracle(fam: IndexedFamily):
-        nonzero = sum(1 for _, value in fam.entries if value != monoid.unit)
-        if nonzero > k:
+        values = [value for _, value in fam.entries]
+        if sum(1 for value in values if value != monoid.unit) > k:
             return NOT_SUMMABLE
-        total = monoid.unit
-        for _, value in fam.entries:
-            total = monoid.op(total, value)
-        return Summable(total)
+        return Summable(monoid.sum(values))
 
     return Pcm(
         name=f"{k}-bounded[{monoid.name}]",

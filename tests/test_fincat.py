@@ -299,3 +299,104 @@ def test_cauchy_product_runs_the_kernel_once(monkeypatch):
     monkeypatch.setattr(fincat, "_check_table", counted)
     cauchy_product(resolve_base("int"), cyclic_category(5))
     assert runs == ["Z5"]
+
+
+# --------------------------------------------------------------------------
+# Light's test: associativity checked at a generating set of middle arrows
+# --------------------------------------------------------------------------
+
+
+def _rebuilt(cat: FinCategory, table) -> FinCategory:
+    return FinCategory(cat.objects, [(a, cat.src(a), cat.tgt(a)) for a in cat.arrows],
+                       table, cat.identity_of, name=cat.name)
+
+
+def _reached(cat: FinCategory, generators) -> set:
+    """The identities closed under composition with the generators, on either side."""
+    reached = set(cat.identity_of.values())
+    grown = True
+    while grown:
+        new = {cat.compose(s, r) for s in generators for r in reached if cat.src(s) == cat.tgt(r)}
+        new |= {cat.compose(r, s) for s in generators for r in reached if cat.src(r) == cat.tgt(s)}
+        grown = not new <= reached
+        reached |= new
+    return reached
+
+
+def _discrete(n: int) -> FinCategory:
+    return FinCategory([f"X{k}" for k in range(n)], (), {}, name=f"discrete{n}")
+
+
+def _span() -> FinCategory:
+    """U -> V and U -> W: no two non-identity arrows compose."""
+    return FinCategory(("U", "V", "W"), (("p", "U", "V"), ("q", "U", "W")), {}, name="span")
+
+
+def _light_cases():
+    five = two_object_five_arrow_category()
+    yield from (cyclic_category(n) for n in range(1, 41))
+    for k in range(1, 7):
+        yield product_category(cyclic_category(k), five)
+        yield product_category(five, cyclic_category(k))
+    yield from (two_object_parallel_pair(), five, _span(), trivial_category())
+    yield from (_discrete(n) for n in range(1, 4))
+
+
+@pytest.mark.parametrize("cat", list(_light_cases()), ids=lambda cat: cat.name)
+def test_generators_reach_every_arrow(cat):
+    generators = fincat._generators(cat)
+    assert len(set(generators)) == len(generators)
+    assert not set(generators) & set(cat.identity_of.values())
+    assert _reached(cat, generators) == set(cat.arrows)
+    assert validate_category(cat).line() == reference_validate(cat).line() == passing(
+        f"category[{cat.name}]").line()
+
+
+def test_a_cyclic_category_is_generated_by_z1():
+    assert fincat._generators(cyclic_category(1)) == []
+    for n in range(2, 65):
+        assert fincat._generators(cyclic_category(n)) == ["z1"]
+
+
+@pytest.mark.parametrize("cat", [two_object_parallel_pair(), _span()]
+                         + [_discrete(n) for n in range(1, 4)], ids=lambda cat: cat.name)
+def test_every_non_identity_arrow_is_a_generator_where_none_composes(cat):
+    identities = set(cat.identity_of.values())
+    assert fincat._generators(cat) == [a for a in cat.arrows if a not in identities]
+
+
+def _one_entry_replaced(cat: FinCategory, rng: random.Random, count: int):
+    """Tables of ``cat`` with one composite replaced by another arrow of its hom-set.
+
+    Among them, entries whose arrows are both not generators: no comparison
+    of Light's test has such an entry as its ``g.f`` with ``g`` the middle.
+    """
+    generators = set(fincat._generators(cat))
+    identities = set(cat.identity_of.values())
+    entries = [pair for pair, h in sorted(cat._comp.items())
+               if len(cat.hom(cat.src(h), cat.tgt(h))) > 1]
+    inner = [(g, f) for g, f in entries if not {g, f} & (generators | identities)]
+    picked = rng.sample(entries, min(count, len(entries)))
+    picked += rng.sample(inner, min(count, len(inner)))
+    for g, f in picked:
+        h = cat._comp[(g, f)]
+        others = [a for a in cat.hom(cat.src(h), cat.tgt(h)) if a != h]
+        yield _rebuilt(cat, {**cat._comp, (g, f): rng.choice(others)})
+
+
+def test_one_replaced_composite_is_reported_as_the_triple_loop_reports_it():
+    rng = random.Random("light")
+    details = collections.Counter()
+    cases = [cyclic_category(n) for n in range(8, 41)]
+    five = two_object_five_arrow_category()
+    for k in range(1, 7):
+        cases += [product_category(cyclic_category(k), five),
+                  product_category(five, cyclic_category(k))]
+    cases.append(two_object_parallel_pair())
+    for cat in cases:
+        for broken in _one_entry_replaced(cat, rng, 3):
+            report = validate_category(broken)
+            assert report.line() == reference_validate(broken).line()
+            details[report.detail or "pass"] += 1
+    assert details["associativity fails"] >= 100, details
+    assert details["left identity law fails"] + details["right identity law fails"] >= 5, details

@@ -1,4 +1,6 @@
 import cmath
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -308,6 +310,45 @@ def test_the_second_build_of_rational_add_runs_no_trials(monkeypatch):
     make_finite_families_pcm(RATIONAL_ADD)
     make_k_bounded_pcm(RATIONAL_ADD, 1)
     assert calls == []
+
+
+# pairwise coprime denominators, so the common denominator is their product
+COPRIME = (1, 2, 3, 5, 7, 11, 13, 1_000_003, 999_983)
+
+
+def _random_member(monoid, rng):
+    if monoid is INT_ADD:
+        return rng.randint(-50, 50)
+    if monoid is RATIONAL_ADD:
+        return Fraction(rng.randint(-50, 50), rng.choice(COPRIME))
+    return Residue(rng.randint(0, 100), monoid.unit.modulus)
+
+
+@pytest.mark.parametrize("monoid", [INT_ADD, RATIONAL_ADD, mod_add(2), mod_add(5), mod_add(7)],
+                         ids=lambda m: m.name)
+def test_each_fold_matches_the_pairwise_fold(monoid):
+    rng = random.Random(f"fold:{monoid.name}")
+    pcm = make_finite_families_pcm(monoid)
+    bounded = make_k_bounded_pcm(monoid, 8)
+    for size in range(9):
+        for _ in range(40):
+            values = [_random_member(monoid, rng) for _ in range(size)]
+            want = functools.reduce(monoid.op, values, monoid.unit)
+            for got in (monoid.fold(values), pcm.oracle(family_of(values)).value,
+                        bounded.oracle(family_of(values)).value):
+                assert (got, type(got), repr(got)) == (want, type(want), repr(want))
+
+
+@pytest.mark.parametrize("fold, message", [
+    (lambda values: sum(values) + 1, "fold of no values is not the unit"),
+    (lambda values: sum(values[:2]), "fold disagrees with op"),
+], ids=["empty", "triple"])
+def test_a_fold_that_disagrees_with_op_is_refused(fold, message):
+    wrong = Monoid(name="(Z,+) wrong fold", unit=0, op=lambda a, b: a + b,
+                   contains=lambda x: isinstance(x, int), sample=(0, 1, -1), fold=fold)
+    for build in BUILDERS:
+        with pytest.raises(NotAMonoidError, match=message):
+            build(wrong)
 
 
 def test_mod_add_is_one_monoid_per_modulus():

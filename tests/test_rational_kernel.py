@@ -5,7 +5,8 @@ over a common denominator and must agree, entry for entry and by ``repr``,
 with the plain ``Fraction`` folds.  ``sum_arrows`` checks each coefficient
 for membership once, and a foreign coefficient still raises the message
 that names its flattened label ``"{i}|{a}"``.  ``compose`` checks each
-factor product once, and over a total carrier not its sums again.
+factor product once; over a total carrier neither it nor ``sum_arrows``
+checks the sums again.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from pcmcat.cauchy import CauchyArrow, cauchy_product
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import IndexedFamily, family_of, make_family
 from pcmcat.fincat import cyclic_category
-from pcmcat.pcm import Summable
+from pcmcat.pcm import Pcm, Summable
 
 DIMS = (1, 2, 3)
 RATIONAL = matrix_category(DIMS)
@@ -170,10 +171,32 @@ def test_sum_arrows_checks_each_coefficient_once(base, partial, size):
     calls.update(contains=0, oracle=0)
     result = cc.sum_arrows(family_of(arrows), src=obj, tgt=obj)
     assert isinstance(result, Summable)
-    # one check per input coefficient, then make_arrow's check of the pointwise sums
-    assert calls["contains"] == size * len(hom) + len(hom)
-    # one oracle call per column; a partial carrier adds the flattened family and make_arrow's
+    # one check per input coefficient; a partial carrier adds a check of the pointwise sums
+    assert calls["contains"] == size * len(hom) + len(hom) * partial
+    # one oracle call per column; a partial carrier adds the flattened family and the sums'
     assert calls["oracle"] == len(hom) + 2 * partial
+
+
+@pytest.mark.parametrize("base, partial",
+                         [(from_semiring("int"), 0), (k_bounded_category(2), 1)],
+                         ids=["total", "partial"])
+@pytest.mark.parametrize("size", [0, 2])
+def test_sum_arrows_admits_the_sums_only_over_a_partial_carrier(monkeypatch, base, partial, size):
+    cc = cauchy_product(base, cyclic_category(3))
+    obj = cc.objects[0]
+    arrows = [cc.identity(obj) for _ in range(size)]
+    admitted = []
+    admits = Pcm.admits
+
+    def counted(pcm, fam):
+        admitted.append(len(fam))
+        return admits(pcm, fam)
+
+    monkeypatch.setattr(Pcm, "admits", counted)
+    result = cc.sum_arrows(family_of(arrows), src=obj, tgt=obj)
+    assert dict(result.value.coeffs) == {"z0": size, "z1": 0, "z2": 0}
+    # the one scan left is of the three pointwise sums, over the partial carrier only
+    assert admitted == [3] * partial
 
 
 @pytest.mark.parametrize("base, partial",
