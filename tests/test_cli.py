@@ -1,3 +1,4 @@
+import contextlib
 import io
 from pathlib import Path
 
@@ -392,3 +393,37 @@ def test_substitute_checks_p_before_building_the_index(p, message, monkeypatch):
     monkeypatch.setattr(cli, "cyclic_category", fail)
     code, out, err = run_cli("substitute", "--p", p, "--s", "1", str(DATA / "ones5.arrow"))
     assert (code, out, err) == (2, "", message)
+
+
+def _run_catching_usage_errors(argv):
+    """(exit code, stdout, stderr) of one in-process call; argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv), out=out, err=err)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_a_row_share_one_parser_and_match_fresh_calls():
+    battery = [
+        ("laws", "--base", "mod:4", "--family-size", "2", "--trials", "20", "--seed", "7"),
+        ("validate", "--index", str(DATA / "z2.fincat")),
+        ("laws", "--family-size", "two"),
+        ("cauchy", "describe", "--base", "int", "--index", "cyclic:3"),
+        ("laws", "--base", "mod:4", "--family-size", "2"),
+        ("embed", "--which", "gamma", "--index", "cyclic:2", "--at", "*", "--index-arrow", "z1"),
+        ("series", "--order", "3", "--p", "1,1", "--q", "geom:1:1/2"),
+        ("validate", "--index", str(DATA / "missing_composite.fincat")),
+        ("embed", "--which", "eta", "--index", "cyclic:2", "--scalar", "5"),
+    ]
+    in_a_row = [_run_catching_usage_errors(argv) for argv in battery]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in battery:
+        cli._build_parser.cache_clear()
+        fresh.append(_run_catching_usage_errors(argv))
+    assert in_a_row == fresh
+    assert [code for code, _, _ in in_a_row] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
+    assert "invalid int value: 'two'" in in_a_row[2][2]

@@ -373,15 +373,16 @@ def _one_entry_replaced(cat: FinCategory, rng: random.Random, count: int):
     """
     generators = set(fincat._generators(cat))
     identities = set(cat.identity_of.values())
-    entries = [pair for pair, h in sorted(cat._comp.items())
+    table = {pair: cat.compose(*pair) for pair in cat.composable_pairs()}
+    entries = [pair for pair, h in sorted(table.items())
                if len(cat.hom(cat.src(h), cat.tgt(h))) > 1]
     inner = [(g, f) for g, f in entries if not {g, f} & (generators | identities)]
     picked = rng.sample(entries, min(count, len(entries)))
     picked += rng.sample(inner, min(count, len(inner)))
     for g, f in picked:
-        h = cat._comp[(g, f)]
+        h = table[(g, f)]
         others = [a for a in cat.hom(cat.src(h), cat.tgt(h)) if a != h]
-        yield _rebuilt(cat, {**cat._comp, (g, f): rng.choice(others)})
+        yield _rebuilt(cat, {**table, (g, f): rng.choice(others)})
 
 
 def test_one_replaced_composite_is_reported_as_the_triple_loop_reports_it():
@@ -400,3 +401,119 @@ def test_one_replaced_composite_is_reported_as_the_triple_loop_reports_it():
             details[report.detail or "pass"] += 1
     assert details["associativity fails"] >= 100, details
     assert details["left identity law fails"] + details["right identity law fails"] >= 5, details
+
+
+# --------------------------------------------------------------------------
+# The integer builders against the constructor by name
+# --------------------------------------------------------------------------
+
+
+def _cyclic_by_name(n: int) -> FinCategory:
+    """Z_n through the constructor by name, from its table written out in strings."""
+    table = {(f"z{a}", f"z{b}"): f"z{(a + b) % n}" for a in range(n) for b in range(n)}
+    return FinCategory(("*",), [(f"z{k}", "*", "*") for k in range(n)], table, {"*": "z0"},
+                       name=f"Z{n}")
+
+
+def _product_by_name(a: FinCategory, b: FinCategory) -> FinCategory:
+    """The product through the constructor by name: pair names, componentwise table.
+
+    The composites are taken pair of a by pair of b, so a missing one raises
+    where the name-by-name product always raised it.
+    """
+    objects = [f"({x},{y})" for x in a.objects for y in b.objects]
+    arrows = [(f"({f},{g})", f"({a.src(f)},{b.src(g)})", f"({a.tgt(f)},{b.tgt(g)})")
+              for f in a.arrows for g in b.arrows]
+    identities = {f"({x},{y})": f"({a.identity_of[x]},{b.identity_of[y]})"
+                  for x in a.objects for y in b.objects}
+    table = {(f"({g1},{g2})", f"({f1},{f2})"): f"({a.compose(g1, f1)},{b.compose(g2, f2)})"
+             for g1, f1 in a.composable_pairs() for g2, f2 in b.composable_pairs()}
+    return FinCategory(objects, arrows, table, identities, name=f"{a.name}x{b.name}")
+
+
+def _assert_same_category(built: FinCategory, by_name: FinCategory) -> None:
+    assert (built.name, built.objects, built.arrows, built.identity_of) == (
+        by_name.name, by_name.objects, by_name.arrows, by_name.identity_of)
+    assert [(built.src(a), built.tgt(a)) for a in built.arrows] == [
+        (by_name.src(a), by_name.tgt(a)) for a in by_name.arrows]
+    for u, v in itertools.product(by_name.objects, repeat=2):
+        assert built.hom(u, v) == by_name.hom(u, v)
+    pairs = list(by_name.composable_pairs())
+    assert list(built.composable_pairs()) == pairs
+    assert [built.compose(g, f) for g, f in pairs] == [by_name.compose(g, f) for g, f in pairs]
+    assert validate_category(built).line() == validate_category(by_name).line()
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 256])
+def test_cyclic_rows_match_the_table_by_name(n):
+    _assert_same_category(cyclic_category(n), _cyclic_by_name(n))
+
+
+def _product_cases():
+    five, pair = two_object_five_arrow_category(), two_object_parallel_pair()
+    for k in range(1, 19):
+        yield (cyclic_category(k), five), (_cyclic_by_name(k), five)
+        yield (five, cyclic_category(k)), (five, _cyclic_by_name(k))
+    yield (pair, cyclic_category(3)), (pair, _cyclic_by_name(3))
+    yield (cyclic_category(2), pair), (_cyclic_by_name(2), pair)
+    yield (five, pair), (five, pair)
+
+
+@pytest.mark.parametrize("factors, named_factors", list(_product_cases()),
+                         ids=lambda case: "x".join(cat.name for cat in case))
+def test_product_rows_match_the_product_by_name(factors, named_factors):
+    _assert_same_category(product_category(*factors), _product_by_name(*named_factors))
+
+
+def test_products_of_random_tables_match_the_product_by_name():
+    rng = random.Random("products")
+    outcomes = collections.Counter()
+    for _ in range(300):
+        cat = _random_category(rng)
+        for factors in ((cat, cyclic_category(2)), (two_object_parallel_pair(), cat)):
+            try:
+                by_name = _product_by_name(*factors)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as raised:
+                    product_category(*factors)
+                assert str(raised.value) == str(exc)
+                outcomes["raises"] += 1
+                continue
+            built = product_category(*factors)
+            _assert_same_category(built, by_name)
+            outcomes[validate_category(built).detail or "pass"] += 1
+    assert outcomes["raises"] >= 20 and outcomes["pass"] >= 20, outcomes
+    assert outcomes["associativity fails"] >= 20, outcomes
+
+
+def _idempotents(*arrows: str) -> FinCategory:
+    """One object; every composite of two non-identity arrows is the first arrow."""
+    return FinCategory(("*",), [(a, "*", "*") for a in arrows],
+                       {(g, f): arrows[0] for g in arrows for f in arrows})
+
+
+def test_product_refuses_a_repeated_arrow_name():
+    left, right = _idempotents("a,b", "a"), _idempotents("c", "b,c")
+    with pytest.raises(ValidationError, match=r"^duplicate arrow name '\(a,b,c\)'$"):
+        product_category(left, right)
+    assert len(product_category(right, left).arrows) == 9
+
+
+def test_product_refuses_a_repeated_object_name():
+    left, right = FinCategory(("p,q", "p"), (), {}), FinCategory(("r", "q,r"), (), {})
+    with pytest.raises(ValidationError, match=r"^duplicate object name '\(p,q,r\)'$"):
+        product_category(left, right)
+
+
+def test_product_raises_the_first_missing_composite_of_a_factor():
+    missing = FinCategory(("*",), (("f", "*", "*"),), {})
+    # (p, p) composes; (q, q) is missing too, but the pairwise product meets (f, f) first
+    late = FinCategory(("*",), (("p", "*", "*"), ("q", "*", "*")),
+                       {("p", "p"): "p", ("p", "q"): "p", ("q", "p"): "q"})
+    for factors in ((missing, cyclic_category(2)), (cyclic_category(2), missing),
+                    (late, missing), (missing, late)):
+        with pytest.raises(ValidationError, match=r"^no composite recorded for \('f', 'f'\)$"):
+            product_category(*factors)
+    with pytest.raises(ValidationError, match=r"^no composite recorded for \('q', 'q'\)$"):
+        product_category(late, cyclic_category(2))
+    assert product_category(late, FinCategory((), (), {})).arrows == ()
