@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import ParseError, ShapeMismatchError, ValidationError
-from .family import IndexedFamily, families_over, family_of, make_family
+from .family import IndexedFamily, families_over, family_of, make_family, random_family
 from .pcm import (
     DEFAULT_TOLERANCE,
     INT_ADD,
@@ -41,6 +41,7 @@ from .pcm import (
     make_relations_pcm,
     make_unit_ball_pcm,
     mod_add,
+    summable_families,
 )
 from .report import Report, failing, passing
 
@@ -460,7 +461,8 @@ def shipped_pcm_instances() -> tuple[Pcm, ...]:
 
 
 def shipped_categories() -> tuple[PcmCategory, ...]:
-    """The stock composition-carrying instances (kbounded:2 is the broken one)."""
+    """The stock composition-carrying instances, less kbounded:2, the one that
+    breaks strong distributivity."""
     return tuple(
         resolve_base(descriptor)
         for descriptor in (
@@ -478,11 +480,6 @@ def shipped_categories() -> tuple[PcmCategory, ...]:
 
 def _object_triples(cat):
     return itertools.product(cat.objects, repeat=3)
-
-
-def _random_family(grid, max_size, rng, prefix="r"):
-    size = rng.randint(0, max_size)
-    return family_of([rng.choice(grid) for _ in range(size)], prefix=prefix)
 
 
 # --------------------------------------------------------------------------
@@ -557,8 +554,8 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
     triples = list(_object_triples(cat))
     for _ in range(trials):
         x, y, z = rng.choice(triples)
-        fam_f = _random_family(cat.hom_pcm(x, y).grid, max_family, rng, prefix="f")
-        fam_g = _random_family(cat.hom_pcm(y, z).grid, max_family, rng, prefix="g")
+        fam_f = random_family(cat.hom_pcm(x, y).grid, max_family, rng, prefix="f")
+        fam_g = random_family(cat.hom_pcm(y, z).grid, max_family, rng, prefix="g")
         if violation(x, y, z, fam_f, fam_g):
             return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
                            recheck=recheck_at(x, y, z))
@@ -568,18 +565,6 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
 # --------------------------------------------------------------------------
 # derived laws
 # --------------------------------------------------------------------------
-
-
-def _summable_families(pcm: Pcm, max_size: int, limit: int = 40):
-    """The first ``limit`` summable families over the grid, each with its ``Summable``."""
-    found = 0
-    for fam in families_over(pcm.grid, max_size):
-        result = pcm.sum(fam)
-        if isinstance(result, Summable):
-            yield fam, result
-            found += 1
-            if found >= limit:
-                return
 
 
 class _Replayed:
@@ -599,7 +584,7 @@ def check_left_right_distributivity(cat, max_size: int = 3) -> Report:
     name = f"left-right-distributivity[{cat.name}]"
     for x, y, z in _object_triples(cat):
         pf, pg = cat.hom_pcm(x, y), cat.hom_pcm(y, z)
-        for fam, total in _summable_families(pf, max_size, limit=12):
+        for fam, total in summable_families(pf, max_size, limit=12):
             for h in pg.grid[:4]:
                 mapped = make_family([(lbl, cat.compose(h, v)) for lbl, v in fam.entries])
                 result = cat.hom_pcm(x, z).sum(mapped)
@@ -607,7 +592,7 @@ def check_left_right_distributivity(cat, max_size: int = 3) -> Report:
                     return failing(name, fam, detail=f"left family not summable, h={h}")
                 if not cat.hom_pcm(x, z).close(result.value, cat.compose(h, total.value)):
                     return failing(name, fam, detail=f"left distributivity fails, h={h}")
-        for fam, total in _summable_families(pg, max_size, limit=12):
+        for fam, total in summable_families(pg, max_size, limit=12):
             for h in pf.grid[:4]:
                 mapped = make_family([(lbl, cat.compose(v, h)) for lbl, v in fam.entries])
                 result = cat.hom_pcm(x, z).sum(mapped)
@@ -627,8 +612,8 @@ def check_reordering(cat, max_size: int = 3) -> Report:
     name = f"reordering[{cat.name}]"
     for x, y, z in _object_triples(cat):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
-        g_families = _Replayed(_summable_families(pg, max_size, limit=6))
-        for fam_f, _ in _summable_families(pf, max_size, limit=6):
+        g_families = _Replayed(summable_families(pg, max_size, limit=6))
+        for fam_f, _ in summable_families(pf, max_size, limit=6):
             for fam_g, _ in g_families:
                 rows = []  # for fixed i, sum over j
                 composed = []  # composed[i][j] = (j, g_j o f_i)
@@ -670,7 +655,7 @@ def check_composing_sums(cat, max_power: int = 3) -> Report:
     name = f"composing-sums[{cat.name}]"
     for x in cat.objects:
         pcm = cat.hom_pcm(x, x)
-        for fam, _ in _summable_families(pcm, 2, limit=6):
+        for fam, _ in summable_families(pcm, 2, limit=6):
             if len(fam) == 0:
                 continue
             for n in range(2, max_power + 1):
@@ -707,7 +692,7 @@ def check_monoid_sums(cat, bound: int = 8) -> Report:
     for x in cat.objects:
         pcm = cat.hom_pcm(x, x)
         identity = cat.identity(x)
-        for fam, _ in _summable_families(pcm, 3, limit=30):
+        for fam, _ in summable_families(pcm, 3, limit=30):
             values = list(fam.values)
             if not any(pcm.close(v, identity) for v in values):
                 continue
@@ -809,7 +794,7 @@ def check_pcm_functor(functor: PcmFunctor, source, target, bound: int = 3,
     for x, y in itertools.product(source.objects, repeat=2):
         pcm = source.hom_pcm(x, y)
         out = target.hom_pcm(functor.on_obj(x), functor.on_obj(y))
-        for fam, total in _summable_families(pcm, bound, limit=20):
+        for fam, total in summable_families(pcm, bound, limit=20):
             image = make_family([(lbl, functor.on_arr(v)) for lbl, v in fam.entries])
             result = out.sum(image)
             if not isinstance(result, Summable):

@@ -96,7 +96,6 @@ class CauchyCategory:
         )
         self._fact: dict = {}
         self._hom_cache: dict = {}
-        self._sample_cache: dict = {}
         self.arrow_hom = lambda arrow: (arrow.src, arrow.tgt)
 
     # -- structure ---------------------------------------------------------
@@ -225,9 +224,6 @@ class CauchyCategory:
     # -- hom summation surface ----------------------------------------------
 
     def _sample_arrows(self, src, tgt) -> tuple[CauchyArrow, ...]:
-        key = (src, tgt)
-        if key in self._sample_cache:
-            return self._sample_cache[key]
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
         hom = sorted(self.index.hom(u, v))
@@ -261,8 +257,7 @@ class CauchyCategory:
             ident = self.identity(src)
             if ident not in arrows:
                 arrows.insert(0, ident)
-        self._sample_cache[key] = tuple(arrows)
-        return self._sample_cache[key]
+        return tuple(arrows)
 
     def hom_pcm(self, src, tgt) -> Pcm:
         key = (src, tgt)

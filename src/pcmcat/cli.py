@@ -12,7 +12,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .category import pcm_product, resolve_base
@@ -35,10 +35,8 @@ from .universal import dft_substitute, require_prime
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
-    base: str = "int"
-    index: str = "cyclic:2"
-    seed: int = 0
+    """The numeric flags, checked together before any base or index is built."""
+
     tolerance: float = DEFAULT_TOLERANCE
     family_size: int = 4
     trials: int = 200
@@ -56,6 +54,10 @@ class RunConfig:
                 f"family size must be at most {EXHAUSTIVE_PARTITION_LIMIT}, "
                 "the largest set whose partitions are enumerated exhaustively"
             )
+
+
+# The parsed flags that main checks through RunConfig, for the commands that take them.
+_CHECKED = {field.name for field in fields(RunConfig)}
 
 
 # The largest n that load_index builds for cyclic:<n>, whose table has n*n entries,
@@ -241,16 +243,9 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_laws(args, out) -> int:
-    config = RunConfig("laws", base=args.base, seed=args.seed,
-                       tolerance=args.tolerance, family_size=args.family_size,
-                       trials=args.trials)
-    target = resolve_base(config.base, tolerance=config.tolerance)
-    if isinstance(target, Pcm):
-        reports = run_pcm_suite(target, family_size=config.family_size,
-                                trials=config.trials, seed=config.seed)
-    else:
-        reports = run_category_suite(target, family_size=config.family_size,
-                                     trials=config.trials, seed=config.seed)
+    target = resolve_base(args.base, tolerance=args.tolerance)
+    suite = run_pcm_suite if isinstance(target, Pcm) else run_category_suite
+    reports = suite(target, family_size=args.family_size, trials=args.trials, seed=args.seed)
     failed = False
     for report in reports:
         _emit(out, report.line())
@@ -259,8 +254,7 @@ def cmd_laws(args, out) -> int:
 
 
 def _build_cauchy(args) -> CauchyCategory:
-    config = RunConfig(args.command, base=args.base, index=args.index, tolerance=args.tolerance)
-    base = resolve_base(config.base, tolerance=config.tolerance)
+    base = resolve_base(args.base, tolerance=args.tolerance)
     if isinstance(base, Pcm):
         raise ValidationError(f"base {args.base!r} carries no composition")
     return cauchy_product(base, load_index(args.index))
@@ -358,9 +352,8 @@ def _parse_base_object(cc: CauchyCategory, text: str):
 def cmd_product(args, out) -> int:
     from .category import check_strong_distributivity
 
-    config = RunConfig("product", base=args.base, tolerance=args.tolerance)
-    first = resolve_base(config.base, tolerance=config.tolerance)
-    second = resolve_base(args.base2, tolerance=config.tolerance)
+    first = resolve_base(args.base, tolerance=args.tolerance)
+    second = resolve_base(args.base2, tolerance=args.tolerance)
     if isinstance(first, Pcm) or isinstance(second, Pcm):
         raise ValidationError("product needs two composition-carrying bases")
     product = pcm_product(first, second)
@@ -391,8 +384,7 @@ def _parse_stream(text: str):
 
 
 def cmd_series(args, out) -> int:
-    config = RunConfig("series", order=args.order)
-    product = series_convolve(_parse_stream(args.p), _parse_stream(args.q), config.order)
+    product = series_convolve(_parse_stream(args.p), _parse_stream(args.q), args.order)
     _emit(out, "coeffs: " + ", ".join(str(c) for c in product.coeffs))
     _emit(out, f"tail <= {product.tail_bound}")
     return 0
@@ -403,6 +395,17 @@ def cmd_series(args, out) -> int:
 # --------------------------------------------------------------------------
 
 
+# The flags that several commands share; each command names the ones it reads.
+_FLAGS = {
+    "--base": {"default": "int"},
+    "--index": {"default": "cyclic:2"},
+    "--seed": {"type": int, "default": 0},
+    "--tolerance": {"type": float, "default": DEFAULT_TOLERANCE},
+    "--family-size": {"type": int, "default": 4},
+    "--trials": {"type": int, "default": 200},
+}
+
+
 @functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -411,52 +414,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, base=True, index=False):
-        if base:
-            p.add_argument("--base", default="int")
-        if index:
-            p.add_argument("--index", default="cyclic:2")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-        p.add_argument("--family-size", dest="family_size", type=int, default=4)
-        p.add_argument("--trials", type=int, default=200)
+    def shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+
+    convolution = ("--base", "--index", "--tolerance")
 
     p = sub.add_parser("validate", help="validate an index category file")
     p.add_argument("--index", required=True)
-    common(p, base=False)
 
     p = sub.add_parser("laws", help="run the law suite on a base instance")
-    common(p)
+    shared(p, "--base", "--seed", "--tolerance", "--family-size", "--trials")
 
     p = sub.add_parser("cauchy", help="convolution-category operations")
     cauchy_sub = p.add_subparsers(dest="cauchy_command", required=True)
-    d = cauchy_sub.add_parser("describe")
-    common(d, index=True)
+    shared(cauchy_sub.add_parser("describe"), *convolution)
 
     p = sub.add_parser("convolve", help="compose two coefficient arrows (first after second)")
-    common(p, index=True)
+    shared(p, *convolution)
     p.add_argument("arrows", nargs=2)
 
     p = sub.add_parser("sum", help="sum coefficient arrows")
-    common(p, index=True)
+    shared(p, *convolution)
     p.add_argument("arrows", nargs="+")
 
     p = sub.add_parser("substitute", help="evaluate integer coefficients at roots of unity")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("arrow")
-    common(p, base=False)
 
     p = sub.add_parser("embed", help="apply one of the structural embeddings")
     p.add_argument("--which", choices=("sigma", "eta", "gamma", "star"), required=True)
-    common(p, index=True)
+    shared(p, *convolution)
     p.add_argument("--at", default="*", help="index object (eta) or base object (gamma)")
     p.add_argument("--scalar", help="base scalar literal (eta, star)")
-    p.add_argument("--index-arrow", dest="index_arrow", help="index arrow name (gamma, star)")
+    p.add_argument("--index-arrow", help="index arrow name (gamma, star)")
     p.add_argument("arrows", nargs="*", help="arrow file (sigma)")
 
     p = sub.add_parser("product", help="product of two bases, with a law check")
-    common(p)
+    shared(p, "--base", "--seed", "--tolerance", "--trials")
     p.add_argument("--base2", required=True)
 
     p = sub.add_parser("series", help="truncated convolution of coefficient streams")
@@ -489,6 +485,7 @@ def main(argv=None, out=None, err=None) -> int:
     else:
         handler = _HANDLERS[args.command]
     try:
+        RunConfig(**{name: value for name, value in vars(args).items() if name in _CHECKED})
         return handler(args, out)
     except NotSummableError as exc:
         err.write(f"not summable: {exc}\n")

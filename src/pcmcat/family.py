@@ -74,6 +74,13 @@ def families_over(grid: tuple, max_size: int) -> Iterator[IndexedFamily]:
             yield family_of(combo)
 
 
+def random_family(grid: tuple, max_size: int, rng: random.Random,
+                  prefix: str = "i") -> IndexedFamily:
+    """A family of a random size in 0..max_size, each member drawn from the grid."""
+    size = rng.randint(0, max_size)
+    return family_of([rng.choice(grid) for _ in range(size)], prefix=prefix)
+
+
 def reindex(fam: IndexedFamily, bij: Mapping[str, str]) -> IndexedFamily:
     """Relabel a family along a bijection of its label set."""
     images = []

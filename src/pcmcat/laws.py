@@ -22,6 +22,7 @@ from .family import (
     family_of,
     make_family,
     partition_table,
+    random_family,
     reindex,
     subfamily,  # noqa: F401 -- perfbench/tracing.py wraps laws.subfamily
 )
@@ -110,8 +111,13 @@ def _regrouped(sums: _SubsetSums, masks: tuple[int, ...]) -> IndexedFamily | Non
     return IndexedFamily(tuple(block_sums))
 
 
-def _wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
+def check_wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums | None = None) -> Report:
+    """One-way partition law for a single family, over all of its partitions.
+
+    ``sums`` is the family's subset-sum table, when the caller has one.
+    """
     name = f"wpa[{pcm.name}]"
+    sums = _SubsetSums(pcm, fam) if sums is None else sums
     total = sums.total
     if not isinstance(total, Summable):
         return passing(name, detail="family not summable; vacuous")
@@ -130,13 +136,14 @@ def _wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
     return passing(name)
 
 
-def check_wpa(pcm: Pcm, fam: IndexedFamily) -> Report:
-    """One-way partition law for a single family, over all of its partitions."""
-    return _wpa(pcm, fam, _SubsetSums(pcm, fam))
+def check_subfamilies(pcm: Pcm, fam: IndexedFamily,
+                      sums: _SubsetSums | None = None) -> Report:
+    """Every subfamily of a summable family must be summable.
 
-
-def _subfamilies(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
+    ``sums`` is the family's subset-sum table, when the caller has one.
+    """
     name = f"subfamilies[{pcm.name}]"
+    sums = _SubsetSums(pcm, fam) if sums is None else sums
     if not isinstance(sums.total, Summable):
         return passing(name, detail="family not summable; vacuous")
     labels, bit = fam.labels, sums.bit
@@ -150,17 +157,20 @@ def _subfamilies(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums) -> Report:
     return passing(name)
 
 
-def check_subfamilies(pcm: Pcm, fam: IndexedFamily) -> Report:
-    """Every subfamily of a summable family must be summable."""
-    return _subfamilies(pcm, fam, _SubsetSums(pcm, fam))
+def check_full_pa(pcm: Pcm, fam: IndexedFamily, total: Summable | NotSummable | None = None,
+                  wpa_passed: bool = False) -> Report:
+    """Two-way partition law for one family; FAILs only in the converse direction.
 
-
-def _full_pa(pcm: Pcm, fam: IndexedFamily, total: Summable | NotSummable,
-             wpa_passed: bool) -> Report:
+    Verdict names whether the tested data is compatible with the two-way law
+    (the one-way direction is check_wpa's job).  ``total`` is ``pcm.sum(fam)``
+    when the caller has it, and ``wpa_passed`` says the family already passed
+    check_wpa.
+    """
     name = f"full-pa[{pcm.name}]"
+    total = pcm.sum(fam) if total is None else total
     if isinstance(total, Summable):
         if not wpa_passed:
-            wpa = _wpa(pcm, fam, _SubsetSums(pcm, fam, total))
+            wpa = check_wpa(pcm, fam, _SubsetSums(pcm, fam, total))
             if not wpa.passed:
                 return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
         return Report(name, SIGMA_COMPATIBLE)
@@ -174,15 +184,6 @@ def _full_pa(pcm: Pcm, fam: IndexedFamily, total: Summable | NotSummable,
     return Report(name, SIGMA_COMPATIBLE)
 
 
-def check_full_pa(pcm: Pcm, fam: IndexedFamily) -> Report:
-    """Two-way partition law for one family; FAILs only in the converse direction.
-
-    Verdict names whether the tested data is compatible with the two-way law
-    (the one-way direction is check_wpa's job).
-    """
-    return _full_pa(pcm, fam, pcm.sum(fam), wpa_passed=False)
-
-
 def _family_totals(pcm: Pcm, grid: tuple, max_size: int, totals: Sequence):
     """Each family of ``families_over(grid, max_size)`` with ``pcm.sum`` of it.
 
@@ -193,21 +194,20 @@ def _family_totals(pcm: Pcm, grid: tuple, max_size: int, totals: Sequence):
         yield fam, totals[index] if index < len(totals) else pcm.sum(fam)
 
 
-def _classify_full_pa(pcm: Pcm, max_size: int, wpa_passed: int,
-                      totals: Sequence) -> Report:
-    """``classify_full_pa``, told that the first ``wpa_passed`` families of the
-    grid already passed check_wpa, and given the sums ``totals`` of a prefix."""
+def classify_full_pa(pcm: Pcm, max_size: int = 4, wpa_passed: int = 0,
+                     totals: Sequence = ()) -> Report:
+    """Aggregate check_full_pa over the family grid.
+
+    The first ``wpa_passed`` families of the grid already passed check_wpa,
+    and ``totals`` may hold the sums of a prefix of the families, in their
+    order, which are then not summed again.
+    """
     name = f"full-pa[{pcm.name}]"
     for index, (fam, total) in enumerate(_family_totals(pcm, pcm.grid, max_size, totals)):
-        report = _full_pa(pcm, fam, total, wpa_passed=index < wpa_passed)
+        report = check_full_pa(pcm, fam, total, wpa_passed=index < wpa_passed)
         if report.verdict != SIGMA_COMPATIBLE:
             return report
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
-
-
-def classify_full_pa(pcm: Pcm, max_size: int = 4) -> Report:
-    """Aggregate check_full_pa over the family grid."""
-    return _classify_full_pa(pcm, max_size, wpa_passed=0, totals=())
 
 
 def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3,
@@ -235,9 +235,8 @@ def check_reindexing(pcm: Pcm, trials: int = 200, max_size: int = 5,
     rng = random.Random(f"{seed}:reindex:{pcm.name}")
     grid = pcm.grid
     for k in range(trials):
-        size = rng.randint(0, max_size)
-        fam = family_of([rng.choice(grid) for _ in range(size)])
-        fresh = [f"n{k}.{j}" for j in range(size)]
+        fam = random_family(grid, max_size, rng)
+        fresh = [f"n{k}.{j}" for j in range(len(fam))]
         rng.shuffle(fresh)
         relabeled = reindex(fam, dict(zip(fam.labels, fresh)))
         before, after = pcm.sum(fam), pcm.sum(relabeled)
@@ -265,20 +264,20 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
         sums = _SubsetSums(pcm, fam)
         if len(fam) <= 4:
             totals.append(sums.total)
-        report = _wpa(pcm, fam, sums)
+        report = check_wpa(pcm, fam, sums)
         if not report.passed:
             wpa_report = report
             break
         wpa_passed += 1
         if len(fam) <= 4:
-            sub = _subfamilies(pcm, fam, sums)
+            sub = check_subfamilies(pcm, fam, sums)
             if not sub.passed:
                 sub_report = sub
                 break
     reports.append(wpa_report)
     reports.append(sub_report)
     reports.append(check_reindexing(pcm, trials=trials, seed=seed))
-    reports.append(_classify_full_pa(pcm, min(4, family_size), wpa_passed, totals))
+    reports.append(classify_full_pa(pcm, min(4, family_size), wpa_passed, totals))
     reports.append(check_positivity(pcm, totals=totals))
     return reports
 

@@ -712,6 +712,19 @@ def compose_homs(g: PcmHom, f: PcmHom) -> PcmHom:
     return PcmHom(f.source, g.target, lambda x: g.map(f.map(x)))
 
 
+def summable_families(pcm: Pcm, max_size: int, limit: int | None = None):
+    """The summable families over the grid, each with its ``Summable``; the
+    first ``limit`` of them when ``limit`` is given."""
+    found = 0
+    for fam in families_over(pcm.grid, max_size):
+        result = pcm.sum(fam)
+        if isinstance(result, Summable):
+            yield fam, result
+            found += 1
+            if found == limit:
+                return
+
+
 def check_hom(h: PcmHom, max_size: int = 3):
     """Brute-force the homomorphism law over families drawn from the source grid.
 
@@ -721,10 +734,7 @@ def check_hom(h: PcmHom, max_size: int = 3):
     from .report import failing, passing
 
     name = f"hom[{h.source.name}->{h.target.name}]"
-    for fam in families_over(h.source.grid, max_size):
-        result = h.source.sum(fam)
-        if not isinstance(result, Summable):
-            continue
+    for fam, result in summable_families(h.source, max_size):
         image = make_family([(label, h.map(value)) for label, value in fam.entries])
         image_result = h.target.sum(image)
         if not isinstance(image_result, Summable):

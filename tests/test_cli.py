@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 from pathlib import Path
@@ -331,7 +332,14 @@ def test_laws_family_size_above_the_partition_limit_exits_two(size, monkeypatch)
 
 
 def test_run_config_accepts_the_partition_limit():
-    assert cli.RunConfig("laws", family_size=8, tolerance=1e-12).family_size == 8
+    assert cli.RunConfig(family_size=8, tolerance=1e-12).family_size == 8
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_product_refuses_too_few_trials_before_building_a_base(trials, monkeypatch):
+    _refuse_any_work(monkeypatch)
+    code, out, err = run_cli("product", "--base", "int", "--base2", "int", "--trials", trials)
+    assert (code, out, err) == (2, "", "error: bounds must be at least 1\n")
 
 
 @pytest.mark.parametrize("argv, prefix", [
@@ -427,3 +435,56 @@ def test_calls_in_a_row_share_one_parser_and_match_fresh_calls():
     assert in_a_row == fresh
     assert [code for code, _, _ in in_a_row] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
     assert "invalid int value: 'two'" in in_a_row[2][2]
+
+
+CONVOLUTION_FLAGS = {"--base", "--index", "--tolerance"}
+COMMAND_FLAGS = {
+    "validate": {"--index"},
+    "laws": {"--base", "--seed", "--tolerance", "--family-size", "--trials"},
+    "cauchy describe": CONVOLUTION_FLAGS,
+    "convolve": CONVOLUTION_FLAGS,
+    "sum": CONVOLUTION_FLAGS,
+    "embed": CONVOLUTION_FLAGS | {"--which", "--at", "--scalar", "--index-arrow"},
+    "substitute": {"--p", "--s"},
+    "product": {"--base", "--base2", "--seed", "--tolerance", "--trials"},
+    "series": {"--order", "--p", "--q"},
+}
+
+
+def _subcommands(parser, prefix=""):
+    """Command name -> its parser, nested subcommands joined with a space."""
+    commands = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = _subcommands(sub, f"{prefix}{name} ")
+                commands.update(nested or {f"{prefix}{name}": sub})
+    return commands
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    commands = _subcommands(cli._build_parser())
+    flags = {name: {option for action in sub._actions for option in action.option_strings
+                    if option not in ("-h", "--help")}
+             for name, sub in commands.items()}
+    assert flags == COMMAND_FLAGS
+    assert sum(len(options) for options in flags.values()) == 32
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("validate", "--index", "cyclic:3", "--seed", "1"), "--seed"),
+    (("validate", "--index", "cyclic:3", "--tolerance", "nan"), "--tolerance"),
+    (("substitute", "--p", "5", "--s", "1", str(DATA / "ones5.arrow"), "--trials", "3"),
+     "--trials"),
+    (("product", "--base", "int", "--base2", "int", "--family-size", "3"), "--family-size"),
+    (("cauchy", "describe", "--base", "int", "--seed", "1"), "--seed"),
+    (("convolve", str(DATA / "f_z2.arrow"), str(DATA / "f_z2.arrow"), "--trials", "-1"),
+     "--trials"),
+    (("embed", "--which", "eta", "--scalar", "5", "--family-size", "99"), "--family-size"),
+    (("series", "--p", "1,1", "--q", "1", "--tolerance", "1e-6"), "--tolerance"),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, flag, monkeypatch):
+    _refuse_any_work(monkeypatch)
+    code, out, err = _run_catching_usage_errors(argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + flag in err

@@ -109,7 +109,7 @@ def test_the_suite_asks_the_oracle_what_the_reference_asked(pcm, monkeypatch):
     new_pcm, new = logged(pcm)
     new_reports = run_pcm_suite(new_pcm, family_size=3, trials=20, seed=5)
     monkeypatch.setattr(laws, "_SubsetSums", ReferenceSubsetSums)
-    monkeypatch.setattr(laws, "_wpa", reference_wpa)
+    monkeypatch.setattr(laws, "check_wpa", reference_wpa)
     old_pcm, old = logged(pcm)
     old_reports = run_pcm_suite(old_pcm, family_size=3, trials=20, seed=5)
     assert _outcomes(new_reports) == _outcomes(old_reports)
@@ -128,14 +128,14 @@ def test_membership_is_checked_on_the_family_and_block_sums_only(pcm):
         sums = laws._SubsetSums(probe, fam)
         assert log.members == list(fam.values)
         del log.members[:], log.families[:]
-        wpa = laws._wpa(probe, fam, sums)
-        sub = laws._subfamilies(probe, fam, sums)
+        wpa = laws.check_wpa(probe, fam, sums)
+        sub = laws.check_subfamilies(probe, fam, sums)
         blocks = [value for asked in log.families if _is_block_sums(asked)
                   for value in asked.values]
         assert log.members == ([] if pcm.total else blocks), fam
         reference = ReferenceSubsetSums(pcm, fam)
         assert _outcomes([wpa, sub]) == _outcomes([
-            reference_wpa(pcm, fam, reference), laws._subfamilies(pcm, fam, reference)])
+            reference_wpa(pcm, fam, reference), laws.check_subfamilies(pcm, fam, reference)])
 
 
 def test_an_out_of_carrier_block_sum_still_raises_on_a_partial_carrier():

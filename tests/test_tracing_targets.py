@@ -9,6 +9,9 @@ here, so nothing is written under ``perfbench/``.
 import types
 from pathlib import Path
 
+from pcmcat import laws
+from pcmcat.pcm import INT_ADD, make_finite_families_pcm
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -25,3 +28,14 @@ def test_every_wrap_point_resolves():
     missing = [(name, getattr(owner, "__name__", owner), attr)
                for name, owner, attr in points if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_the_pcm_suite_reports_its_partition_law_checkers():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        laws.run_pcm_suite(make_finite_families_pcm(INT_ADD), family_size=3, trials=20)
+    stats = tracing.self_times(tracer)
+    assert stats["laws.check_wpa"][0] > 0
+    assert stats["laws.check_subfamilies"][0] > 0
+    assert stats["laws.classify_full_pa"][0] > 0
