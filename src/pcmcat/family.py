@@ -68,10 +68,11 @@ def family_of(values: Iterable, prefix: str = "i") -> IndexedFamily:
 
 
 def families_over(grid: tuple, max_size: int) -> Iterator[IndexedFamily]:
-    """All multiset families over the grid, sizes 0..max_size, fixed order."""
+    """All multiset families over the grid, sizes 0..max_size, fixed order, labelled i0, i1, ..."""
+    labels = [f"i{k}" for k in range(max_size)]
     for size in range(max_size + 1):
         for combo in itertools.combinations_with_replacement(grid, size):
-            yield family_of(combo)
+            yield IndexedFamily(tuple(zip(labels, combo)))
 
 
 def random_family(grid: tuple, max_size: int, rng: random.Random,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 from .errors import NotFailingError
 from .family import (
@@ -68,31 +69,41 @@ def check_zero_laws(pcm: Pcm, samples: tuple | None = None) -> Report:
 _BLOCK_LABELS = tuple(f"b{k}" for k in range(EXHAUSTIVE_PARTITION_LIMIT))
 
 
-class _SubsetSums:
+@lru_cache(maxsize=None)
+def _labelled_masks(n: int) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Each partition of ``partition_table(n)``, in its order, as (label, mask) per block."""
+    return tuple(tuple(zip(_BLOCK_LABELS, masks)) for _, masks in partition_table(n))
+
+
+@lru_cache(maxsize=EXHAUSTIVE_PARTITION_LIMIT + 1)
+def _subset_positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every subset of the positions 0..n-1, by size, in ``itertools.combinations`` order."""
+    return tuple(keep for size in range(n + 1) for keep in itertools.combinations(range(n), size))
+
+
+class _SubsetSums(list):
     """The oracle's sum of each subfamily of one family, each computed on first use.
 
-    A subfamily is keyed by the bitmask of its labels' ranks among the
-    family's sorted labels; the full mask holds the family total.  ``total``
-    must be ``pcm.sum(fam)``, and is computed here unless the caller passes
-    it in: that sum checked every entry's membership, so each subfamily,
-    built from the mask with its entries in family order, goes straight to
-    ``pcm.oracle``.
+    A list of 2**n slots: slot ``mask`` holds the sum of the subfamily whose
+    labels' ranks among the family's sorted labels are the bits of ``mask``, or
+    None until ``fill`` computes it; the full mask holds the total.  ``total`` must be
+    ``pcm.sum(fam)``, and is computed here unless the caller passes it in:
+    that sum checked every entry's membership, so each subfamily, built from
+    the mask with its entries in family order, goes straight to ``pcm.oracle``.
     """
 
     def __init__(self, pcm: Pcm, fam: IndexedFamily,
                  total: Summable | NotSummable | None = None):
-        self.pcm, self.fam = pcm, fam
+        self.pcm = pcm
         self.labels = sorted(set(fam.labels))
-        self.bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
+        self.bit = bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
         self.total = pcm.sum(fam) if total is None else total
-        self.slots = {(1 << len(self.labels)) - 1: self.total}
+        self._entries = [(bit[entry[0]], entry) for entry in fam.entries]
+        super().__init__([None] * ((1 << len(self.labels)) - 1) + [self.total])
 
-    def __getitem__(self, mask: int) -> Summable | NotSummable:
-        result = self.slots.get(mask)
-        if result is None:
-            bit = self.bit
-            entries = tuple(entry for entry in self.fam.entries if mask & bit[entry[0]])
-            result = self.slots[mask] = self.pcm.oracle(IndexedFamily(entries))
+    def fill(self, mask: int) -> Summable | NotSummable:
+        entries = tuple([entry for bit, entry in self._entries if mask & bit])
+        result = self[mask] = self.pcm.oracle(IndexedFamily(entries))
         return result
 
     def partition(self, index: int) -> Partition:
@@ -100,15 +111,21 @@ class _SubsetSums:
         return enumerate_partitions(self.labels)[index]
 
 
-def _regrouped(sums: _SubsetSums, masks: tuple[int, ...]) -> IndexedFamily | None:
-    """The family of block sums b0, b1, ..., or None at the first refused block."""
-    block_sums = []
-    for label, mask in zip(_BLOCK_LABELS, masks):
-        result = sums[mask]
-        if not isinstance(result, Summable):
-            return None
-        block_sums.append((label, result.value))
-    return IndexedFamily(tuple(block_sums))
+def _regroupings(sums: _SubsetSums, sum_blocks: Callable) -> Iterator:
+    """Per partition, in table order and computed as it is reached: ``sum_blocks``
+    of its family of block sums b0, b1, ..., or None at the first refused block."""
+    for blocks in _labelled_masks(len(sums.labels)):
+        block_sums = []
+        for label, mask in blocks:
+            result = sums[mask]
+            if result is None:
+                result = sums.fill(mask)
+            if not isinstance(result, Summable):
+                yield None
+                break
+            block_sums.append((label, result.value))
+        else:
+            yield sum_blocks(IndexedFamily(tuple(block_sums)))
 
 
 def check_wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums | None = None) -> Report:
@@ -122,17 +139,17 @@ def check_wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums | None = None) -> 
     if not isinstance(total, Summable):
         return passing(name, detail="family not summable; vacuous")
     # block sums of a total carrier are members (Pcm.total): no check for them
-    sum_blocks = pcm.oracle if pcm.total else pcm.sum
-    for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
-        regrouped = _regrouped(sums, masks)
-        if regrouped is None:
-            return failing(name, (fam, sums.partition(index)), detail="block not summable")
-        result = sum_blocks(regrouped)
-        if not isinstance(result, Summable):
-            return failing(name, (fam, sums.partition(index)), detail="block sums not summable")
-        if not pcm.close(result.value, total.value):
-            return failing(name, (fam, sums.partition(index)),
-                           detail="block sums disagree with total")
+    close, value = pcm.close, total.value
+    for index, result in enumerate(_regroupings(sums, pcm.oracle if pcm.total else pcm.sum)):
+        if result is None:
+            detail = "block not summable"
+        elif not isinstance(result, Summable):
+            detail = "block sums not summable"
+        elif not close(result.value, value):
+            detail = "block sums disagree with total"
+        else:
+            continue
+        return failing(name, (fam, sums.partition(index)), detail=detail)
     return passing(name)
 
 
@@ -146,38 +163,38 @@ def check_subfamilies(pcm: Pcm, fam: IndexedFamily,
     sums = _SubsetSums(pcm, fam) if sums is None else sums
     if not isinstance(sums.total, Summable):
         return passing(name, detail="family not summable; vacuous")
-    labels, bit = fam.labels, sums.bit
-    for size in range(len(labels) + 1):
-        for keep in itertools.combinations(labels, size):
-            mask = 0
-            for label in keep:
-                mask |= bit[label]
-            if not isinstance(sums[mask], Summable):
-                return failing(name, (fam, keep), detail="subfamily refused")
+    labels = fam.labels
+    bits = [sums.bit[label] for label in labels]
+    for keep in _subset_positions(len(labels)):
+        mask = 0
+        for position in keep:
+            mask |= bits[position]
+        result = sums[mask]
+        if result is None:
+            result = sums.fill(mask)
+        if not isinstance(result, Summable):
+            return failing(name, (fam, tuple(labels[p] for p in keep)),
+                           detail="subfamily refused")
     return passing(name)
 
 
-def check_full_pa(pcm: Pcm, fam: IndexedFamily, total: Summable | NotSummable | None = None,
-                  wpa_passed: bool = False) -> Report:
+def check_full_pa(pcm: Pcm, fam: IndexedFamily,
+                  total: Summable | NotSummable | None = None) -> Report:
     """Two-way partition law for one family; FAILs only in the converse direction.
 
     Verdict names whether the tested data is compatible with the two-way law
-    (the one-way direction is check_wpa's job).  ``total`` is ``pcm.sum(fam)``
-    when the caller has it, and ``wpa_passed`` says the family already passed
-    check_wpa.
+    (the one-way direction is check_wpa's job).  ``total`` is ``pcm.sum(fam)``, if known.
     """
     name = f"full-pa[{pcm.name}]"
     total = pcm.sum(fam) if total is None else total
-    if isinstance(total, Summable):
-        if not wpa_passed:
-            wpa = check_wpa(pcm, fam, _SubsetSums(pcm, fam, total))
-            if not wpa.passed:
-                return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
-        return Report(name, SIGMA_COMPATIBLE)
     sums = _SubsetSums(pcm, fam, total)
-    for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
-        regrouped = _regrouped(sums, masks)
-        if regrouped is not None and isinstance(pcm.sum(regrouped), Summable):
+    if isinstance(total, Summable):
+        wpa = check_wpa(pcm, fam, sums)
+        if not wpa.passed:
+            return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
+        return Report(name, SIGMA_COMPATIBLE)
+    for index, result in enumerate(_regroupings(sums, pcm.sum)):
+        if isinstance(result, Summable):
             # blocks and block sums are admitted but the whole family is
             # not: the two-way law fails here
             return Report(name, WPA_ONLY, witness=(fam, sums.partition(index)))
@@ -198,13 +215,15 @@ def classify_full_pa(pcm: Pcm, max_size: int = 4, wpa_passed: int = 0,
                      totals: Sequence = ()) -> Report:
     """Aggregate check_full_pa over the family grid.
 
-    The first ``wpa_passed`` families of the grid already passed check_wpa,
-    and ``totals`` may hold the sums of a prefix of the families, in their
-    order, which are then not summed again.
+    The first ``wpa_passed`` families of the grid passed check_wpa, so those
+    that are summable are skipped; ``totals`` may hold the sums of a prefix of
+    the families, in their order, which are then not summed again.
     """
     name = f"full-pa[{pcm.name}]"
     for index, (fam, total) in enumerate(_family_totals(pcm, pcm.grid, max_size, totals)):
-        report = check_full_pa(pcm, fam, total, wpa_passed=index < wpa_passed)
+        if index < wpa_passed and isinstance(total, Summable):
+            continue
+        report = check_full_pa(pcm, fam, total)
         if report.verdict != SIGMA_COMPATIBLE:
             return report
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")

@@ -628,7 +628,7 @@ def _unit_ball_samples(dim: int, norm: str) -> tuple[Vec, ...]:
         Vec.of(*([0] * (dim - 1)), -1),
         Vec.of(Fraction(1, 2), *([0] * (dim - 1))),
         Vec.of(Fraction(-1, 2), *([0] * (dim - 1))),
-        Vec.of(*([Fraction(1, 2)] * dim)),
+        Vec.of(*([Fraction(1, dim)] * dim)),
         Vec.of(Fraction(3, 10), Fraction(4, 10), *([0] * (dim - 2))),
         Vec.of(Fraction(1, 4), Fraction(-1, 4), *([0] * (dim - 2))),
     ]

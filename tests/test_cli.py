@@ -14,15 +14,23 @@ from pcmcat.category import (
 )
 from pcmcat.cauchy import cauchy_product
 from pcmcat import cli
-from pcmcat.cli import MAX_CYCLIC_ORDER, main, parse_arrow, parse_fincat, parse_scalar
+from pcmcat.cli import (
+    MAX_CYCLIC_ORDER,
+    MAX_SERIES_ORDER,
+    main,
+    parse_arrow,
+    parse_fincat,
+    parse_scalar,
+)
 from pcmcat.errors import (
     ParseError,
     ScalarParseError,
     UnknownIndexArrowError,
     ValidationError,
 )
+from pcmcat.family import family_of
 from pcmcat.fincat import cyclic_category
-from pcmcat.pcm import Residue
+from pcmcat.pcm import UNIT_BALL_NORMS, Residue, Summable, make_unit_ball_pcm
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +167,18 @@ def test_laws_unitball_runs_pcm_suite_only():
                            "--trials", "30")
     assert code == 0
     assert "strong-distributivity" not in out
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("norm", UNIT_BALL_NORMS)
+def test_every_unit_ball_sample_lies_in_its_ball(norm, dim):
+    """Each sample is a summable singleton, so the ball passes its own laws."""
+    ball = make_unit_ball_pcm(dim, norm)
+    for x in ball.sample_elements:
+        assert ball.sum(family_of([x])) == Summable(x), x
+    code, out, _ = run_cli("laws", "--base", f"unitball:{dim}:{norm}", "--family-size", "3",
+                           "--trials", "30")
+    assert code == 0, out
 
 
 def test_cauchy_describe():
@@ -387,6 +407,23 @@ def test_series_negative_order_exits_two_before_any_stream_is_parsed(monkeypatch
     code, out, err = run_cli("series", "--order", "-1", "--p", "1,1", "--q", "1")
     assert (code, out) == (2, "")
     assert err == "error: order must be at least 0, got -1\n"
+
+
+def test_series_oversized_order_exits_two_before_any_stream_is_parsed(monkeypatch):
+    def fail(text):
+        raise AssertionError("a stream was parsed before the order was checked")
+
+    monkeypatch.setattr(cli, "_parse_stream", fail)
+    order = MAX_SERIES_ORDER + 1
+    code, out, err = run_cli("series", "--order", str(order), "--p", "1,1", "--q", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: order must be at most {MAX_SERIES_ORDER}, got {order}\n"
+
+
+def test_series_accepts_the_largest_order():
+    code, out, err = run_cli("series", "--order", str(MAX_SERIES_ORDER), "--p", "1,1",
+                             "--q", "1")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("p, message", [

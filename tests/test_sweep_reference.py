@@ -1,8 +1,9 @@
 """The partition-law sweep against the sweep that rechecked every subfamily.
 
-``ReferenceSubsetSums`` and ``reference_wpa`` below are the sweep as it was
-when each subfamily was cut with ``subfamily`` and summed with ``Pcm.sum``,
-and every family of block sums went through ``Pcm.sum``.  Membership is
+``ReferenceSubsetSums``, ``reference_wpa`` and ``reference_full_pa`` below
+are the sweep as it was when each subfamily was cut with ``subfamily`` and
+summed with ``Pcm.sum``, and every family of block sums, built one partition
+at a time by ``_regrouped``, went through ``Pcm.sum``.  Membership is
 checked once, when the table's total goes through ``Pcm.sum``; after that
 the sweep must ask the oracle the same families in the same order and give
 the same reports, and check membership only of block sums on a partial
@@ -10,16 +11,29 @@ carrier.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from pcmcat import laws
 from pcmcat.errors import CarrierMismatchError
-from pcmcat.family import IndexedFamily, families_over, family_of, subfamily
-from pcmcat.laws import check_wpa, partition_table, run_pcm_suite
+from pcmcat.family import (
+    EXHAUSTIVE_PARTITION_LIMIT,
+    IndexedFamily,
+    families_over,
+    family_of,
+    subfamily,
+)
+from pcmcat.laws import (
+    SIGMA_COMPATIBLE,
+    WPA_ONLY,
+    check_wpa,
+    partition_table,
+    run_pcm_suite,
+)
 from pcmcat.pcm import INT_ADD, Summable, make_finite_families_pcm
-from pcmcat.report import failing, passing
+from pcmcat.report import Report, failing, passing
 from test_laws_reference import CARRIERS, SUITE_CARRIERS, random_families
 
 # --------------------------------------------------------------------------
@@ -48,13 +62,24 @@ class ReferenceSubsetSums:
         return laws.enumerate_partitions(self.labels)[index]
 
 
+def _regrouped(sums, masks):
+    """The family of block sums b0, b1, ..., or None at the first refused block."""
+    block_sums = []
+    for label, mask in zip(laws._BLOCK_LABELS, masks):
+        result = sums[mask]
+        if not isinstance(result, Summable):
+            return None
+        block_sums.append((label, result.value))
+    return IndexedFamily(tuple(block_sums))
+
+
 def reference_wpa(pcm, fam, sums):
     name = f"wpa[{pcm.name}]"
     total = sums.total
     if not isinstance(total, Summable):
         return passing(name, detail="family not summable; vacuous")
     for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
-        regrouped = laws._regrouped(sums, masks)
+        regrouped = _regrouped(sums, masks)
         if regrouped is None:
             return failing(name, (fam, sums.partition(index)), detail="block not summable")
         result = pcm.sum(regrouped)
@@ -64,6 +89,20 @@ def reference_wpa(pcm, fam, sums):
             return failing(name, (fam, sums.partition(index)),
                            detail="block sums disagree with total")
     return passing(name)
+
+
+def reference_full_pa(pcm, fam, sums):
+    name = f"full-pa[{pcm.name}]"
+    if isinstance(sums.total, Summable):
+        wpa = reference_wpa(pcm, fam, sums)
+        if not wpa.passed:
+            return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
+        return Report(name, SIGMA_COMPATIBLE)
+    for index, (_, masks) in enumerate(partition_table(len(sums.labels))):
+        regrouped = _regrouped(sums, masks)
+        if regrouped is not None and isinstance(pcm.sum(regrouped), Summable):
+            return Report(name, WPA_ONLY, witness=(fam, sums.partition(index)))
+    return Report(name, SIGMA_COMPATIBLE)
 
 
 # --------------------------------------------------------------------------
@@ -153,3 +192,62 @@ def test_an_out_of_carrier_block_sum_still_raises_on_a_partial_carrier():
         check_wpa(planted, fam)
     with pytest.raises(CarrierMismatchError, match="entry 'b0' = 3.0 is outside the carrier"):
         reference_wpa(planted, fam, ReferenceSubsetSums(planted, fam))
+
+
+LARGE_CARRIERS = tuple(pcm for pcm in CARRIERS if pcm.name in (
+    "finite-families[(Z,+)]", "partial-fns[3]", "pairs-refused", "order-dependent"))
+
+
+def large_families(pcm, rng):
+    """Per size 7 and 8, the first summable and the first refused family among
+    ten seeded draws, each entry the grid's first element or a random one with
+    even odds; labels from c0..c15, so entry and sorted order differ."""
+    pool = [f"c{k}" for k in range(16)]
+    for size in (7, 8):
+        kept = {}
+        for _ in range(10):
+            labels = rng.sample(pool, size)
+            fam = IndexedFamily(tuple(
+                (label, rng.choice(pcm.grid) if rng.random() < 0.5 else pcm.grid[0])
+                for label in labels))
+            kept.setdefault(isinstance(pcm.sum(fam), Summable), fam)
+        yield from kept.values()
+
+
+def _block_values(log):
+    return [value for asked in log.families if _is_block_sums(asked) for value in asked.values]
+
+
+@pytest.mark.parametrize("pcm", LARGE_CARRIERS, ids=lambda pcm: pcm.name)
+def test_the_sweep_matches_the_reference_on_families_of_seven_and_eight(pcm):
+    """Per family: the wpa and subfamily sweeps on one table, then check_full_pa
+    on its own; each phase checks membership of the family and, on a partial
+    carrier, of the block sums only."""
+    rng = random.Random(f"large:{pcm.name}")
+    for fam in large_families(pcm, rng):
+        new_pcm, new = logged(pcm)
+        old_pcm, old = logged(pcm)
+        sums = laws._SubsetSums(new_pcm, fam)
+        reference = ReferenceSubsetSums(old_pcm, fam)
+        new_reports = [laws.check_wpa(new_pcm, fam, sums),
+                       laws.check_subfamilies(new_pcm, fam, sums)]
+        old_reports = [reference_wpa(old_pcm, fam, reference),
+                       laws.check_subfamilies(old_pcm, fam, reference)]
+        assert new.members == list(fam.values) + ([] if pcm.total else _block_values(new)), fam
+        assert new.families == old.families, fam
+        swept = len(old.families)
+        del new.members[:], new.families[:]
+        new_reports.append(laws.check_full_pa(new_pcm, fam))
+        old_reports.append(reference_full_pa(old_pcm, fam, ReferenceSubsetSums(old_pcm, fam)))
+        assert new.members == list(fam.values) + ([] if pcm.total else _block_values(new)), fam
+        assert new.families == old.families[swept:], fam
+        assert _outcomes(new_reports) == _outcomes(old_reports), fam
+
+
+@pytest.mark.parametrize("n", range(EXHAUSTIVE_PARTITION_LIMIT + 1))
+def test_the_per_size_tables_follow_the_partition_table_and_combinations(n):
+    labels = [f"b{k}" for k in range(EXHAUSTIVE_PARTITION_LIMIT)]
+    assert laws._labelled_masks(n) == tuple(
+        tuple(zip(labels, masks)) for _, masks in partition_table(n))
+    assert laws._subset_positions(n) == tuple(
+        keep for size in range(n + 1) for keep in itertools.combinations(range(n), size))
