@@ -1,8 +1,10 @@
 """The rational matrix kernel and the membership scan of ``CauchyCategory.sum_arrows``.
 
 Rational matrix products and hom sums are computed on integer numerators
-over a common denominator and must agree, entry for entry and by ``repr``,
-with the plain ``Fraction`` folds.  ``sum_arrows`` checks each coefficient
+over one canonical common denominator (``Matrix.scaled``) and must agree,
+entry for entry and by ``repr``, with the plain ``Fraction`` folds; the
+two views of a matrix compare and hash as one value, and the complex path
+never builds the integer view.  ``sum_arrows`` checks each coefficient
 for membership once, and a foreign coefficient still raises the message
 that names its flattened label ``"{i}|{a}"``.  ``compose`` checks each
 factor product once; over a total carrier neither it nor ``sum_arrows``
@@ -11,17 +13,27 @@ checks the sums again.
 
 import dataclasses
 import functools
+import itertools
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from pcmcat.category import Matrix, PcmCategory, from_semiring, k_bounded_category, matrix_category
+from pcmcat.category import (
+    Matrix,
+    PcmCategory,
+    from_semiring,
+    k_bounded_category,
+    matrix_category,
+    resolve_base,
+)
 from pcmcat.cauchy import CauchyArrow, cauchy_product
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import IndexedFamily, family_of, make_family
-from pcmcat.fincat import cyclic_category
+from pcmcat.fincat import cyclic_category, two_object_five_arrow_category
+from pcmcat.laws import oracle_convolution
 from pcmcat.pcm import Pcm, Summable
 
 DIMS = (1, 2, 3)
@@ -227,3 +239,182 @@ def test_sum_arrows_over_rational_matrices_matches_the_fraction_fold():
     got = cc.sum_arrows(make_family((f"a{k}", arrow) for k, arrow in enumerate(arrows)))
     for a, value in got.value.coeffs:
         assert typed_reprs(value) == typed_reprs(fold_sum([x.coeff(a) for x in arrows], 2, 2))
+
+
+# --------------------------------------------------------------------------
+# two views of one value: ``rows`` and the canonical ``scaled``
+# --------------------------------------------------------------------------
+
+
+def assert_canonical(matrix: Matrix):
+    num, den = matrix.scaled
+    assert den > 0 and math.gcd(den, *[v for row in num for v in row]) == 1
+    assert den == math.lcm(*[v.denominator for row in matrix.rows for v in row])
+    assert matrix.rows == tuple(tuple(Fraction(v, den) for v in row) for row in num)
+
+
+def test_a_kernel_built_matrix_equals_and_hashes_as_the_same_fractions():
+    p, q = BIG[0], BIG[1]
+    cases = [
+        # non-unit, coprime denominators
+        (Matrix.of([[Fraction(1, p), Fraction(2, 3)]]),
+         Matrix.of([[Fraction(5, 7)], [Fraction(-1, q)]])),
+        # entries that cancel to Fraction(0, 1) over a non-unit denominator
+        (Matrix.of([[Fraction(1, p), Fraction(1, q)]]),
+         Matrix.of([[Fraction(p, 3)], [Fraction(-q, 3)]])),
+        # integral entries
+        (Matrix.of([[Fraction(2), Fraction(-1)]]), Matrix.of([[Fraction(3)], [Fraction(4)]])),
+    ]
+    for g, f in cases:
+        built = RATIONAL.compose(g, f)
+        fold = fold_product(g, f)
+        fresh = Matrix.of(fold.rows)
+        assert built == fold and fold == built and hash(built) == hash(fold)
+        fresh.scaled  # both sides now hold the integer view: compared on it
+        assert built == fresh and hash(built) == hash(fresh)
+        assert_canonical(built)
+    zero = RATIONAL.compose(*cases[1])
+    assert zero == Matrix.of([[Fraction(0)]]) and zero.scaled == (((0,),), 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_equality_is_value_equality_on_either_view(seed):
+    rng = random.Random(f"two-views:{seed}")
+    values = [Fraction(p, q) for p in (-2, -1, 0, 1, 3) for q in (1, 2, 3, 7)]
+    matrices = [Matrix.of([[rng.choice(values) for _ in range(2)] for _ in range(2)])
+                for _ in range(12)]
+    sums = [RATIONAL.hom_pcm(2, 2).sum(family_of([a])).value for a in matrices]
+    for a, b in itertools.product(range(len(matrices)), repeat=2):
+        want = matrices[a].rows == matrices[b].rows
+        assert (sums[a] == sums[b]) is want
+        assert (sums[a] == Matrix.of(matrices[b].rows)) is want
+        if want:
+            assert hash(sums[a]) == hash(matrices[b])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chained_products_and_sums_stay_canonical(seed):
+    rng = random.Random(f"canonical:{seed}")
+    pcm = RATIONAL.hom_pcm(2, 2)
+    current = random_matrix(rng, 2, 2)
+    reference = current
+    for step in range(12):
+        other = random_matrix(rng, 2, 2)
+        if step % 3 == 2:
+            current = pcm.sum(family_of([current, other, current])).value
+            reference = fold_sum([reference, other, reference], 2, 2)
+        else:
+            current, reference = RATIONAL.compose(other, current), fold_product(other, reference)
+        assert_canonical(current)
+        assert typed_reprs(current) == typed_reprs(reference)
+
+
+def test_str_repr_and_typed_entries_are_those_of_the_fraction_rows():
+    g = Matrix.of([[Fraction(3, 4), Fraction(1, 6)], [Fraction(0), Fraction(-2)]])
+    f = Matrix.of([[Fraction(2, 9)], [Fraction(3, 2)]])
+    product = RATIONAL.compose(g, f)
+    assert str(product) == "[[5/12],[-3]]"
+    assert repr(product) == "Matrix(rows=((Fraction(5, 12),), (Fraction(-3, 1),)))"
+    assert typed_reprs(product) == (((Fraction, "Fraction(5, 12)"),), ((Fraction, "Fraction(-3, 1)"),))
+    total = RATIONAL.hom_pcm(1, 2).sum(family_of([product, product])).value
+    assert str(total) == "[[5/6],[-6]]"
+    assert repr(total) == "Matrix(rows=((Fraction(5, 6),), (Fraction(-6, 1),)))"
+    assert repr(Matrix.of(total.rows)) == repr(total)
+
+
+def test_complex_products_and_sums_never_build_the_integer_view():
+    cat = matrix_category((1, 2), scalar="complex")
+    g = Matrix.of([[0.5 + 1j, complex(-0.0, -0.0)], [1e16 + 1j, -0.3 + 0j]])
+    f = Matrix.of([[0.1 + 0.2j], [complex(-0.0, 0.0)]])
+    product = cat.compose(g, f)
+    assert repr(product) == repr(g @ f)
+    family = make_family([("m2", f), ("m0", product), ("m1", f)])
+    total = cat.hom_pcm(1, 2).sum(family).value
+    assert repr(total) == repr(Matrix.zero(2, 1, 0j) + product + f + f)
+    assert all(m._scaled is None for m in (g, f, product, total))
+
+
+# --------------------------------------------------------------------------
+# membership of the rational hom carrier is not weakened
+# --------------------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+OUTSIDE_MATRIX_2 = {
+    "float entry": Matrix.of([[_HALF, 0.5], [_HALF, _HALF]]),
+    "int entries": Matrix.of([[1, 0], [0, 1]]),
+    "complex": Matrix.of([[1 + 0j, 0j], [0j, 1 + 0j]]),
+    "wrong shape": Matrix.of([[_HALF, _HALF]]),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_MATRIX_2)
+def test_the_matrix_2_carrier_refuses_what_it_refused(case):
+    base = resolve_base("matrix:2")
+    value = OUTSIDE_MATRIX_2[case]
+    if case == "int entries":
+        base.compose(value, value)  # the kernel reads its integer view, and keeps none
+    pcm = base.hom_pcm(2, 2)
+    inside = base.compose(pcm.grid[2], pcm.grid[3])
+    str(inside)  # a kernel-built matrix whose rows were read is still a member
+    with pytest.raises(CarrierMismatchError, match="entry 'bad' = .* is outside the carrier"):
+        pcm.sum(make_family([("good", inside), ("bad", value)]))
+    cc = cauchy_product(base, cyclic_category(3))
+    obj = cc.objects[0]
+    hom = sorted(cc.index.hom("*", "*"))
+    bad = CauchyArrow(obj, obj, tuple((a, value if a == hom[-1] else pcm.zero) for a in hom))
+    with pytest.raises(CarrierMismatchError, match=f"entry 'i1[|]{hom[-1]}' = .* is outside"):
+        cc.sum_arrows(family_of([cc.identity(obj), bad]))
+
+
+# --------------------------------------------------------------------------
+# convolution over fractional coefficients
+# --------------------------------------------------------------------------
+
+FRACTIONAL = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3, 11),
+              Fraction(-1, BIG[0]), Fraction(4, BIG[1]), Fraction(0), Fraction(-1))
+
+
+def fractional_matrix(rng) -> Matrix:
+    return Matrix.of([[rng.choice(FRACTIONAL) for _ in range(2)] for _ in range(2)])
+
+
+def reference_convolution(index, g: CauchyArrow, f: CauchyArrow) -> dict:
+    """(g f)(c) as a plain-Fraction double loop over every pair (b, a) with b.a = c."""
+    (_, u), (_, v), (_, w) = f.src, f.tgt, g.tgt
+    out = {c: Matrix.zero(2, 2, Fraction(0)) for c in index.hom(u, w)}
+    for b in index.hom(v, w):
+        for a in index.hom(u, v):
+            c = index.compose(b, a)
+            out[c] = out[c] + fold_product(g.coeff(b), f.coeff(a))
+    return out
+
+
+def fractional_arrow(cc, rng, src, tgt) -> CauchyArrow:
+    return cc.make_arrow(src, tgt, {a: fractional_matrix(rng) for a in cc.index.hom(src[1], tgt[1])})
+
+
+@pytest.mark.parametrize("index", [cyclic_category(3), two_object_five_arrow_category()],
+                         ids=lambda index: index.name)
+def test_fractional_convolution_matches_the_double_loop(index):
+    cc = cauchy_product(matrix_category([2]), index)
+    rng = random.Random(f"fractional-convolution:{index.name}")
+    table = None
+    if index.objects == ("*",):
+        table = {(b, a): index.compose(b, a) for b in index.arrows for a in index.arrows}
+    for src, mid, tgt in itertools.product(cc.objects, repeat=3):
+        for _ in range(4):
+            f, g = fractional_arrow(cc, rng, src, mid), fractional_arrow(cc, rng, mid, tgt)
+            got = cc.compose(g, f)
+            want = reference_convolution(index, g, f)
+            assert {a: typed_reprs(v) for a, v in got.coeffs} == {
+                a: typed_reprs(v) for a, v in want.items()}
+            if table is not None:
+                assert dict(got.coeffs) == oracle_convolution(
+                    fold_product, Matrix.__add__, Matrix.zero(2, 2, Fraction(0)), table,
+                    dict(g.coeffs), dict(f.coeffs))
+            arrows = [got] + [fractional_arrow(cc, rng, src, tgt) for _ in range(3)]
+            total = cc.sum_arrows(family_of(arrows)).value
+            for a, value in total.coeffs:
+                assert typed_reprs(value) == typed_reprs(
+                    fold_sum([arrow.coeff(a) for arrow in arrows], 2, 2))
+                assert_canonical(value)

@@ -105,6 +105,11 @@ def reference_full_pa(pcm, fam, sums):
     return Report(name, SIGMA_COMPATIBLE)
 
 
+def reference_check_full_pa(pcm, fam, total=None):
+    """``check_full_pa`` as the reference sweep computed it."""
+    return reference_full_pa(pcm, fam, ReferenceSubsetSums(pcm, fam, total))
+
+
 # --------------------------------------------------------------------------
 # a carrier that logs its oracle and membership calls
 # --------------------------------------------------------------------------
@@ -149,6 +154,7 @@ def test_the_suite_asks_the_oracle_what_the_reference_asked(pcm, monkeypatch):
     new_reports = run_pcm_suite(new_pcm, family_size=3, trials=20, seed=5)
     monkeypatch.setattr(laws, "_SubsetSums", ReferenceSubsetSums)
     monkeypatch.setattr(laws, "check_wpa", reference_wpa)
+    monkeypatch.setattr(laws, "check_full_pa", reference_check_full_pa)
     old_pcm, old = logged(pcm)
     old_reports = run_pcm_suite(old_pcm, family_size=3, trials=20, seed=5)
     assert _outcomes(new_reports) == _outcomes(old_reports)
