@@ -235,9 +235,9 @@ def _exact_product(g: Matrix, f: Matrix) -> Matrix:
     column j of f's over the product of the denominators, made canonical by
     one gcd; its ``rows`` equal the plain ``Fraction`` fold, ``repr`` included.
     """
-    if g.shape[1] != f.shape[0]:
-        raise ShapeMismatchError(f"cannot compose {g.shape} with {f.shape}")
     (g_num, g_den), (f_num, f_den) = g.scaled, f.scaled
+    if (len(g_num[0]) if g_num else 0) != len(f_num):
+        raise ShapeMismatchError(f"cannot compose {g.shape} with {f.shape}")
     cols = tuple(zip(*f_num))
     return Matrix._over(tuple([
         tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in g_num
@@ -302,12 +302,15 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
             isinstance(c, Fraction) for row in v.rows for c in row)
         close = exact_eq
         product, matrix_sum = _exact_product, _exact_sum
+        # held as ``scaled``, so comparing a kernel product with it builds no rows
+        identity = lambda x: Matrix._over(Matrix.identity(x, 0, 1).rows, 1)
     elif scalar == "complex":
         zero_s, one_s = 0j, 1 + 0j
         entries = (zero_s, one_s, 1j)
         entries_ok = lambda v: all(isinstance(c, complex) for row in v.rows for c in row)
         ctol = complex_close(tolerance)
         product, matrix_sum = operator.matmul, _label_ordered_sum
+        identity = lambda x: Matrix.identity(x, zero_s, one_s)
 
         def close(a: Matrix, b: Matrix) -> bool:
             return a.shape == b.shape and all(
@@ -320,11 +323,10 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
         n, m = y, x  # hom(m, n) holds n-by-m matrices
 
         def contains(v):
-            return (
-                isinstance(v, Matrix)
-                and v.shape == (n, m)
-                and entries_ok(v)
-            )
+            if not isinstance(v, Matrix):
+                return False
+            rows = v._scaled[0] if v._rows is None else v._rows
+            return len(rows) == n and len(rows[0]) == m and entries_ok(v)
 
         zero = Matrix.zero(n, m, zero_s)
         samples = _matrix_samples(n, m, zero_s, one_s, entries)
@@ -341,9 +343,6 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
             close=close,
             total=True,
         )
-
-    def identity(x):
-        return Matrix.identity(x, zero_s, one_s)
 
     def arrow_hom(v: Matrix):
         n, m = v.shape

@@ -5,6 +5,12 @@ the base hom-set C(X,Y) whose value family is summable.  Composition
 convolves over factorizations c = b.a in the index category; each hom-set
 inherits a summation computed on the flattened coefficient family.
 
+An arrow stores its coefficients sorted by index arrow, and its keys must be
+exactly the sorted D(U,V): the hom carrier checks the key tuple against it,
+and ``compose`` and ``sum_arrows`` check it before they read coefficients by
+position, so an arrow with unsorted, duplicated or missing keys raises
+``CarrierMismatchError`` rather than being misread.
+
 The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
 rather than swallowed.  Over a partial base carrier every check runs the
@@ -38,7 +44,7 @@ from .errors import (
 )
 from .family import IndexedFamily
 from .fincat import FinCategory, Functor, validate_category
-from .pcm import NOT_SUMMABLE, Pcm, Summable, format_element
+from .pcm import NOT_SUMMABLE, Pcm, Summable, exact_eq, format_element
 from .report import Report, failing, passing
 
 
@@ -46,8 +52,8 @@ from .report import Report, failing, passing
 class CauchyArrow:
     """A coefficient map: one base arrow per index arrow, stored sorted.
 
-    ``CauchyCategory.compose`` reads coefficients by their position in this
-    sorted order.
+    ``CauchyCategory.compose`` and ``sum_arrows`` read coefficients by their
+    position in this sorted order, once the keys are checked.
     """
 
     src: tuple
@@ -57,6 +63,11 @@ class CauchyArrow:
     @cached_property
     def _table(self) -> dict:
         return dict(self.coeffs)
+
+    @cached_property
+    def _split(self) -> tuple[tuple, tuple]:
+        """The keys and the values of ``coeffs``, as two tuples."""
+        return tuple(zip(*self.coeffs)) or ((), ())
 
     def coeff(self, index_arrow: str):
         return self._table[index_arrow]
@@ -71,6 +82,9 @@ class CauchyArrow:
 
 
 def _arrow_close(base_close: Callable) -> Callable:
+    if base_close is exact_eq:  # the per-coefficient loop, as one tuple comparison
+        return lambda a, b: a.src == b.src and a.tgt == b.tgt and a.coeffs == b.coeffs
+
     def close(a: CauchyArrow, b: CauchyArrow) -> bool:
         if a.src != b.src or a.tgt != b.tgt:
             return False
@@ -95,6 +109,7 @@ class CauchyCategory:
             (x, u) for x in base.objects for u in index.objects
         )
         self._fact: dict = {}
+        self._keys: dict = {}
         self._hom_cache: dict = {}
         self.arrow_hom = lambda arrow: (arrow.src, arrow.tgt)
 
@@ -123,6 +138,21 @@ class CauchyCategory:
             self._fact[key] = {c: tuple(pairs) for c, pairs in table.items()}
         return self._fact[key]
 
+    def _sorted_hom(self, u: str, v: str) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
+        """D(u,v) sorted, the keys of every arrow (X,u) -> (Y,v), and each arrow
+        of D(u,v) in hom order with its position in the sorted tuple; built once per hom."""
+        entry = self._keys.get((u, v))
+        if entry is None:
+            hom = self.index.hom(u, v)
+            place = {a: k for k, a in enumerate(sorted(hom))}
+            entry = self._keys[u, v] = (tuple(place), tuple((a, place[a]) for a in hom))
+        return entry
+
+    def _misread(self, arrow: CauchyArrow, u: str, v: str) -> CarrierMismatchError:
+        """The error for an arrow whose keys are not the sorted D(u,v)."""
+        return CarrierMismatchError(f"{arrow} is not an arrow of {self.name}: "
+                                    f"its keys are not the sorted D({u},{v})")
+
     def _require_objects(self, src, tgt) -> None:
         if src not in self.objects or tgt not in self.objects:
             raise ValidationError(f"unknown object pair {src} or {tgt}")
@@ -140,14 +170,12 @@ class CauchyCategory:
         """Build and defensively validate an arrow; missing coefficients are zero."""
         self._require_objects(src, tgt)
         (x, u), (y, v) = src, tgt
-        hom = self.index.hom(u, v)
+        hom = self._sorted_hom(u, v)[0]
         unknown = set(coeffs) - set(hom)
         if unknown:
             raise ValidationError(f"coefficients for arrows outside D({u},{v}): {sorted(unknown)}")
         base_pcm = self.base.hom_pcm(x, y)
-        filled = tuple(
-            (a, coeffs.get(a, base_pcm.zero)) for a in sorted(hom)
-        )
+        filled = tuple((a, coeffs.get(a, base_pcm.zero)) for a in hom)
         return self._admitted(CauchyArrow(src, tgt, filled), base_pcm)
 
     def identity(self, obj) -> CauchyArrow:
@@ -159,26 +187,31 @@ class CauchyCategory:
         return self.make_arrow(src, tgt, {})
 
     def compose(self, g: CauchyArrow, f: CauchyArrow) -> CauchyArrow:
-        """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a."""
+        """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a;
+        a factor whose keys are not the sorted hom raises ``CarrierMismatchError``."""
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
         (x, u), (_, v), (z, w) = f.src, f.tgt, g.tgt
+        (g_keys, gs), (f_keys, fs) = g._split, f._split
+        if g_keys != self._sorted_hom(v, w)[0]:
+            raise self._misread(g, v, w)
+        if f_keys != self._sorted_hom(u, v)[0]:
+            raise self._misread(f, u, v)
         target_pcm = self.base.hom_pcm(x, z)
         base_compose = self.base.compose
-        gs = [value for _, value in g.coeffs]
-        fs = [value for _, value in f.coeffs]
-        coeffs = {}
+        coeffs = []
         for c, pairs in self._factorizations(u, v, w).items():
-            result = target_pcm.sum(IndexedFamily(tuple(
+            result = target_pcm.sum(IndexedFamily(tuple([
                 (label, base_compose(gs[b], fs[a])) for label, b, a in pairs
-            )))
+            ])))
             if not isinstance(result, Summable):
                 raise NotSummableError(
                     f"convolution coefficient at {c} refused by {target_pcm.name}; "
                     "the base instance violates its composition law"
                 )
-            coeffs[c] = result.value
-        arrow = CauchyArrow(f.src, g.tgt, tuple(sorted(coeffs.items())))
+            coeffs.append((c, result.value))
+        coeffs.sort()
+        arrow = CauchyArrow(f.src, g.tgt, tuple(coeffs))
         # ``target_pcm.sum`` checked every factor product, and a total
         # carrier's oracle sums carrier elements into the carrier.
         return arrow if target_pcm.total else self._admitted(arrow, target_pcm)
@@ -195,29 +228,34 @@ class CauchyCategory:
             src, tgt = next(iter(heads))
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
-        hom = self.index.hom(u, v)
+        keys, hom = self._sorted_hom(u, v)  # hom: (a, position of a in keys), in hom order
+        rows = []  # (label, coefficients in sorted order) per arrow, once its keys are checked
+        for i, arrow in fam.entries:
+            arrow_keys, values = arrow._split
+            if arrow_keys != keys:
+                raise self._misread(arrow, u, v)
+            rows.append((i, values))
         base_pcm._check_members(
-            (((i, a), arrow.coeff(a)) for i, arrow in fam.entries for a in hom),
+            (((i, a), values[k]) for i, values in rows for a, k in hom),
             label="{0[0]}|{0[1]}".format,
         )
         if not base_pcm.total:
-            flattened = IndexedFamily(tuple(
-                (f"{i}|{a}", arrow.coeff(a)) for i, arrow in fam.entries for a in hom
-            ))
+            flattened = IndexedFamily(tuple([
+                (f"{i}|{a}", values[k]) for i, values in rows for a, k in hom
+            ]))
             if not isinstance(base_pcm.oracle(flattened), Summable):
                 return NOT_SUMMABLE
-        coeffs = {}
-        for a in hom:
-            column = IndexedFamily(tuple((i, arrow.coeff(a)) for i, arrow in fam.entries))
-            result = base_pcm.oracle(column)
+        sums = [None] * len(keys)
+        for a, k in hom:
+            result = base_pcm.oracle(IndexedFamily(tuple([(i, values[k]) for i, values in rows])))
             if not isinstance(result, Summable):
                 raise NotSummableError(
                     f"pointwise sum at {a} refused although the flattened family "
                     "was admitted; the base instance violates the partition law"
                 )
-            coeffs[a] = result.value
+            sums[k] = result.value
         self._require_objects(src, tgt)
-        arrow = CauchyArrow(src, tgt, tuple(sorted(coeffs.items())))
+        arrow = CauchyArrow(src, tgt, tuple(zip(keys, sums)))
         # a total carrier's oracle sums carrier elements into the carrier
         return Summable(arrow if base_pcm.total else self._admitted(arrow, base_pcm))
 
@@ -226,7 +264,7 @@ class CauchyCategory:
     def _sample_arrows(self, src, tgt) -> tuple[CauchyArrow, ...]:
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
-        hom = sorted(self.index.hom(u, v))
+        hom = self._sorted_hom(u, v)[0]
         pool = [base_pcm.zero]
         for value in base_pcm.grid:
             if value not in pool:
@@ -265,14 +303,15 @@ class CauchyCategory:
             return self._hom_cache[key]
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
-        hom = set(self.index.hom(u, v))
+        keys = self._sorted_hom(u, v)[0]
 
         def contains(arrow):
+            """An arrow src -> tgt whose keys are the sorted hom tuple."""
             return (
                 isinstance(arrow, CauchyArrow)
                 and arrow.src == src
                 and arrow.tgt == tgt
-                and set(arrow._table) == hom
+                and arrow._split[0] == keys
             )
 
         samples = self._sample_arrows(src, tgt)

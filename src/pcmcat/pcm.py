@@ -46,17 +46,24 @@ class Residue:
             raise ValueError("modulus must be positive")
         object.__setattr__(self, "value", self.value % self.modulus)
 
+    @staticmethod
+    def _reduced(value: int, modulus: int) -> "Residue":
+        """``Residue(value, modulus)`` without the check, for a modulus taken from a residue."""
+        residue = object.__new__(Residue)
+        residue.__dict__.update(value=value % modulus, modulus=modulus)
+        return residue
+
     def _check(self, other: "Residue") -> None:
         if not isinstance(other, Residue) or other.modulus != self.modulus:
             raise CarrierMismatchError(f"mixed moduli: {self} vs {other}")
 
     def __add__(self, other: "Residue") -> "Residue":
         self._check(other)
-        return Residue(self.value + other.value, self.modulus)
+        return Residue._reduced(self.value + other.value, self.modulus)
 
     def __mul__(self, other: "Residue") -> "Residue":
         self._check(other)
-        return Residue(self.value * other.value, self.modulus)
+        return Residue._reduced(self.value * other.value, self.modulus)
 
     def __neg__(self) -> "Residue":
         return Residue(-self.value, self.modulus)
@@ -418,7 +425,7 @@ def mod_add(n: int) -> Monoid:
         op=lambda a, b: a + b,
         contains=lambda x: isinstance(x, Residue) and x.modulus == n,
         sample=tuple(Residue(k, n) for k in range(n)),
-        fold=lambda values: Residue(sum([v.value for v in values]), n),
+        fold=lambda values: Residue._reduced(sum([v.value for v in values]), n),
     )
 
 

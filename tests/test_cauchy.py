@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pcmcat.category import Matrix, PcmFunctor, from_semiring, matrix_category
 from pcmcat.cauchy import (
     BoundedStream,
+    CauchyArrow,
     CauchyCategory,
     cauchy_product,
     check_associativity,
@@ -23,7 +24,12 @@ from pcmcat.cauchy import (
     sigma_functor,
     star_embed,
 )
-from pcmcat.errors import NotSummableError, UnboundedStreamError, ValidationError
+from pcmcat.errors import (
+    CarrierMismatchError,
+    NotSummableError,
+    UnboundedStreamError,
+    ValidationError,
+)
 from pcmcat.family import family_of
 from pcmcat.fincat import (
     Functor,
@@ -164,6 +170,33 @@ def test_sum_arrows_respects_bounded_base():
 def test_sum_arrows_empty_family_is_zero_arrow():
     result = INT_Z2.sum_arrows(family_of([]), src=OBJ2, tgt=OBJ2)
     assert result == Summable(arrow(INT_Z2, {"z0": 0, "z1": 0}))
+
+
+# Coefficient tuples of Z3 arrows whose keys are not the sorted hom
+# ("z0", "z1", "z2"); the first is the same map as {z0=1,z1=2,z2=3}.
+MALFORMED = {
+    "unsorted": (("z2", 3), ("z0", 1), ("z1", 2)),
+    "duplicated": (("z0", 1), ("z1", 2), ("z1", 2), ("z2", 3)),
+    "duplicated in place of a missing key": (("z0", 1), ("z1", 2), ("z1", 3)),
+    "missing": (("z0", 1), ("z1", 2)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_an_arrow_whose_keys_are_not_the_sorted_hom_is_refused(case):
+    bad = CauchyArrow(OBJ2, OBJ2, MALFORMED[case])
+    good = arrow(INT_Z3, {"z0": 1, "z1": 2, "z2": 3})
+    one = INT_Z3.identity(OBJ2)
+    hom = INT_Z3.hom_pcm(OBJ2, OBJ2)
+    assert hom.contains(good) and not hom.contains(bad)
+    with pytest.raises(CarrierMismatchError, match="outside the carrier"):
+        hom.sum(family_of([good, bad]))
+    for g, f in ((one, bad), (bad, one), (bad, bad)):
+        with pytest.raises(CarrierMismatchError, match="keys are not the sorted D"):
+            INT_Z3.compose(g, f)
+    for fam in (family_of([bad]), family_of([good, bad]), family_of([bad, good])):
+        with pytest.raises(CarrierMismatchError, match="keys are not the sorted D"):
+            INT_Z3.sum_arrows(fam)
 
 
 def test_make_arrow_rejects_unknown_index_arrow():

@@ -10,14 +10,16 @@ message.
 """
 
 import collections
+import copy
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pcmcat.category import Matrix, resolve_base
-from pcmcat.cauchy import CauchyArrow, cauchy_product
+from pcmcat.category import Matrix, PcmCategory, resolve_base
+from pcmcat.cauchy import CauchyArrow, _arrow_close, cauchy_product
 from pcmcat.errors import (
     CarrierMismatchError,
     NotSummableError,
@@ -26,7 +28,7 @@ from pcmcat.errors import (
 )
 from pcmcat.family import IndexedFamily, family_of
 from pcmcat.fincat import cyclic_category, product_category, two_object_five_arrow_category
-from pcmcat.pcm import NOT_SUMMABLE, PartialFn, Relation, Residue, Summable
+from pcmcat.pcm import NOT_SUMMABLE, PartialFn, Relation, Residue, Summable, exact_eq
 
 # --------------------------------------------------------------------------
 # reference versions
@@ -309,3 +311,122 @@ def test_unknown_index_arrow_raises_as_the_reference(base):
     got = outcome(cc.make_arrow, obj, obj, coeffs)
     assert got[:2] == ("raise", ValidationError)
     assert got == outcome(reference_make_arrow, cc, obj, obj, coeffs)
+
+
+# --------------------------------------------------------------------------
+# the oracle order of the kernel, and its exact close
+# --------------------------------------------------------------------------
+
+
+def logging_base(base, log):
+    """``base`` with every hom carrier declared partial and each oracle call
+    logged as its (labels, values): the kernel then runs every check the
+    reference runs, so both must ask the same families in the same order."""
+
+    def hom_pcm(x, y):
+        pcm = base.hom_pcm(x, y)
+
+        def oracle(fam):
+            log.append((fam.labels, fam.values))
+            return pcm.oracle(fam)
+
+        return dataclasses.replace(pcm, oracle=oracle, total=False)
+
+    return PcmCategory(f"logged {base.name}", base.objects, hom_pcm, base.compose,
+                       base.identity, base.arrow_hom)
+
+
+def logged_calls(log, fn, *args):
+    """The outcome of ``fn(*args)`` and the oracle calls it made."""
+    log.clear()
+    got = outcome(fn, *args)
+    return got, list(log)
+
+
+@pytest.mark.parametrize("index", ["Z12", "Z2 x five-arrow"])
+def test_kernel_asks_the_oracle_what_the_reference_asks_in_its_order(index):
+    log = []
+    cc = cauchy_product(logging_base(resolve_base("int"), log), INDEXES[index])
+    rng = random.Random(f"oracle-order:{index}")
+    arrows = {}
+    for src, tgt in itertools.product(cc.objects, repeat=2):
+        cc.base.hom_pcm(src[0], tgt[0]).zero  # computed once, before any call is logged
+        arrows[src, tgt] = [cc.make_arrow(src, tgt, random_coeffs(rng, cc, src, tgt))
+                            for _ in range(3)]
+    calls = 0
+    for src, mid, tgt in itertools.product(cc.objects, repeat=3):
+        for g, f in itertools.product(arrows[mid, tgt], arrows[src, mid]):
+            got, asked = logged_calls(log, cc.compose, g, f)
+            want, reference_asked = logged_calls(log, reference_compose, cc, g, f)
+            assert_same(got, want)
+            assert asked == reference_asked
+            calls += len(asked)
+    for (src, tgt), pool in arrows.items():
+        for size in range(4):
+            fam = family_of([rng.choice(pool) for _ in range(size)], prefix="f")
+            got, asked = logged_calls(log, cc.sum_arrows, fam, src, tgt)
+            want, reference_asked = logged_calls(log, reference_sum_arrows, cc, fam, src, tgt)
+            assert_same(got, want)
+            assert asked == reference_asked
+            calls += len(asked)
+    assert calls > 100
+
+
+def loop_close(base_close):
+    """The per-coefficient comparison of two arrows that the exact close stands for."""
+
+    def close(a, b):
+        if a.src != b.src or a.tgt != b.tgt:
+            return False
+        if tuple(k for k, _ in a.coeffs) != tuple(k for k, _ in b.coeffs):
+            return False
+        return all(base_close(x, y) for (_, x), (_, y) in zip(a.coeffs, b.coeffs))
+
+    return close
+
+
+def twin(value):
+    """An equal value built another way: a ``Matrix`` holding only its Fraction rows."""
+    return Matrix.of(value.rows) if isinstance(value, Matrix) else copy.deepcopy(value)
+
+
+@pytest.mark.parametrize("base", [base for base in BASES if base != "complex"])
+def test_the_exact_close_agrees_with_the_per_coefficient_loop(base):
+    seen = collections.Counter()
+    for index in ("Z3", "Z2 x five-arrow"):
+        cc = build(base, index)
+        rng = random.Random(f"exact-close:{base}:{index}")
+        arrows = []
+        for src, tgt in itertools.product(cc.objects, repeat=2):
+            made = [cc.zero(src, tgt)]
+            for _ in range(4):
+                got = outcome(cc.make_arrow, src, tgt, random_coeffs(rng, cc, src, tgt))
+                if got[0] == "ok":
+                    made.append(got[1])
+            got = outcome(cc.compose, made[-1], cc.identity(src))
+            if got[0] == "ok":
+                made.append(got[1])  # kernel-built values
+            for arrow in made[:]:
+                made.append(CauchyArrow(src, tgt, tuple((a, twin(v)) for a, v in arrow.coeffs)))
+                made.append(CauchyArrow(src, tgt, arrow.coeffs[::-1]))
+                made.append(CauchyArrow(src, tgt, arrow.coeffs[1:]))
+            arrows += made
+        for a, b in itertools.product(arrows, repeat=2):
+            base_close = cc.base.hom_pcm(a.src[0], a.tgt[0]).close
+            assert base_close is exact_eq
+            got = _arrow_close(base_close)(a, b)
+            assert got is loop_close(base_close)(a, b), (a, b)
+            seen[got, (a.src, a.tgt) == (b.src, b.tgt), a is b] += 1
+    assert seen[True, True, False] > 0 and seen[False, True, False] > 0
+    assert seen[False, False, False] > 0
+
+
+def test_the_complex_close_keeps_its_tolerance():
+    cc = build("complex", "Z2")
+    obj = cc.objects[0]
+    close = cc.hom_pcm(obj, obj).close
+    a = cc.make_arrow(obj, obj, {"z0": 1 + 0j, "z1": 0.5j})
+    near = cc.make_arrow(obj, obj, {"z0": complex(1 + 1e-12, 0), "z1": complex(1e-12, 0.5)})
+    far = cc.make_arrow(obj, obj, {"z0": complex(1 + 1e-6, 0), "z1": 0.5j})
+    assert a != near and close(a, near) and close(near, a)
+    assert not close(a, far) and not close(far, a)

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -62,6 +64,19 @@ def test_mod4_sum():
     pcm = make_finite_families_pcm(mod_add(4))
     fam = make_family([("a", Residue(2, 4)), ("b", Residue(2, 4))])
     assert pcm.sum(fam) == Summable(Residue(0, 4))
+
+
+def test_residue_arithmetic_reduces_and_stays_frozen():
+    for n in (1, 2, 5, 12):
+        residues = [Residue(k, n) for k in range(-n, 2 * n)]
+        for x, y in itertools.product(residues, repeat=2):
+            for got, want in ((x + y, Residue(x.value + y.value, n)),
+                              (x * y, Residue(x.value * y.value, n))):
+                assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+                assert 0 <= got.value < n
+        assert mod_add(n).sum(residues) == Residue(sum(k for k in range(-n, 2 * n)), n)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        (Residue(2, 5) + Residue(4, 5)).value = 0
 
 
 def test_carrier_mismatch_is_rejected():

@@ -322,6 +322,19 @@ def test_str_repr_and_typed_entries_are_those_of_the_fraction_rows():
     assert repr(Matrix.of(total.rows)) == repr(total)
 
 
+def test_comparing_a_product_with_the_identity_builds_no_rows():
+    for n in DIMS:
+        ident = RATIONAL.identity(n)
+        fold = Matrix.identity(n, Fraction(0), Fraction(1))
+        for sample in RATIONAL.hom_pcm(n, n).sample_elements:
+            product = RATIONAL.compose(sample, RATIONAL.compose(sample, ident))
+            equal = product == ident
+            assert product._rows is None
+            assert equal is (fold_product(sample, sample).rows == fold.rows)
+        assert ident._rows is None and ident == fold
+        assert typed_reprs(ident) == typed_reprs(fold) and hash(ident) == hash(fold)
+
+
 def test_complex_products_and_sums_never_build_the_integer_view():
     cat = matrix_category((1, 2), scalar="complex")
     g = Matrix.of([[0.5 + 1j, complex(-0.0, -0.0)], [1e16 + 1j, -0.3 + 0j]])
