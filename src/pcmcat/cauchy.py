@@ -95,6 +95,14 @@ def _arrow_close(base_close: Callable) -> Callable:
     return close
 
 
+# Random draws after which a hom's sample stops short of 24 arrows.  A
+# partial base may admit fewer than 24 coefficient maps over its pool
+# (``kbounded:1`` over Z3 admits 10), so the draws need a cap.  Total bases
+# never come near it: the builtin ones need at most 29 draws over Z1..Z8,
+# the five-arrow index and its products with Z2.
+_SAMPLE_DRAWS = 1000
+
+
 class CauchyCategory:
     """The convolution category of a summation base over a finite index."""
 
@@ -274,7 +282,11 @@ class CauchyCategory:
         arrows: list[CauchyArrow] = []
 
         def push(coeffs):
-            arrow = self.make_arrow(src, tgt, coeffs)
+            """Keep the arrow with these coefficients, unless the base refuses them."""
+            try:
+                arrow = self.make_arrow(src, tgt, coeffs)
+            except NotSummableError:
+                return
             if arrow not in arrows:
                 arrows.append(arrow)
 
@@ -289,7 +301,9 @@ class CauchyCategory:
             for value in pool[1:3]:
                 for a in hom:
                     push({a: value})
-            while len(arrows) < 24:
+            for _ in range(_SAMPLE_DRAWS):
+                if len(arrows) >= 24:
+                    break
                 push({a: rng.choice(pool) for a in hom})
         if src == tgt:
             ident = self.identity(src)

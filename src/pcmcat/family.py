@@ -20,7 +20,7 @@ from .errors import (
 EXHAUSTIVE_PARTITION_LIMIT = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IndexedFamily:
     """A finite labeled family of elements.
 
@@ -29,6 +29,9 @@ class IndexedFamily:
     """
 
     entries: tuple[tuple[str, object], ...]
+
+    def __init__(self, entries: tuple[tuple[str, object], ...]):
+        _set_entries(self, entries)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -49,6 +52,12 @@ class IndexedFamily:
 
     def __iter__(self) -> Iterator[tuple[str, object]]:
         return iter(self.entries)
+
+
+# The frozen dataclass __init__ stores each field with object.__setattr__;
+# writing through the slot's member descriptor does the same store without
+# the attribute lookup, and assignment after __init__ still raises.
+_set_entries = IndexedFamily.entries.__set__
 
 
 def make_family(entries: Iterable[tuple[str, object]]) -> IndexedFamily:

@@ -86,10 +86,12 @@ class _SubsetSums(list):
 
     A list of 2**n slots: slot ``mask`` holds the sum of the subfamily whose
     labels' ranks among the family's sorted labels are the bits of ``mask``, or
-    None until ``fill`` computes it; the full mask holds the total.  ``total`` must be
-    ``pcm.sum(fam)``, and is computed here unless the caller passes it in:
-    that sum checked every entry's membership, so each subfamily, built from
-    the mask with its entries in family order, goes straight to ``pcm.oracle``.
+    None until ``fill`` computes it; the full mask holds the total.  ``total`` is
+    ``pcm.sum(fam)``, computed here unless the caller passes it in, or the
+    oracle's answer for a family drawn from a grid the caller checked with
+    ``pcm.check_grid``: either way every entry is a member, so each subfamily,
+    built from the mask with its entries in family order, goes straight to
+    ``pcm.oracle``.
     """
 
     def __init__(self, pcm: Pcm, fam: IndexedFamily,
@@ -183,7 +185,8 @@ def check_full_pa(pcm: Pcm, fam: IndexedFamily,
     """Two-way partition law for one family; FAILs only in the converse direction.
 
     Verdict names whether the tested data is compatible with the two-way law
-    (the one-way direction is check_wpa's job).  ``total`` is ``pcm.sum(fam)``, if known.
+    (the one-way direction is check_wpa's job).  ``total`` is the family's sum,
+    if known: ``pcm.sum(fam)``, or the oracle's answer on a checked grid.
     """
     name = f"full-pa[{pcm.name}]"
     total = pcm.sum(fam) if total is None else total
@@ -249,16 +252,21 @@ def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3,
 
 def check_reindexing(pcm: Pcm, trials: int = 200, max_size: int = 5,
                      seed: int = 0) -> Report:
-    """Summability and sums must be invariant under label bijections."""
+    """Summability and sums must be invariant under label bijections.
+
+    Each family and its relabeling are drawn from the grid, which is
+    checked once, so both go straight to the oracle.
+    """
     name = f"reindex[{pcm.name}]"
     rng = random.Random(f"{seed}:reindex:{pcm.name}")
     grid = pcm.grid
+    pcm.check_grid(grid)
     for k in range(trials):
         fam = random_family(grid, max_size, rng)
         fresh = [f"n{k}.{j}" for j in range(len(fam))]
         rng.shuffle(fresh)
         relabeled = reindex(fam, dict(zip(fam.labels, fresh)))
-        before, after = pcm.sum(fam), pcm.sum(relabeled)
+        before, after = pcm.oracle(fam), pcm.oracle(relabeled)
         if isinstance(before, Summable) != isinstance(after, Summable):
             return failing(name, fam, detail="summability changed under relabeling")
         if isinstance(before, Summable) and not pcm.close(before.value, after.value):
@@ -276,11 +284,14 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     # One subset-sum table per family serves both sweeps.  The full-pa and
     # positivity sweeps walk a prefix of the same family order (sizes up to 4
     # and 3): they get the count of families that passed wpa and the totals
-    # of the families up to size 4, not the tables.
+    # of the families up to size 4, not the tables.  The grid is checked
+    # once, so each family's total comes straight from the oracle.
     wpa_passed = 0
     totals = []
-    for fam in families_over(pcm.grid, family_size):
-        sums = _SubsetSums(pcm, fam)
+    grid = pcm.grid
+    pcm.check_grid(grid)
+    for fam in families_over(grid, family_size):
+        sums = _SubsetSums(pcm, fam, pcm.oracle(fam))
         if len(fam) <= 4:
             totals.append(sums.total)
         report = check_wpa(pcm, fam, sums)

@@ -111,11 +111,14 @@ class PartialFn:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Relation:
     """A relation between {0..n-1} and {0..m-1}, stored as a pair set."""
 
     pairs: frozenset[tuple[int, int]]
+
+    def __init__(self, pairs: frozenset[tuple[int, int]]):
+        _set_pairs(self, pairs)
 
     @staticmethod
     def of(pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -140,6 +143,10 @@ class Relation:
     def __str__(self) -> str:
         inner = ",".join(f"({a},{b})" for a, b in sorted(self.pairs))
         return "{" + inner + "}"
+
+
+# Stored through the slot's member descriptor, as in family.IndexedFamily.
+_set_pairs = Relation.pairs.__set__
 
 
 @dataclass(frozen=True)
@@ -226,11 +233,18 @@ def compare_sqrt_sum(squares: Iterable[Fraction], bound: Fraction) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Summable:
     """A family admitted by the oracle, with its sum."""
 
     value: object
+
+    def __init__(self, value):
+        _set_value(self, value)
+
+
+# Stored through the slot's member descriptor, as in family.IndexedFamily.
+_set_value = Summable.value.__set__
 
 
 @dataclass(frozen=True)
@@ -266,6 +280,14 @@ class Pcm:
     and the partition-law sweep's families of block sums go straight to the
     oracle.  Set it only where that holds for every carrier element: the
     finite-families, relations and matrix carriers.
+
+    Membership is checked where a value enters: ``sum`` and ``admits``
+    check every entry of the family they are given.  A checker that draws
+    its families from a grid checks that grid once, with ``check_grid``,
+    before its first oracle call, and then sends those families straight
+    to ``oracle``; every value the oracle or a composition produced (block
+    sums of a partial carrier, composites, product families) still goes
+    through ``sum`` each time it is used.
     """
 
     name: str
@@ -287,6 +309,12 @@ class Pcm:
         """
         self._check_members(fam.entries)
         return self.total or isinstance(self.oracle(fam), Summable)
+
+    def check_grid(self, grid: Iterable) -> None:
+        """Raise ``outside_error`` at the first element of ``grid`` outside the
+        carrier, labelled by its position; families drawn from a checked grid
+        need no membership check of their own."""
+        self._check_members(enumerate(grid), label=lambda k: f"grid[{k}]")
 
     def _check_members(self, entries: Iterable[tuple], label: Callable = lambda key: key) -> None:
         """Raise ``outside_error`` at the first (key, value) of ``entries`` outside
@@ -721,10 +749,13 @@ def compose_homs(g: PcmHom, f: PcmHom) -> PcmHom:
 
 def summable_families(pcm: Pcm, max_size: int, limit: int | None = None):
     """The summable families over the grid, each with its ``Summable``; the
-    first ``limit`` of them when ``limit`` is given."""
+    first ``limit`` of them when ``limit`` is given.  The grid is checked
+    once, before the first family is summed."""
+    grid = pcm.grid
+    pcm.check_grid(grid)
     found = 0
-    for fam in families_over(pcm.grid, max_size):
-        result = pcm.sum(fam)
+    for fam in families_over(grid, max_size):
+        result = pcm.oracle(fam)
         if isinstance(result, Summable):
             yield fam, result
             found += 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmcat.category import Matrix, PcmFunctor, from_semiring, matrix_category
+from pcmcat.category import Matrix, PcmFunctor, from_semiring, matrix_category, resolve_base
 from pcmcat.cauchy import (
     BoundedStream,
     CauchyArrow,
@@ -493,3 +493,29 @@ def test_convolve_commutes_over_commutative_base(avals, bvals):
     f = arrow(INT_Z2, dict(zip(("z0", "z1"), avals)))
     g = arrow(INT_Z2, dict(zip(("z0", "z1"), bvals)))
     assert INT_Z2.compose(g, f) == INT_Z2.compose(f, g)
+
+
+# C[D] over a partial base whose sample pool meets maps the base refuses
+PARTIAL_BASES = [("kbounded:1", 2), ("kbounded:1", 3), ("kbounded:2", 3),
+                 ("pfn:2", 2), ("pfn:3", 2), ("pinj-overlap:2", 3)]
+
+
+@pytest.mark.parametrize("base, n", PARTIAL_BASES, ids=[f"{b}[Z{n}]" for b, n in PARTIAL_BASES])
+def test_hom_samples_over_a_partial_base_are_admitted_arrows(base, n):
+    cc = cauchy_product(resolve_base(base), cyclic_category(n))
+    for src, tgt in itertools.product(cc.objects, repeat=2):
+        samples = cc.hom_pcm(src, tgt).sample_elements
+        base_pcm = cc.base.hom_pcm(src[0], tgt[0])
+        assert samples
+        assert len(set(samples)) == len(samples)
+        assert all(base_pcm.admits(arrow.coeff_family) for arrow in samples)
+
+
+def test_the_sample_draws_stop_once_every_admitted_map_is_found():
+    """1-bounded over Z3 admits 10 coefficient maps over its pool, fewer than
+    the 24 the random draws aim for: all 10 are kept, and the draws stop."""
+    cc = cauchy_product(resolve_base("kbounded:1"), cyclic_category(3))
+    (obj,) = cc.objects
+    samples = cc.hom_pcm(obj, obj).sample_elements
+    assert len(samples) == 10
+    assert all(sum(1 for _, c in arrow.coeffs if c != 0) <= 1 for arrow in samples)

@@ -4,10 +4,10 @@
 are the sweep as it was when each subfamily was cut with ``subfamily`` and
 summed with ``Pcm.sum``, and every family of block sums, built one partition
 at a time by ``_regrouped``, went through ``Pcm.sum``.  Membership is
-checked once, when the table's total goes through ``Pcm.sum``; after that
-the sweep must ask the oracle the same families in the same order and give
-the same reports, and check membership only of block sums on a partial
-carrier.
+checked once: by the suite, on its grid before the sweep, or when a table's
+total goes through ``Pcm.sum``; after that the sweep must ask the oracle the
+same families in the same order and give the same reports, and check
+membership only of block sums on a partial carrier.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ import random
 import pytest
 
 from pcmcat import laws
+from pcmcat.category import PcmCategory, check_strong_distributivity
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import (
     EXHAUSTIVE_PARTITION_LIMIT,
@@ -28,11 +29,12 @@ from pcmcat.family import (
 from pcmcat.laws import (
     SIGMA_COMPATIBLE,
     WPA_ONLY,
+    check_reindexing,
     check_wpa,
     partition_table,
     run_pcm_suite,
 )
-from pcmcat.pcm import INT_ADD, Summable, make_finite_families_pcm
+from pcmcat.pcm import INT_ADD, Summable, make_finite_families_pcm, summable_families
 from pcmcat.report import Report, failing, passing
 from test_laws_reference import CARRIERS, SUITE_CARRIERS, random_families
 
@@ -257,3 +259,54 @@ def test_the_per_size_tables_follow_the_partition_table_and_combinations(n):
         tuple(zip(labels, masks)) for _, masks in partition_table(n))
     assert laws._subset_positions(n) == tuple(
         keep for size in range(n + 1) for keep in itertools.combinations(range(n), size))
+
+
+# --------------------------------------------------------------------------
+# each checker checks its grid once
+# --------------------------------------------------------------------------
+
+
+def test_the_suite_checks_as_many_members_at_family_size_3_as_at_5():
+    """Families drawn from the checked grid go straight to the oracle, so the
+    membership checks do not grow with the number of families swept."""
+    counts = []
+    for family_size in (3, 5):
+        probe, log = logged(make_finite_families_pcm(INT_ADD))
+        run_pcm_suite(probe, family_size=family_size, trials=20, seed=5)
+        counts.append(len(log.members))
+    assert counts[0] == counts[1]
+
+
+def _bad_grid():
+    """An integer carrier whose grid, not its samples, holds a non-member."""
+    return make_finite_families_pcm(INT_ADD, family_grid=(0, 1, "x", 2))
+
+
+def _one_object(pcm):
+    return PcmCategory("bad-grid", ["*"], lambda x, y: pcm,
+                       lambda g, f: g * f, lambda x: 1)
+
+
+BAD_GRID = "entry 'grid\\[2\\]' = x is outside the carrier"
+
+
+def test_a_non_member_of_the_grid_raises_before_the_sweep_asks_the_oracle():
+    before, asked_before = logged(_bad_grid())
+    laws.check_unary(before)
+    laws.check_zero_laws(before)
+    probe, log = logged(_bad_grid())
+    with pytest.raises(CarrierMismatchError, match=BAD_GRID):
+        run_pcm_suite(probe, family_size=3, trials=20, seed=5)
+    assert log.families == asked_before.families
+
+
+@pytest.mark.parametrize("run", [
+    lambda pcm: check_reindexing(pcm, trials=20, seed=5),
+    lambda pcm: next(summable_families(pcm, 3)),
+    lambda pcm: check_strong_distributivity(_one_object(pcm), max_family=3, trials=20),
+], ids=["check_reindexing", "summable_families", "check_strong_distributivity"])
+def test_a_non_member_of_the_grid_raises_before_any_oracle_call(run):
+    probe, log = logged(_bad_grid())
+    with pytest.raises(CarrierMismatchError, match=BAD_GRID):
+        run(probe)
+    assert log.families == []
