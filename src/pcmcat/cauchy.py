@@ -5,11 +5,14 @@ the base hom-set C(X,Y) whose value family is summable.  Composition
 convolves over factorizations c = b.a in the index category; each hom-set
 inherits a summation computed on the flattened coefficient family.
 
-An arrow stores its coefficients sorted by index arrow, and its keys must be
-exactly the sorted D(U,V): the hom carrier checks the key tuple against it,
-and ``compose`` and ``sum_arrows`` check it before they read coefficients by
-position, so an arrow with unsorted, duplicated or missing keys raises
-``CarrierMismatchError`` rather than being misread.
+An arrow stores its coefficients sorted by index arrow, and with them their
+two columns, ``keys`` and ``values``.  Its keys must be exactly the sorted
+D(U,V): the hom carrier checks the key tuple against it, and ``compose`` and
+``sum_arrows`` check it before they read ``values`` by position, so an arrow
+with unsorted, duplicated or missing keys raises ``CarrierMismatchError``
+rather than being misread.  The arrows the kernel builds share the sorted
+hom's key tuple.  The factorizations of each triple of index objects are
+read once off the index's integer rows, as positions in the sorted homs.
 
 The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
@@ -30,9 +33,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping
 
 from .category import PcmCategory, PcmFunctor
@@ -48,29 +50,37 @@ from .pcm import NOT_SUMMABLE, Pcm, Summable, exact_eq, format_element
 from .report import Report, failing, passing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CauchyArrow:
     """A coefficient map: one base arrow per index arrow, stored sorted.
 
+    ``keys`` and ``values`` are the two columns of ``coeffs``, stored when
+    the arrow is built; they take no part in equality, hashing or ``repr``.
     ``CauchyCategory.compose`` and ``sum_arrows`` read coefficients by their
-    position in this sorted order, once the keys are checked.
+    position in ``values``, once ``keys`` is checked against the sorted hom.
+    The arrows they build share that hom's key tuple.
     """
 
     src: tuple
     tgt: tuple
     coeffs: tuple[tuple[str, object], ...]
+    keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    values: tuple = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def _table(self) -> dict:
-        return dict(self.coeffs)
+    def __init__(self, src: tuple, tgt: tuple, coeffs: tuple[tuple[str, object], ...]):
+        keys, values = tuple(zip(*coeffs)) or ((), ())
+        _store_arrow(self, src, tgt, coeffs, keys, values)
 
-    @cached_property
-    def _split(self) -> tuple[tuple, tuple]:
-        """The keys and the values of ``coeffs``, as two tuples."""
-        return tuple(zip(*self.coeffs)) or ((), ())
+    @classmethod
+    def _of(cls, src: tuple, tgt: tuple, keys: tuple[str, ...], values) -> CauchyArrow:
+        """The arrow with coefficients ``values`` at ``keys``, keeping the ``keys`` tuple."""
+        arrow = cls.__new__(cls)
+        values = tuple(values)
+        _store_arrow(arrow, src, tgt, tuple(zip(keys, values)), keys, values)
+        return arrow
 
     def coeff(self, index_arrow: str):
-        return self._table[index_arrow]
+        return dict(self.coeffs)[index_arrow]
 
     @property
     def coeff_family(self) -> IndexedFamily:
@@ -81,6 +91,21 @@ class CauchyArrow:
         return "{" + inner + "}"
 
 
+# The frozen dataclass stores each field with object.__setattr__; the slots'
+# member descriptors do the same stores without the attribute lookups, and
+# assignment after __init__ still raises.
+_set_src, _set_tgt, _set_coeffs, _set_keys, _set_values = (
+    getattr(CauchyArrow, name).__set__ for name in ("src", "tgt", "coeffs", "keys", "values"))
+
+
+def _store_arrow(arrow: CauchyArrow, src, tgt, coeffs, keys, values) -> None:
+    _set_src(arrow, src)
+    _set_tgt(arrow, tgt)
+    _set_coeffs(arrow, coeffs)
+    _set_keys(arrow, keys)
+    _set_values(arrow, values)
+
+
 def _arrow_close(base_close: Callable) -> Callable:
     if base_close is exact_eq:  # the per-coefficient loop, as one tuple comparison
         return lambda a, b: a.src == b.src and a.tgt == b.tgt and a.coeffs == b.coeffs
@@ -88,9 +113,9 @@ def _arrow_close(base_close: Callable) -> Callable:
     def close(a: CauchyArrow, b: CauchyArrow) -> bool:
         if a.src != b.src or a.tgt != b.tgt:
             return False
-        if tuple(k for k, _ in a.coeffs) != tuple(k for k, _ in b.coeffs):
+        if a.keys != b.keys:
             return False
-        return all(base_close(x, y) for (_, x), (_, y) in zip(a.coeffs, b.coeffs))
+        return all(base_close(x, y) for x, y in zip(a.values, b.values))
 
     return close
 
@@ -129,22 +154,25 @@ class CauchyCategory:
         The keys run through D(u,w) in hom order, and the factorizations of
         each c in the order b then a run through D(v,w) and D(u,v).  The label
         is ``"b*a"``; b and a are positions in the sorted D(v,w) and D(u,v),
-        which is how an arrow stores its coefficients.
+        which is how an arrow stores its coefficients.  Both positions come
+        from ``_sorted_hom``, and each composite b.a is read off b's integer
+        row of the index table into the bucket of its arrow number.
         """
         key = (u, v, w)
-        if key not in self._fact:
+        table = self._fact.get(key)
+        if table is None:
             index = self.index
-            b_hom, a_hom = index.hom(v, w), index.hom(u, v)
-            b_pos = {b: k for k, b in enumerate(sorted(b_hom))}
-            a_pos = {a: k for k, a in enumerate(sorted(a_hom))}
-            table: dict[str, list] = {c: [] for c in index.hom(u, w)}
-            names, number, place = index.arrows, index._number, index._pos
-            for b in b_hom:  # b.a read off b's row of the index table
-                row = index._rows[number[b]]
-                for a in a_hom:
-                    table[names[row[place[number[a]]]]].append((f"{b}*{a}", b_pos[b], a_pos[a]))
-            self._fact[key] = {c: tuple(pairs) for c, pairs in table.items()}
-        return self._fact[key]
+            number, place, rows = index._number, index._pos, index._rows
+            a_hom = [(a, k, place[number[a]]) for a, k in self._sorted_hom(u, v)[1]]
+            c_hom = index.hom(u, w)
+            buckets: dict[int, list] = {number[c]: [] for c in c_hom}
+            for b, j in self._sorted_hom(v, w)[1]:
+                row = rows[number[b]]
+                for a, k, p in a_hom:
+                    buckets[row[p]].append((f"{b}*{a}", j, k))
+            table = self._fact[key] = {
+                c: tuple(pairs) for c, pairs in zip(c_hom, buckets.values())}
+        return table
 
     def _sorted_hom(self, u: str, v: str) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
         """D(u,v) sorted, the keys of every arrow (X,u) -> (Y,v), and each arrow
@@ -183,8 +211,8 @@ class CauchyCategory:
         if unknown:
             raise ValidationError(f"coefficients for arrows outside D({u},{v}): {sorted(unknown)}")
         base_pcm = self.base.hom_pcm(x, y)
-        filled = tuple((a, coeffs.get(a, base_pcm.zero)) for a in hom)
-        return self._admitted(CauchyArrow(src, tgt, filled), base_pcm)
+        arrow = CauchyArrow._of(src, tgt, hom, [coeffs.get(a, base_pcm.zero) for a in hom])
+        return self._admitted(arrow, base_pcm)
 
     def identity(self, obj) -> CauchyArrow:
         x, u = obj
@@ -200,15 +228,17 @@ class CauchyCategory:
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
         (x, u), (_, v), (z, w) = f.src, f.tgt, g.tgt
-        (g_keys, gs), (f_keys, fs) = g._split, f._split
-        if g_keys != self._sorted_hom(v, w)[0]:
+        if g.keys != self._sorted_hom(v, w)[0]:
             raise self._misread(g, v, w)
-        if f_keys != self._sorted_hom(u, v)[0]:
+        if f.keys != self._sorted_hom(u, v)[0]:
             raise self._misread(f, u, v)
+        gs, fs = g.values, f.values
+        keys, hom = self._sorted_hom(u, w)  # hom: (c, position of c in keys), in hom order
         target_pcm = self.base.hom_pcm(x, z)
         base_compose = self.base.compose
-        coeffs = []
-        for c, pairs in self._factorizations(u, v, w).items():
+        values = [None] * len(keys)
+        # the factorization table runs through D(u,w) in hom order, as ``hom`` does
+        for (c, k), pairs in zip(hom, self._factorizations(u, v, w).values()):
             result = target_pcm.sum(IndexedFamily(tuple([
                 (label, base_compose(gs[b], fs[a])) for label, b, a in pairs
             ])))
@@ -217,9 +247,8 @@ class CauchyCategory:
                     f"convolution coefficient at {c} refused by {target_pcm.name}; "
                     "the base instance violates its composition law"
                 )
-            coeffs.append((c, result.value))
-        coeffs.sort()
-        arrow = CauchyArrow(f.src, g.tgt, tuple(coeffs))
+            values[k] = result.value
+        arrow = CauchyArrow._of(f.src, g.tgt, keys, values)
         # ``target_pcm.sum`` checked every factor product, and a total
         # carrier's oracle sums carrier elements into the carrier.
         return arrow if target_pcm.total else self._admitted(arrow, target_pcm)
@@ -239,10 +268,9 @@ class CauchyCategory:
         keys, hom = self._sorted_hom(u, v)  # hom: (a, position of a in keys), in hom order
         rows = []  # (label, coefficients in sorted order) per arrow, once its keys are checked
         for i, arrow in fam.entries:
-            arrow_keys, values = arrow._split
-            if arrow_keys != keys:
+            if arrow.keys != keys:
                 raise self._misread(arrow, u, v)
-            rows.append((i, values))
+            rows.append((i, arrow.values))
         base_pcm._check_members(
             (((i, a), values[k]) for i, values in rows for a, k in hom),
             label="{0[0]}|{0[1]}".format,
@@ -263,7 +291,7 @@ class CauchyCategory:
                 )
             sums[k] = result.value
         self._require_objects(src, tgt)
-        arrow = CauchyArrow(src, tgt, tuple(zip(keys, sums)))
+        arrow = CauchyArrow._of(src, tgt, keys, sums)
         # a total carrier's oracle sums carrier elements into the carrier
         return Summable(arrow if base_pcm.total else self._admitted(arrow, base_pcm))
 
@@ -325,7 +353,7 @@ class CauchyCategory:
                 isinstance(arrow, CauchyArrow)
                 and arrow.src == src
                 and arrow.tgt == tgt
-                and arrow._split[0] == keys
+                and arrow.keys == keys
             )
 
         samples = self._sample_arrows(src, tgt)

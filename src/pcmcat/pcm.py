@@ -408,7 +408,8 @@ def _validated(monoid: Monoid) -> None:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """An int that is not a bool; an exact int is answered by one type test."""
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
 
 
 def fraction_sum(values) -> Fraction:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from pcmcat import cauchy
 from pcmcat.category import Matrix, PcmCategory, resolve_base
 from pcmcat.cauchy import CauchyArrow, _arrow_close, cauchy_product
 from pcmcat.errors import (
@@ -194,9 +195,18 @@ def build(base, index):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("index", INDEXES)
+# The shapes the benchmark's ``index-scale`` workload composes over, both factor orders.
+TABLE_INDEXES = {
+    **INDEXES,
+    "Z64": cyclic_category(64),
+    "five-arrow x Z18": product_category(two_object_five_arrow_category(), cyclic_category(18)),
+    "Z18 x five-arrow": product_category(cyclic_category(18), two_object_five_arrow_category()),
+}
+
+
+@pytest.mark.parametrize("index", TABLE_INDEXES)
 def test_factorization_table_matches_the_name_keyed_pairs(index):
-    cc = build("int", index)
+    cc = cauchy_product(resolve_base("int"), TABLE_INDEXES[index])
     objects = cc.index.objects
     for u, v, w in itertools.product(objects, repeat=3):
         b_names, a_names = sorted(cc.index.hom(v, w)), sorted(cc.index.hom(u, v))
@@ -206,6 +216,31 @@ def test_factorization_table_matches_the_name_keyed_pairs(index):
                 for c, pairs in reference_factorizations(cc, u, v, w).items()}
         assert list(decoded) == list(want)
         assert decoded == want
+
+
+@pytest.mark.parametrize("index", ["Z12", "Z2 x five-arrow", "five-arrow x Z18"])
+def test_factorization_table_reads_its_positions_off_the_sorted_homs(index, monkeypatch):
+    cc = cauchy_product(resolve_base("int"), TABLE_INDEXES[index])
+    objects = cc.index.objects
+    sorted_homs = {(u, v): cc._sorted_hom(u, v) for u, v in itertools.product(objects, repeat=2)}
+    asked = []
+
+    def recorded(u, v):
+        asked.append((u, v))
+        return sorted_homs[u, v]
+
+    def no_sorting(*args, **kwargs):
+        raise AssertionError("the factorization table sorted a hom of its own")
+
+    monkeypatch.setattr(cc, "_sorted_hom", recorded)
+    monkeypatch.setattr(cauchy, "sorted", no_sorting, raising=False)
+    for u, v, w in itertools.product(objects, repeat=3):
+        asked.clear()
+        table = cc._factorizations(u, v, w)
+        assert {(v, w), (u, v)} <= set(asked)
+        b_place, a_place = dict(sorted_homs[v, w][1]), dict(sorted_homs[u, v][1])
+        for c, pairs in reference_factorizations(cc, u, v, w).items():
+            assert [(b, a) for _, b, a in table[c]] == [(b_place[b], a_place[a]) for b, a in pairs]
 
 
 def compare_on_random_arrows(base, index) -> collections.Counter:
@@ -301,6 +336,27 @@ def test_kbounded_refusals_raise_as_the_reference():
     fam = family_of([f, f])
     assert five.sum_arrows(fam) is NOT_SUMMABLE
     assert reference_sum_arrows(five, fam) is NOT_SUMMABLE
+
+
+def test_a_factor_product_outside_the_int_carrier_raises_as_the_reference():
+    """Composition keeps the membership check of every factor product: an
+    ``int`` base whose product of 2 and 3 is the float 6.0 is caught by it."""
+    int_base = resolve_base("int")
+
+    def compose(g, f):
+        return float(g * f) if (g, f) == (2, 3) else g * f
+
+    planted = PcmCategory("int", int_base.objects, int_base.hom_pcm, compose,
+                          int_base.identity)
+    cc = cauchy_product(planted, INDEXES["Z3"])
+    obj = cc.objects[0]
+    g = cc.make_arrow(obj, obj, {"z1": 2})
+    f = cc.make_arrow(obj, obj, {"z0": 1, "z2": 3})
+    assert cc.compose(g, cc.identity(obj)) == g  # other products are members
+    got = outcome(cc.compose, g, f)
+    assert got == ("raise", CarrierMismatchError,
+                   f"{cc.base.hom_pcm('*', '*').name}: entry 'z1*z2' = 6.0 is outside the carrier")
+    assert got == outcome(reference_compose, cc, g, f)
 
 
 @pytest.mark.parametrize("base", ["int", "kbounded:2", "complex"])

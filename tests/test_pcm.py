@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import enum
 import functools
 import itertools
 import random
@@ -47,6 +48,22 @@ INT_FF = make_finite_families_pcm(INT_ADD)
 
 def test_int_sum_with_inverse_pair():
     assert INT_FF.sum(make_family([("a", 1), ("b", -1)])) == Summable(0)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize("value", [0, 7, -(2**70), Level.LOW])
+def test_the_int_carrier_admits_ints_and_int_subclasses(value):
+    assert pcm_module._is_int(value)
+    assert INT_ADD.contains(value)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, Fraction(1), "1", None])
+def test_the_int_carrier_refuses_bools_floats_and_fractions(value):
+    assert not pcm_module._is_int(value)
+    assert not INT_ADD.contains(value)
 
 
 def test_int_sum_example():

@@ -10,6 +10,9 @@ import types
 from pathlib import Path
 
 from pcmcat import laws
+from pcmcat.category import resolve_base
+from pcmcat.cauchy import cauchy_product
+from pcmcat.fincat import cyclic_category
 from pcmcat.pcm import INT_ADD, make_finite_families_pcm
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -39,3 +42,20 @@ def test_the_pcm_suite_reports_its_partition_law_checkers():
     assert stats["laws.check_wpa"][0] > 0
     assert stats["laws.check_subfamilies"][0] > 0
     assert stats["laws.classify_full_pa"][0] > 0
+
+
+def test_a_traced_compose_shows_its_base_compositions_and_product_sums():
+    """``int[Z3]`` composition makes its 9 base compositions through
+    ``PcmCategory.compose`` and its 3 coefficient sums, which check every
+    factor product, through ``Pcm.sum``: no kernel bypasses either, so the
+    benchmark's layer metrics see them."""
+    tracing = load_tracing()
+    cc = cauchy_product(resolve_base("int"), cyclic_category(3))
+    obj = cc.objects[0]
+    f = cc.make_arrow(obj, obj, {"z1": 2})
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tracer.item("compose", lambda: cc.compose(f, f))
+    assert tracing.self_times(tracer)["cauchy.compose"][0] == 1
+    assert tracing.calls_under(tracer, "category.compose", "cauchy.compose") == 9
+    assert tracing.calls_under(tracer, "pcm.sum", "cauchy.compose") == 3
