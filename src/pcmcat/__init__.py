@@ -37,6 +37,7 @@ from .fincat import (
     from_monoid,
     product_category,
     trivial_category,
+    truncated_category,
     validate_category,
     validate_functor,
 )

@@ -30,7 +30,6 @@ from .pcm import (
     Relation,
     Residue,
     Summable,
-    complex_close,
     exact_eq,
     make_abs_convergence_pcm,
     make_finite_families_pcm,
@@ -129,7 +128,7 @@ def k_bounded_category(k: int) -> PcmCategory:
 
 
 class Matrix:
-    """A dense matrix over exact rationals or complex floats.
+    """A dense matrix over exact rationals.
 
     A rational matrix has two views of one value, each computed once, on
     first use: ``rows`` of Fractions, and ``scaled = (num, den)``, integer
@@ -202,18 +201,6 @@ class Matrix:
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
-            raise ShapeMismatchError(f"cannot compose {self.shape} with {other.shape}")
-        return Matrix(
-            tuple(
-                tuple(sum(self.rows[i][t] * other.rows[t][j] for t in range(k)) for j in range(m))
-                for i in range(n)
-            )
-        )
-
     @staticmethod
     def zero(n: int, m: int, scalar_zero) -> "Matrix":
         return Matrix(tuple(tuple(scalar_zero for _ in range(m)) for _ in range(n)))
@@ -259,18 +246,6 @@ def _exact_sum(entries: tuple, zero: Matrix) -> Matrix:
     return Matrix._over(tuple(tuple(map(sum, zip(*rows))) for rows in zip(*nums)), den)
 
 
-def _label_ordered_sum(entries: tuple, zero: Matrix) -> Matrix:
-    """Matrix additions from ``zero`` in label order.
-
-    Complex sums need the fixed order: rounding and signed zeros would
-    otherwise depend on the order of the entries.
-    """
-    total = zero
-    for _, v in sorted(entries, key=lambda e: e[0]):
-        total = total + v
-    return total
-
-
 def _matrix_samples(n: int, m: int, zero_s, one_s, entries: tuple) -> tuple[Matrix, ...]:
     samples: list[Matrix] = [Matrix.zero(n, m, zero_s)]
     if n == m:
@@ -289,35 +264,13 @@ def _matrix_samples(n: int, m: int, zero_s, one_s, entries: tuple) -> tuple[Matr
     return tuple(samples)
 
 
-def matrix_category(dims: Iterable[int], scalar: str = "rational",
-                    tolerance: float = DEFAULT_TOLERANCE) -> PcmCategory:
-    """Objects are dimensions; hom(m, n) is the n-by-m matrices; every family sums."""
+def matrix_category(dims: Iterable[int]) -> PcmCategory:
+    """Objects are dimensions; hom(m, n) is the n-by-m rational matrices; every family sums."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError("dims must be a nonempty list of positive integers")
-    if scalar == "rational":
-        zero_s, one_s = Fraction(0), Fraction(1)
-        entries = (zero_s, one_s, Fraction(-1))
-        entries_ok = lambda v: v._scaled is not None or all(
-            isinstance(c, Fraction) for row in v.rows for c in row)
-        close = exact_eq
-        product, matrix_sum = _exact_product, _exact_sum
-        # held as ``scaled``, so comparing a kernel product with it builds no rows
-        identity = lambda x: Matrix._over(Matrix.identity(x, 0, 1).rows, 1)
-    elif scalar == "complex":
-        zero_s, one_s = 0j, 1 + 0j
-        entries = (zero_s, one_s, 1j)
-        entries_ok = lambda v: all(isinstance(c, complex) for row in v.rows for c in row)
-        ctol = complex_close(tolerance)
-        product, matrix_sum = operator.matmul, _label_ordered_sum
-        identity = lambda x: Matrix.identity(x, zero_s, one_s)
-
-        def close(a: Matrix, b: Matrix) -> bool:
-            return a.shape == b.shape and all(
-                ctol(x, y) for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)
-            )
-    else:
-        raise ValueError(f"unknown scalar kind {scalar!r}")
+    zero_s, one_s = Fraction(0), Fraction(1)
+    entries = (zero_s, one_s, Fraction(-1))
 
     def hom_pcm(x, y) -> Pcm:
         n, m = y, x  # hom(m, n) holds n-by-m matrices
@@ -326,21 +279,24 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
             if not isinstance(v, Matrix):
                 return False
             rows = v._scaled[0] if v._rows is None else v._rows
-            return len(rows) == n and len(rows[0]) == m and entries_ok(v)
+            if len(rows) != n or len(rows[0]) != m:
+                return False
+            return v._scaled is not None or all(
+                isinstance(c, Fraction) for row in rows for c in row)
 
         zero = Matrix.zero(n, m, zero_s)
         samples = _matrix_samples(n, m, zero_s, one_s, entries)
 
         def oracle(fam: IndexedFamily):
-            return Summable(matrix_sum(fam.entries, zero))
+            return Summable(_exact_sum(fam.entries, zero))
 
         return Pcm(
-            name=f"matrices[{n}x{m},{scalar}]",
+            name=f"matrices[{n}x{m},rational]",
             contains=contains,
             oracle=oracle,
             sample_elements=samples,
             family_grid=samples[:5],
-            close=close,
+            close=exact_eq,
             total=True,
         )
 
@@ -349,11 +305,12 @@ def matrix_category(dims: Iterable[int], scalar: str = "rational",
         return (m, n)
 
     return PcmCategory(
-        name=f"matrix:{','.join(str(d) for d in dims)}" + ("" if scalar == "rational" else ":complex"),
+        name=f"matrix:{','.join(str(d) for d in dims)}",
         objects=dims,
         hom_pcm=hom_pcm,
-        compose=product,
-        identity=identity,
+        compose=_exact_product,
+        # held as ``scaled``, so comparing a kernel product with it builds no rows
+        identity=lambda x: Matrix._over(Matrix.identity(x, 0, 1).rows, 1),
         arrow_hom=arrow_hom,
     )
 

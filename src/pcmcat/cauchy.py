@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .category import PcmCategory, PcmFunctor
+from .category import PcmCategory, PcmFunctor, from_semiring
 from .errors import (
     CarrierMismatchError,
     NotSummableError,
@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .family import IndexedFamily
-from .fincat import FinCategory, Functor, validate_category
+from .fincat import FinCategory, Functor, truncated_category, validate_category
 from .pcm import NOT_SUMMABLE, Pcm, Summable, exact_eq, format_element
 from .report import Report, failing, passing
 
@@ -574,7 +574,7 @@ def map_index(source: CauchyCategory, target: CauchyCategory, lam: Functor) -> P
 
 
 # --------------------------------------------------------------------------
-# truncated power-series convolution for the additive-naturals index
+# truncated power series: one composite in rational[trunc:n]
 # --------------------------------------------------------------------------
 
 
@@ -630,28 +630,32 @@ def _envelope(stream, ratio: Fraction) -> Fraction:
 def series_convolve(p, q, order: int) -> SeriesProduct:
     """Coefficients 0..order of the product series, with an exact tail bound.
 
-    Finite-support inputs give an exact result (tail bound 0 once past both
-    supports).  Bounded streams get the crude (n+1) * ratio**n majorant,
-    summed in closed form: an over-estimate, not a sharp constant.
+    The product is one composite in ``rational[trunc:n]``: each stream is the
+    arrow with its k-th coefficient at x{k} for k <= n, and zero at xinf.  n
+    is ``order`` when either stream is bounded, else the larger of ``order``
+    and the product's degree, so that a finite product is exact to its last
+    term and its tail bound is the sum of the magnitudes past ``order``.  The
+    index has (n + 2)**2 factorizations, so time and memory grow with n**2.
+    Bounded streams get the crude (n+1) * ratio**n majorant, summed in closed
+    form: an over-estimate, not a sharp constant.
     """
     for stream in (p, q):
         if not isinstance(stream, (BoundedStream, list, tuple)):
             raise UnboundedStreamError(
                 "streams must be finite-support sequences or carry a declared bound"
             )
-    coeffs = tuple(
-        sum((_coeff_at(p, k) * _coeff_at(q, n - k) for k in range(n + 1)), Fraction(0))
-        for n in range(order + 1)
-    )
-    if not isinstance(p, BoundedStream) and not isinstance(q, BoundedStream):
-        degree = max(len(p) - 1, 0) + max(len(q) - 1, 0)
-        tail = sum(
-            (
-                abs(sum((_coeff_at(p, k) * _coeff_at(q, n - k) for k in range(n + 1)), Fraction(0)))
-                for n in range(order + 1, degree + 1)
-            ),
-            Fraction(0),
-        )
+    bounded = isinstance(p, BoundedStream) or isinstance(q, BoundedStream)
+    degree = 0 if bounded else max(len(p) - 1, 0) + max(len(q) - 1, 0)
+    n = order if bounded else max(order, degree)
+    cc = CauchyCategory(from_semiring("rational"), truncated_category(n))
+    obj = cc.objects[0]
+    p_arrow, q_arrow = (
+        cc.make_arrow(obj, obj, {f"x{k}": _coeff_at(stream, k) for k in range(n + 1)})
+        for stream in (p, q))
+    product = dict(cc.compose(p_arrow, q_arrow).coeffs)
+    coeffs = tuple(product[f"x{k}"] for k in range(order + 1))
+    if not bounded:
+        tail = sum((abs(product[f"x{k}"]) for k in range(order + 1, degree + 1)), Fraction(0))
         return SeriesProduct(coeffs, tail)
     ratio = Fraction(0)
     if isinstance(p, BoundedStream):

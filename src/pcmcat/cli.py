@@ -67,8 +67,10 @@ _CHECKED = {field.name for field in fields(RunConfig)}
 # Z_n costs O(n*n): its rows are written by arithmetic and Light's test checks
 # associativity at z1 only, so Z_256 takes about 0.01 s (Python 3.11, 2-core x86-64).
 MAX_CYCLIC_ORDER = 256
-# The largest --order that series takes; series_convolve costs more than order**2:
-# geometric streams took 0.44 s at order 200, 9 s at 800 (Python 3.11, 2-core x86-64).
+# The largest --order that series takes, and the largest product degree of two finite
+# streams.  series_convolve composes in rational[trunc:n], whose (n+2)**2 factorizations
+# make time and memory grow with n**2: geometric streams at order 256 took 0.5 s and
+# 37 MB, finite streams of degree 598 1.3 s and 103 MB (Python 3.11, 2-core x86-64).
 MAX_SERIES_ORDER = 256
 
 
@@ -134,9 +136,20 @@ def load_index(descriptor: str) -> FinCategory:
 # --------------------------------------------------------------------------
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _COMPLEX_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)([+-]\d+(?:\.\d+)?)i$")
 _RESIDUE_RE = re.compile(r"^(\d+)\s+mod\s+(\d+)$")
+
+
+def _read_rational(text: str, error: type[ParseError], lineno=None) -> Fraction | None:
+    """The integer or p/q literal ``text``, or None when it is neither; ``error`` when q is 0."""
+    match = _RATIONAL_RE.match(text)
+    if match is None:
+        return None
+    num, den = int(match.group(1)), int(match.group(2) or 1)
+    if den == 0:
+        raise error(f"zero denominator in {text!r}", lineno)
+    return Fraction(num, den)
 
 
 def parse_scalar(text: str, base_name: str, lineno=None):
@@ -146,12 +159,10 @@ def parse_scalar(text: str, base_name: str, lineno=None):
             return int(text)
         raise ScalarParseError(f"expected an integer, got {text!r}", lineno)
     if base_name == "rational":
-        if _INT_RE.match(text):
-            return Fraction(int(text))
-        match = _RATIONAL_RE.match(text)
-        if match:
-            return Fraction(int(match.group(1)), int(match.group(2)))
-        raise ScalarParseError(f"expected p/q or an integer, got {text!r}", lineno)
+        value = _read_rational(text, ScalarParseError, lineno)
+        if value is None:
+            raise ScalarParseError(f"expected p/q or an integer, got {text!r}", lineno)
+        return value
     if base_name.startswith("mod:"):
         modulus = int(base_name.split(":", 1)[1])
         match = _RESIDUE_RE.match(text)
@@ -374,22 +385,28 @@ def _parse_stream(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise ParseError(f"expected geom:<scale>:<ratio>, got {text!r}", None)
-        return geometric_stream(Fraction(parts[1]), Fraction(parts[2]))
+        try:
+            return geometric_stream(Fraction(parts[1]), Fraction(parts[2]))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text!r}", None) from None
+        except ValueError as exc:  # not a number, or a scale or ratio BoundedStream rejects
+            raise ParseError(f"bad stream {text!r}: {exc}", None) from None
     values = []
     for piece in text.split(","):
         piece = piece.strip()
-        match = _RATIONAL_RE.match(piece)
-        if match:
-            values.append(Fraction(int(match.group(1)), int(match.group(2))))
-        elif _INT_RE.match(piece):
-            values.append(Fraction(int(piece)))
-        else:
+        value = _read_rational(piece, ParseError)
+        if value is None:
             raise ParseError(f"bad coefficient {piece!r}", None)
+        values.append(value)
     return values
 
 
 def cmd_series(args, out) -> int:
-    product = series_convolve(_parse_stream(args.p), _parse_stream(args.q), args.order)
+    p, q = _parse_stream(args.p), _parse_stream(args.q)
+    if isinstance(p, list) and isinstance(q, list) and len(p) + len(q) - 2 > MAX_SERIES_ORDER:
+        raise ValidationError(f"finite streams must have product degree at most "
+                              f"{MAX_SERIES_ORDER}, got {len(p) + len(q) - 2}")
+    product = series_convolve(p, q, args.order)
     _emit(out, "coeffs: " + ", ".join(str(c) for c in product.coeffs))
     _emit(out, f"tail <= {product.tail_bound}")
     return 0

@@ -239,6 +239,18 @@ def cyclic_category(n: int) -> FinCategory:
                                              [("*", "*")] * n, {"*": "z0"}, f"Z{n}", rows))
 
 
+def truncated_category(n: int) -> FinCategory:
+    """The monoid {0, ..., n, inf} under saturating addition, as a one-object
+    category with arrows x0..x{n} and xinf; the index of series truncated at n."""
+    if n < 0:
+        raise ValidationError(f"trunc:<n> needs n >= 0, got {n}")
+    numbers = range(n + 2)  # n + 1 is the number of xinf
+    rows = [[min(a + b, n + 1) for b in numbers] for a in numbers]  # x_a.x_b = x_{a+b}, saturating
+    arrows = tuple(f"x{k}" for k in range(n + 1)) + ("xinf",)
+    return _as_monoid(FinCategory._from_rows(("*",), arrows, [("*", "*")] * (n + 2),
+                                             {"*": "x0"}, f"trunc:{n}", rows))
+
+
 def trivial_category() -> FinCategory:
     return FinCategory(("*",), (), {}, name="trivial")
 

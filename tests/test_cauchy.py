@@ -1,5 +1,6 @@
 import collections
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from pcmcat.fincat import (
     cyclic_category,
     cyclic_reduction_functor,
     trivial_category,
+    truncated_category,
     two_object_parallel_pair,
 )
 from pcmcat.laws import oracle_convolution
@@ -478,6 +480,41 @@ def test_series_rejects_undeclared_streams():
 def test_bounded_stream_requires_contracting_ratio():
     with pytest.raises(ValueError):
         BoundedStream(lambda n: Fraction(1), Fraction(1), Fraction(1))
+
+
+def test_series_geometric_square_matches_the_closed_form_to_order_256():
+    half = geometric_stream(1, Fraction(1, 2))
+    product = series_convolve(half, half, 256)
+    assert product.coeffs == tuple(Fraction(n + 1, 2**n) for n in range(257))
+
+
+def test_series_products_are_one_convolution_composite(monkeypatch):
+    def refuse(self, g, f):
+        raise AssertionError("composed in the convolution category")
+
+    monkeypatch.setattr(CauchyCategory, "compose", refuse)
+    for p, q in (([1, 1], [1, 2, 3]), (geometric_stream(1, Fraction(1, 2)), [1, 1])):
+        with pytest.raises(AssertionError, match="composed in the convolution category"):
+            series_convolve(p, q, 4)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_truncated_convolution_matches_the_oracle_double_loop(n):
+    """rational[trunc:n] against ``oracle_convolution`` over {0..n, inf} written out."""
+    names = [f"x{k}" for k in range(n + 1)] + ["xinf"]
+    table = {(names[a], names[b]): names[min(a + b, n + 1)]
+             for a in range(n + 2) for b in range(n + 2)}
+    cc = CauchyCategory(from_semiring("rational"), truncated_category(n))
+    (obj,) = cc.objects
+    rng = random.Random(f"trunc-oracle:{n}")
+    for _ in range(20):
+        streams = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                    for _ in range(rng.randint(1, n + 1))] for _ in range(2)]
+        alpha, beta = ({a: Fraction(0) for a in names} | dict(zip(names, stream))
+                       for stream in streams)
+        got = cc.compose(cc.make_arrow(obj, obj, alpha), cc.make_arrow(obj, obj, beta))
+        assert dict(got.coeffs) == oracle_convolution(
+            operator.mul, operator.add, Fraction(0), table, alpha, beta)
 
 
 @given(

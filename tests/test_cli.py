@@ -1,11 +1,12 @@
 import argparse
 import contextlib
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pcmcat import category, pcm
+from pcmcat import category, cauchy, pcm
 from pcmcat.category import (
     MAX_MATRIX_DIM,
     MAX_PARTIAL_FN_POINTS,
@@ -424,6 +425,53 @@ def test_series_accepts_the_largest_order():
     code, out, err = run_cli("series", "--order", str(MAX_SERIES_ORDER), "--p", "1,1",
                              "--q", "1")
     assert (code, err) == (0, "")
+
+
+def test_series_refuses_finite_streams_above_the_largest_degree(monkeypatch):
+    def fail(n):
+        raise AssertionError("the index was built before the degree was checked")
+
+    monkeypatch.setattr(cauchy, "truncated_category", fail)
+    p, q = ",".join(["1"] * 129), ",".join(["1"] * 130)
+    code, out, err = run_cli("series", "--p", p, "--q", q)
+    assert (code, out) == (2, "")
+    assert err == (f"error: finite streams must have product degree at most "
+                   f"{MAX_SERIES_ORDER}, got {MAX_SERIES_ORDER + 1}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("series", "--p", "1/0", "--q", "1"), "zero denominator in '1/0'"),
+    (("series", "--p", "1", "--q", "2,3/0"), "zero denominator in '3/0'"),
+    (("series", "--p", "geom:1:2", "--q", "1"), "bad stream 'geom:1:2': ratio must satisfy"),
+    (("series", "--p", "geom:-1:1/2", "--q", "1"), "bad stream 'geom:-1:1/2': scale must be"),
+    (("series", "--p", "geom:1:x", "--q", "1"), "bad stream 'geom:1:x': "),
+    (("series", "--p", "geom:1:1/0", "--q", "1"), "zero denominator in 'geom:1:1/0'"),
+    (("embed", "--which", "eta", "--base", "rational", "--scalar", "1/0"),
+     "zero denominator in '1/0'"),
+    (("embed", "--which", "star", "--base", "rational", "--scalar=-2/0",
+      "--index-arrow", "z1"), "zero denominator in '-2/0'"),
+])
+def test_a_malformed_rational_literal_exits_two(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.endswith("\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["convolve", "sum"])
+def test_an_arrow_file_with_a_zero_denominator_exits_two(command, tmp_path):
+    good, bad = tmp_path / "good.arrow", tmp_path / "bad.arrow"
+    good.write_text("arrow f (*,*) -> (*,*)\nz0 = 1/2\n")
+    bad.write_text("arrow g (*,*) -> (*,*)\nz0 = 1/0\n")
+    code, out, err = run_cli(command, "--base", "rational", str(bad), str(good))
+    assert (code, out, err) == (2, "", "error: line 2: zero denominator in '1/0'\n")
+
+
+def test_parse_scalar_reads_rational_literals_and_refuses_a_zero_denominator():
+    assert parse_scalar(" -6/4 ", "rational") == Fraction(-3, 2)
+    assert repr(parse_scalar("7", "rational")) == "Fraction(7, 1)"
+    with pytest.raises(ScalarParseError, match="line 3: zero denominator in '0/0'"):
+        parse_scalar("0/0", "rational", 3)
 
 
 @pytest.mark.parametrize("p, message", [

@@ -19,6 +19,7 @@ from pcmcat.fincat import (
     product_category,
     projections,
     trivial_category,
+    truncated_category,
     two_object_five_arrow_category,
     two_object_parallel_pair,
     validate_category,
@@ -447,6 +448,34 @@ def _assert_same_category(built: FinCategory, by_name: FinCategory) -> None:
 @pytest.mark.parametrize("n", [*range(1, 65), 256])
 def test_cyclic_rows_match_the_table_by_name(n):
     _assert_same_category(cyclic_category(n), _cyclic_by_name(n))
+
+
+def truncated_table(n: int) -> dict[tuple[str, str], str]:
+    """{0, ..., n, inf} under saturating addition, written out in strings."""
+    names = [f"x{k}" for k in range(n + 1)] + ["xinf"]
+    return {(names[a], names[b]): names[min(a + b, n + 1)]
+            for a in range(n + 2) for b in range(n + 2)}
+
+
+@pytest.mark.parametrize("n", [*range(9), 256])
+def test_a_truncated_category_is_a_valid_monoid_generated_by_one_arrow(n):
+    cat = truncated_category(n)
+    assert (cat.name, cat.objects, cat.identity_of) == (f"trunc:{n}", ("*",), {"*": "x0"})
+    assert cat.arrows == tuple(f"x{k}" for k in range(n + 1)) + ("xinf",)
+    assert validate_category(cat).passed
+    assert fincat._generators(cat) == ["x1" if n else "xinf"]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_truncated_rows_match_the_monoid_table_by_name(n):
+    elements = [f"x{k}" for k in range(n + 1)] + ["xinf"]
+    by_name = from_monoid(elements, truncated_table(n), "x0", name=f"trunc:{n}")
+    _assert_same_category(truncated_category(n), by_name)
+
+
+def test_a_truncated_category_needs_a_nonnegative_bound():
+    with pytest.raises(ValidationError, match="trunc:<n> needs n >= 0, got -1"):
+        truncated_category(-1)
 
 
 def _product_cases():

@@ -3,10 +3,9 @@
 Rational matrix products and hom sums are computed on integer numerators
 over one canonical common denominator (``Matrix.scaled``) and must agree,
 entry for entry and by ``repr``, with the plain ``Fraction`` folds; the
-two views of a matrix compare and hash as one value, and the complex path
-never builds the integer view.  ``sum_arrows`` checks each coefficient
-for membership once, and a foreign coefficient still raises the message
-that names its flattened label ``"{i}|{a}"``.  ``compose`` checks each
+two views of a matrix compare and hash as one value.  ``sum_arrows``
+checks each coefficient for membership once, and a foreign coefficient
+still raises the message that names its flattened label ``"{i}|{a}"``.  ``compose`` checks each
 factor product once; over a total carrier neither it nor ``sum_arrows``
 checks the sums again.
 """
@@ -333,18 +332,6 @@ def test_comparing_a_product_with_the_identity_builds_no_rows():
             assert equal is (fold_product(sample, sample).rows == fold.rows)
         assert ident._rows is None and ident == fold
         assert typed_reprs(ident) == typed_reprs(fold) and hash(ident) == hash(fold)
-
-
-def test_complex_products_and_sums_never_build_the_integer_view():
-    cat = matrix_category((1, 2), scalar="complex")
-    g = Matrix.of([[0.5 + 1j, complex(-0.0, -0.0)], [1e16 + 1j, -0.3 + 0j]])
-    f = Matrix.of([[0.1 + 0.2j], [complex(-0.0, 0.0)]])
-    product = cat.compose(g, f)
-    assert repr(product) == repr(g @ f)
-    family = make_family([("m2", f), ("m0", product), ("m1", f)])
-    total = cat.hom_pcm(1, 2).sum(family).value
-    assert repr(total) == repr(Matrix.zero(2, 1, 0j) + product + f + f)
-    assert all(m._scaled is None for m in (g, f, product, total))
 
 
 # --------------------------------------------------------------------------

@@ -24,10 +24,10 @@ PARTIAL_KINDS = ("abs-convergence[", "1-bounded[", "2-bounded[", "partial-fns[",
 
 def builtin_carriers() -> dict[str, Pcm]:
     """Every builtin carrier by name: the hom carriers of every builtin base,
-    and rational and complex matrices of mixed shapes."""
+    and rational matrices of mixed shapes."""
     carriers: dict[str, Pcm] = {}
     targets = [resolve_base(descriptor) for descriptor in BUILTIN_BASES]
-    targets += [matrix_category([1, 2], scalar) for scalar in ("rational", "complex")]
+    targets.append(matrix_category([1, 2]))
     for target in targets:
         if isinstance(target, Pcm):
             homs = [target]
@@ -52,7 +52,7 @@ def test_total_is_declared_exactly_on_finite_families_relations_and_matrices():
         assert any(name.startswith(kind) for name in TOTAL), kind
     for kind in PARTIAL_KINDS:
         assert any(name.startswith(kind) for name in PARTIAL), kind
-    assert "matrices[2x1,complex]" in TOTAL
+    assert "matrices[2x1,rational]" in TOTAL
 
 
 def grid_and_random_families(name: str) -> list:
