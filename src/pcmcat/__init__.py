@@ -54,7 +54,6 @@ from .category import (
     pcm_product,
     relations_category,
     resolve_base,
-    zero_arrow,
 )
 from .cauchy import (
     CauchyArrow,

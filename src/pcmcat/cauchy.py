@@ -395,12 +395,12 @@ def check_identity_laws(cc: CauchyCategory) -> Report:
 
 
 def check_associativity(cc: CauchyCategory, exhaustive_limit: int = 512,
-                        sampled: int = 500, seed: int = 0) -> Report:
+                        seed: int = 0) -> Report:
     """(h.g).f against h.(g.f) over triples of sample arrows.
 
     The triples are listed first: every one, path by path in
     ``product(hs, gs, fs)`` order, when there are at most
-    ``exhaustive_limit``; else ``sampled`` seeded draws.  They are then
+    ``exhaustive_limit``; else 500 seeded draws.  They are then
     evaluated grouped by their middle arrow g, so that within a group each
     ``h.g`` and each ``g.f`` is composed once; a group's composites are
     dropped before the next group starts.  The outcome is the one of running
@@ -426,10 +426,10 @@ def check_associativity(cc: CauchyCategory, exhaustive_limit: int = 512,
     else:
         rng = random.Random(f"{seed}:assoc:{cc.name}")
         triples = []
-        for _ in range(sampled):
+        for _ in range(500):
             fs, gs, hs, close = rng.choice(paths)
             triples.append((rng.choice(hs), rng.choice(gs), rng.choice(fs), close))
-        detail = f"{sampled} sampled triples"
+        detail = "500 sampled triples"
 
     # Positions by middle arrow, groups in order of their first triple.  The
     # sample arrows are distinct objects kept alive by ``triples``, so they

@@ -386,10 +386,14 @@ def _parse_stream(text: str):
         if len(parts) != 3:
             raise ParseError(f"expected geom:<scale>:<ratio>, got {text!r}", None)
         try:
-            return geometric_stream(Fraction(parts[1]), Fraction(parts[2]))
-        except ZeroDivisionError:
+            scale, ratio = [_read_rational(part.strip(), ParseError) for part in parts[1:]]
+        except ParseError:  # a zero denominator, named with the whole stream
             raise ParseError(f"zero denominator in {text!r}", None) from None
-        except ValueError as exc:  # not a number, or a scale or ratio BoundedStream rejects
+        if scale is None or ratio is None:
+            raise ParseError(f"bad stream {text!r}: expected p/q or an integer", None)
+        try:
+            return geometric_stream(scale, ratio)
+        except ValueError as exc:  # a scale or ratio BoundedStream rejects
             raise ParseError(f"bad stream {text!r}: {exc}", None) from None
     values = []
     for piece in text.split(","):

@@ -44,8 +44,8 @@ class SubstitutionData:
             raise ValidationError("index must be a one-object category")
 
 
-def validate_substitution_data(data: SubstitutionData, seed: int = 0) -> Report:
-    """Spot-check that f is a semiring hom and g a monoid hom."""
+def validate_substitution_data(data: SubstitutionData) -> Report:
+    """Spot-check that f is a semiring hom, on 200 sampled pairs, and g a monoid hom."""
     name = "substitution-data"
     a_obj = data.source.objects[0]
     b_obj = data.target.objects[0]
@@ -56,7 +56,7 @@ def validate_substitution_data(data: SubstitutionData, seed: int = 0) -> Report:
         return failing(name, a_pcm.zero, detail="zero not preserved")
     if not b_pcm.close(f(data.source.identity(a_obj)), data.target.identity(b_obj)):
         return failing(name, None, detail="unit not preserved")
-    rng = random.Random(f"{seed}:substitution")
+    rng = random.Random("0:substitution")
     for _ in range(200):
         x, y = rng.choice(a_pcm.grid), rng.choice(a_pcm.grid)
         added = a_pcm.sum(family_of([x, y]))
@@ -144,18 +144,18 @@ def check_triangles(data: SubstitutionData) -> Report:
     return passing(name)
 
 
-def check_hom_property(data: SubstitutionData, trials: int = 100, bound: int = 3,
-                       seed: int = 0) -> Report:
+def check_hom_property(data: SubstitutionData, trials: int = 100) -> Report:
     """h is additive and multiplicative on sampled pairs, and is forced by
-    its values on the embedded generators (extensional uniqueness)."""
+    its values on the embedded generators (extensional uniqueness); the
+    coefficients are drawn from the first 7 grid values of the source."""
     name = "substitution-hom"
     cc = cauchy_product(data.source, data.index)
     obj = cc.objects[0]
     b_obj = data.target.objects[0]
     b_pcm = data.target.hom_pcm(b_obj, b_obj)
     a_obj = data.source.objects[0]
-    a_grid = [v for v in data.source.hom_pcm(a_obj, a_obj).grid][: 2 * bound + 1]
-    rng = random.Random(f"{seed}:hom-property")
+    a_grid = [v for v in data.source.hom_pcm(a_obj, a_obj).grid][:7]
+    rng = random.Random("0:hom-property")
     eta = eta_functor(cc, data.index.objects[0])
     gamma = gamma_functor(cc, a_obj)
 

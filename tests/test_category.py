@@ -26,8 +26,8 @@ from pcmcat.category import (
     product_projections,
     relations_category,
     resolve_base,
+    shipped_categories,
     shipped_pcm_instances,
-    zero_arrow,
 )
 
 INT = from_semiring("int")
@@ -35,7 +35,7 @@ INT = from_semiring("int")
 
 def test_int_semiring_composition_and_zero():
     assert INT.compose(2, 3) == 6
-    assert zero_arrow(INT, "*", "*") == 0
+    assert INT.hom_pcm("*", "*").zero == 0
 
 
 def test_mod5_composition():
@@ -58,23 +58,34 @@ def test_matrix_identities_and_swap():
 
 def test_matrix_shape_mismatch():
     cat = matrix_category([2, 3])
-    tall = Matrix.zero(2, 3, Fraction(0))
-    square = Matrix.zero(2, 2, Fraction(0))
+    tall = Matrix.zero(2, 3)
+    square = Matrix.zero(2, 2)
     with pytest.raises(ShapeMismatchError):
         cat.compose(tall, tall)
     assert cat.compose(square, tall).shape == (2, 3)
 
 
+def fraction_zero(n, m):
+    """The n x m zero as rows of Fraction(0), built apart from ``Matrix.zero``."""
+    return Matrix.of([[Fraction(0)] * m for _ in range(n)])
+
+
+def fraction_identity(n):
+    """The n x n identity as Fraction rows, built apart from ``Matrix.identity``."""
+    return Matrix.of([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
 def test_matrix_zero_arrow_shape():
     cat = matrix_category([2, 3])
-    assert zero_arrow(cat, 3, 2) == Matrix.zero(2, 3, Fraction(0))
+    zero, rows = cat.hom_pcm(3, 2).zero, fraction_zero(2, 3)
+    assert zero == rows and repr(zero) == repr(rows) and hash(zero) == hash(rows)
 
 
-def _listed_matrix_samples(n, m, entries, zero_s, one_s):
+def _listed_matrix_samples(n, m, entries):
     """The matrix samples taken, as before, as a stride through the full cell list."""
-    samples = [Matrix.zero(n, m, zero_s)]
+    samples = [fraction_zero(n, m)]
     if n == m:
-        samples.append(Matrix.identity(n, zero_s, one_s))
+        samples.append(fraction_identity(n))
     cells = list(itertools.product(entries, repeat=n * m))
     for flat in cells[:: max(1, len(cells) // 16)]:
         matrix = Matrix.of([flat[i * m : (i + 1) * m] for i in range(n)])
@@ -86,11 +97,11 @@ def _listed_matrix_samples(n, m, entries, zero_s, one_s):
 
 
 def test_matrix_samples_are_the_strided_cell_list():
-    entries, zero_s, one_s = (Fraction(0), Fraction(1), Fraction(-1)), Fraction(0), Fraction(1)
+    entries = (Fraction(0), Fraction(1), Fraction(-1))
     for n, m in itertools.product((1, 2, 3), repeat=2):
         cat = matrix_category([n, m])
         pcm = cat.hom_pcm(m, n)
-        expected = _listed_matrix_samples(n, m, entries, zero_s, one_s)
+        expected = _listed_matrix_samples(n, m, entries)
         assert repr(pcm.sample_elements) == repr(expected)
         assert pcm.family_grid == expected[:5]
 
@@ -99,14 +110,14 @@ def test_largest_matrix_descriptor_samples_without_listing_cells():
     # 3^256 cells: only the strided ones are ever built.
     pcm = resolve_base("matrix:16").hom_pcm(16, 16)
     assert len(pcm.sample_elements) == 16
-    assert pcm.sample_elements[1] == Matrix.identity(16, Fraction(0), Fraction(1))
+    assert pcm.sample_elements[1] == fraction_identity(16)
 
 
 def test_zero_composes_to_zero_in_matrix_category():
     cat = matrix_category([2, 3])
-    z = zero_arrow(cat, 2, 3)
+    z = cat.hom_pcm(2, 3).zero
     for f in cat.hom_pcm(3, 2).sample_elements:
-        assert cat.compose(f, z) == zero_arrow(cat, 2, 2)
+        assert cat.compose(f, z) == cat.hom_pcm(2, 2).zero
 
 
 def test_strong_distributivity_small_int_example():
@@ -216,7 +227,7 @@ def test_pcm_product_componentwise_sum():
 
 def test_pcm_product_empty_family_gives_zero_pair():
     prod = pcm_product(INT, INT)
-    assert zero_arrow(prod, ("*", "*"), ("*", "*")) == (0, 0)
+    assert prod.hom_pcm(("*", "*"), ("*", "*")).zero == (0, 0)
 
 
 def test_pcm_product_with_bounded_factor():
@@ -283,6 +294,13 @@ def test_shipped_carriers_are_the_builtin_bases_own_carriers():
         assert list(shipped[built.name].grid) == list(built.grid), descriptor
 
 
+def test_shipped_categories_are_the_builtin_category_bases_less_kbounded_2():
+    assert [cat.name for cat in shipped_categories()] == [
+        "int", "rational", "mod:4", "mod:5", "complex", "matrix:2",
+        "pfn:2", "pfn:3", "pinj-overlap:3", "pinj-disjoint:3", "rel:2", "kbounded:1",
+    ]
+
+
 @pytest.mark.parametrize("descriptor", BUILTIN_BASES)
 def test_every_builtin_grid_holds_its_zero(descriptor):
     for pcm in _hom_carriers(resolve_base(descriptor)):
@@ -312,9 +330,9 @@ def reference_matmul(g: Matrix, f: Matrix) -> Matrix:
     ))
 
 
-def reference_matrix_sum(fam, n, m, zero):
+def reference_matrix_sum(fam, n, m):
     """Matrix additions from the zero matrix, in label order."""
-    total = Matrix.zero(n, m, zero)
+    total = fraction_zero(n, m)
     for _, v in sorted(fam.entries, key=lambda e: e[0]):
         total = total + v
     return total
@@ -338,4 +356,4 @@ def test_matrix_product_and_sum_match_the_plain_folds():
         labels = rng.sample(range(100), rng.randint(0, 5))
         fam = make_family((f"m{label}", random_matrix(n, k)) for label in labels)
         got = cat.hom_pcm(k, n).sum(fam)
-        assert got.value.rows == reference_matrix_sum(fam, n, k, Fraction(0)).rows
+        assert got.value.rows == reference_matrix_sum(fam, n, k).rows

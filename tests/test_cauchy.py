@@ -97,9 +97,9 @@ def test_identity_arrow_in_matrix_base():
     cc = cauchy_product(matrix_category([2]), Z2)
     obj = (2, "*")
     ident = cc.identity(obj)
-    eye = Matrix.identity(2, Fraction(0), Fraction(1))
+    eye = Matrix.of([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert ident.coeff("z0") == eye
-    assert ident.coeff("z1") == Matrix.zero(2, 2, Fraction(0))
+    assert ident.coeff("z1") == Matrix.of([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]])
 
 
 def test_identity_is_two_sided_unit_exhaustively():

@@ -9,6 +9,7 @@ import pytest
 from pcmcat import category, cauchy, pcm
 from pcmcat.category import (
     MAX_MATRIX_DIM,
+    MAX_MATRIX_OBJECTS,
     MAX_PARTIAL_FN_POINTS,
     MAX_RELATION_POINTS,
     from_semiring,
@@ -141,6 +142,22 @@ def test_laws_oversized_base_descriptor_is_refused_before_building(descriptor, m
     code, out, err = run_cli("laws", "--base", descriptor, "--family-size", "3")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: descriptor {descriptor!r} takes an integer <= {most} ")
+
+
+def test_laws_too_many_matrix_objects_are_refused_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("matrix:1,1,1,1,1 built its category")
+
+    monkeypatch.setattr(category, "matrix_category", no_build)
+    code, out, err = run_cli("laws", "--base", "matrix:1,1,1,1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: descriptor 'matrix:1,1,1,1,1' takes at most "
+                          f"{MAX_MATRIX_OBJECTS} dimensions where it has 5; ")
+
+
+def test_the_largest_matrix_descriptor_resolves():
+    cat = category.resolve_base("matrix:16,16,16,16")
+    assert cat.objects == (16, 16, 16, 16)
 
 
 def test_validate_largest_cyclic_descriptor_passes():
@@ -446,6 +463,8 @@ def test_series_refuses_finite_streams_above_the_largest_degree(monkeypatch):
     (("series", "--p", "geom:-1:1/2", "--q", "1"), "bad stream 'geom:-1:1/2': scale must be"),
     (("series", "--p", "geom:1:x", "--q", "1"), "bad stream 'geom:1:x': "),
     (("series", "--p", "geom:1:1/0", "--q", "1"), "zero denominator in 'geom:1:1/0'"),
+    (("series", "--p", "geom:0.5:1e-1", "--q", "1"), "bad stream 'geom:0.5:1e-1': "),
+    (("series", "--p", "geom:1:0.5", "--q", "1"), "bad stream 'geom:1:0.5': "),
     (("embed", "--which", "eta", "--base", "rational", "--scalar", "1/0"),
      "zero denominator in '1/0'"),
     (("embed", "--which", "star", "--base", "rational", "--scalar=-2/0",

@@ -281,7 +281,8 @@ class _ArrowRaises(CauchyCategory):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("cat", shipped_categories() + (resolve_base("kbounded:2"),),
+@pytest.mark.parametrize("cat", shipped_categories() + (resolve_base("pinj-overlap:2"),
+                                                         resolve_base("kbounded:2")),
                          ids=lambda cat: cat.name)
 def test_matches_the_reference_on_every_shipped_category(cat, seed):
     assert_same(cat, seed=seed)
@@ -380,6 +381,7 @@ DERIVED = {
                    reference_check_left_right_distributivity),
 }
 DERIVED_CATEGORIES = shipped_categories() + (
+    resolve_base("pinj-overlap:2"),
     resolve_base("kbounded:2"),
     _int_with(_wrong_after_zero),
     _order_dependent_sums(),

@@ -53,9 +53,14 @@ def fold_product(g: Matrix, f: Matrix) -> Matrix:
     ))
 
 
+def fraction_zero(n: int, m: int) -> Matrix:
+    """The n x m zero as rows of Fraction(0), built apart from ``Matrix.zero``."""
+    return Matrix.of([[Fraction(0)] * m for _ in range(n)])
+
+
 def fold_sum(matrices, n: int, m: int) -> Matrix:
     """Matrix additions from the zero matrix, one Fraction addition per entry."""
-    total = Matrix.zero(n, m, Fraction(0))
+    total = fraction_zero(n, m)
     for v in matrices:
         total = total + v
     return total
@@ -324,7 +329,7 @@ def test_str_repr_and_typed_entries_are_those_of_the_fraction_rows():
 def test_comparing_a_product_with_the_identity_builds_no_rows():
     for n in DIMS:
         ident = RATIONAL.identity(n)
-        fold = Matrix.identity(n, Fraction(0), Fraction(1))
+        fold = Matrix.of([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
         for sample in RATIONAL.hom_pcm(n, n).sample_elements:
             product = RATIONAL.compose(sample, RATIONAL.compose(sample, ident))
             equal = product == ident
@@ -381,7 +386,7 @@ def fractional_matrix(rng) -> Matrix:
 def reference_convolution(index, g: CauchyArrow, f: CauchyArrow) -> dict:
     """(g f)(c) as a plain-Fraction double loop over every pair (b, a) with b.a = c."""
     (_, u), (_, v), (_, w) = f.src, f.tgt, g.tgt
-    out = {c: Matrix.zero(2, 2, Fraction(0)) for c in index.hom(u, w)}
+    out = {c: fraction_zero(2, 2) for c in index.hom(u, w)}
     for b in index.hom(v, w):
         for a in index.hom(u, v):
             c = index.compose(b, a)
@@ -410,7 +415,7 @@ def test_fractional_convolution_matches_the_double_loop(index):
                 a: typed_reprs(v) for a, v in want.items()}
             if table is not None:
                 assert dict(got.coeffs) == oracle_convolution(
-                    fold_product, Matrix.__add__, Matrix.zero(2, 2, Fraction(0)), table,
+                    fold_product, Matrix.__add__, fraction_zero(2, 2), table,
                     dict(g.coeffs), dict(f.coeffs))
             arrows = [got] + [fractional_arrow(cc, rng, src, tgt) for _ in range(3)]
             total = cc.sum_arrows(family_of(arrows)).value
