@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .errors import NotFailingError
 from .family import (
@@ -91,7 +91,9 @@ class _SubsetSums(list):
     oracle's answer for a family drawn from a grid the caller checked with
     ``pcm.check_grid``: either way every entry is a member, so each subfamily,
     built from the mask with its entries in family order, goes straight to
-    ``pcm.oracle``.
+    ``pcm.oracle``.  A table a ``_SweepMemo`` built fills its slots through
+    that memo instead, so a subfamily another family of the same sweep already
+    had is not asked again.
     """
 
     def __init__(self, pcm: Pcm, fam: IndexedFamily,
@@ -111,6 +113,78 @@ class _SubsetSums(list):
     def partition(self, index: int) -> Partition:
         """Entry ``index`` of the family's partition table, as a witness."""
         return enumerate_partitions(self.labels)[index]
+
+
+@lru_cache(maxsize=None)
+def _spreads(bits: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """Per mask over ``bits``, the fields of the entries it selects: entry j,
+    whose bit is ``bits[j]``, owns the ``width`` bits from bit ``j * width``."""
+    spreads = [0] * (1 << len(bits))
+    field = (1 << width) - 1
+    for j, bit in enumerate(bits):
+        for mask in range(1 << len(bits)):
+            if mask & bit:
+                spreads[mask] |= field << (j * width)
+    return tuple(spreads)
+
+
+class _SweepMemo(dict):
+    """The oracle's answer to each input of one suite's sweeps, each asked once.
+
+    The sweeps draw their families from ``families_over(grid, ...)``, which
+    labels entry j with the j-th label, so each family total or subfamily
+    they ask is fixed by small integers: which label positions it keeps and,
+    per kept position, the grid position of its entry.  Its key packs them:
+    field j, ``width`` bits from bit ``j * width``, holds 1 + that grid
+    position, or 0 where position j is not kept.  A family's ``code`` is
+    the key of its total, and ``code & spread[mask]`` that of a subfamily.
+    Equal keys are the identical oracle input, the same labels on the same
+    objects in the same order, so the memo assumes only that the oracle is
+    a function: no value is hashed or compared, equal but distinct grid
+    elements key apart, and so do relabelled inputs.  Families of block sums
+    are not kept.  Building the memo checks the grid's membership once.
+    """
+
+    def __init__(self, pcm: Pcm, grid: tuple):
+        pcm.check_grid(grid)
+        self.pcm, self.grid = pcm, grid
+        self.width = len(grid).bit_length()
+        # an object's grid position is its last index, found by identity
+        self._position = {id(value): position for position, value in enumerate(grid, 1)}
+
+    def families(self, max_size: int) -> Iterator[tuple[IndexedFamily, int]]:
+        """Each family of ``families_over(grid, max_size)``, in order, with its code."""
+        width, position = self.width, self._position
+        for fam in families_over(self.grid, max_size):
+            code = 0
+            for j, (_, value) in enumerate(fam.entries):
+                code |= position[id(value)] << (j * width)
+            yield fam, code
+
+    def total(self, fam: IndexedFamily, code: int) -> Summable | NotSummable:
+        result = self.get(code)
+        if result is None:
+            result = self[code] = self.pcm.oracle(fam)
+        return result
+
+
+class _SweptSubsetSums(_SubsetSums):
+    """The table of a family of ``memo.families``, its ``code`` the key of its
+    total: each slot is the memo's answer, asked of the oracle on a miss."""
+
+    def __init__(self, memo: _SweepMemo, fam: IndexedFamily, code: int):
+        super().__init__(memo.pcm, fam, memo.total(fam, code))
+        self.memo, self.code = memo, code
+        self.spread = _spreads(tuple([bit for bit, _ in self._entries]), memo.width)
+
+    def fill(self, mask: int) -> Summable | NotSummable:
+        key = self.code & self.spread[mask]
+        result = self.memo.get(key)
+        if result is None:
+            result = self.memo[key] = super().fill(mask)
+        else:
+            self[mask] = result
+        return result
 
 
 def _regroupings(sums: _SubsetSums, sum_blocks: Callable) -> Iterator:
@@ -180,18 +254,16 @@ def check_subfamilies(pcm: Pcm, fam: IndexedFamily,
     return passing(name)
 
 
-def check_full_pa(pcm: Pcm, fam: IndexedFamily,
-                  total: Summable | NotSummable | None = None) -> Report:
+def check_full_pa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums | None = None) -> Report:
     """Two-way partition law for one family; FAILs only in the converse direction.
 
     Verdict names whether the tested data is compatible with the two-way law
-    (the one-way direction is check_wpa's job).  ``total`` is the family's sum,
-    if known: ``pcm.sum(fam)``, or the oracle's answer on a checked grid.
+    (the one-way direction is check_wpa's job).  ``sums`` is the family's
+    subset-sum table, when the caller has one.
     """
     name = f"full-pa[{pcm.name}]"
-    total = pcm.sum(fam) if total is None else total
-    sums = _SubsetSums(pcm, fam, total)
-    if isinstance(total, Summable):
+    sums = _SubsetSums(pcm, fam) if sums is None else sums
+    if isinstance(sums.total, Summable):
         wpa = check_wpa(pcm, fam, sums)
         if not wpa.passed:
             return Report(name, "FAIL", wpa.witness, detail=wpa.detail)
@@ -204,45 +276,38 @@ def check_full_pa(pcm: Pcm, fam: IndexedFamily,
     return Report(name, SIGMA_COMPATIBLE)
 
 
-def _family_totals(pcm: Pcm, grid: tuple, max_size: int, totals: Sequence):
-    """Each family of ``families_over(grid, max_size)`` with ``pcm.sum`` of it.
-
-    ``totals`` holds the sums of a prefix of the same family order, already
-    computed; only the families past it are summed here.
-    """
-    for index, fam in enumerate(families_over(grid, max_size)):
-        yield fam, totals[index] if index < len(totals) else pcm.sum(fam)
-
-
 def classify_full_pa(pcm: Pcm, max_size: int = 4, wpa_passed: int = 0,
-                     totals: Sequence = ()) -> Report:
+                     memo: _SweepMemo | None = None) -> Report:
     """Aggregate check_full_pa over the family grid.
 
     The first ``wpa_passed`` families of the grid passed check_wpa, so those
-    that are summable are skipped; ``totals`` may hold the sums of a prefix of
-    the families, in their order, which are then not summed again.
+    that are summable are skipped.  ``memo`` is the suite's memo over
+    ``pcm.grid``, when the caller has one.
     """
     name = f"full-pa[{pcm.name}]"
-    for index, (fam, total) in enumerate(_family_totals(pcm, pcm.grid, max_size, totals)):
-        if index < wpa_passed and isinstance(total, Summable):
+    memo = _SweepMemo(pcm, pcm.grid) if memo is None else memo
+    for index, (fam, code) in enumerate(memo.families(max_size)):
+        if index < wpa_passed and isinstance(memo.total(fam, code), Summable):
             continue
-        report = check_full_pa(pcm, fam, total)
+        report = check_full_pa(pcm, fam, _SweptSubsetSums(memo, fam, code))
         if report.verdict != SIGMA_COMPATIBLE:
             return report
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
 
 
 def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3,
-                     totals: Sequence = ()) -> Report:
+                     memo: _SweepMemo | None = None) -> Report:
     """Does a zero total force every member to be zero, on tested families?
 
-    ``totals`` may hold the sums of a prefix of the families, in their order,
-    which are then not summed again.
+    The families are drawn from ``samples``, by default ``pcm.grid``, or,
+    when the caller has one, from the grid of ``memo``, the suite's memo.
     """
     name = f"positivity[{pcm.name}]"
-    grid = samples if samples is not None else pcm.grid
+    if memo is None:
+        memo = _SweepMemo(pcm, tuple(pcm.grid if samples is None else samples))
     z = pcm.zero
-    for fam, result in _family_totals(pcm, tuple(grid), max_size, totals):
+    for fam, code in memo.families(max_size):
+        result = memo.total(fam, code)
         if not isinstance(result, Summable) or not pcm.close(result.value, z):
             continue
         if any(not pcm.close(v, z) for v in fam.values):
@@ -280,19 +345,16 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     wpa_name = f"wpa[{pcm.name}]"
     sub_name = f"subfamilies[{pcm.name}]"
     wpa_report, sub_report = passing(wpa_name), passing(sub_name)
-    # One subset-sum table per family serves both sweeps.  The full-pa and
-    # positivity sweeps walk a prefix of the same family order (sizes up to 4
-    # and 3): they get the count of families that passed wpa and the totals
-    # of the families up to size 4, not the tables.  The grid is checked
-    # once, so each family's total comes straight from the oracle.
+    # One memo serves the wpa and subfamily sweep, then the full-pa and
+    # positivity sweeps, which walk a prefix of the same family order (sizes
+    # up to 4 and 3): each family total and each subfamily is asked of the
+    # oracle once per suite, when first reached, and the full-pa sweep also
+    # gets the count of families that passed wpa.  Building the memo checks
+    # the grid once, so every family and subfamily goes straight to the oracle.
     wpa_passed = 0
-    totals = []
-    grid = pcm.grid
-    pcm.check_grid(grid)
-    for fam in families_over(grid, family_size):
-        sums = _SubsetSums(pcm, fam, pcm.oracle(fam))
-        if len(fam) <= 4:
-            totals.append(sums.total)
+    memo = _SweepMemo(pcm, pcm.grid)
+    for fam, code in memo.families(family_size):
+        sums = _SweptSubsetSums(memo, fam, code)
         report = check_wpa(pcm, fam, sums)
         if not report.passed:
             wpa_report = report
@@ -306,8 +368,8 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     reports.append(wpa_report)
     reports.append(sub_report)
     reports.append(check_reindexing(pcm, trials=trials, seed=seed))
-    reports.append(classify_full_pa(pcm, min(4, family_size), wpa_passed, totals))
-    reports.append(check_positivity(pcm, totals=totals))
+    reports.append(classify_full_pa(pcm, min(4, family_size), wpa_passed, memo))
+    reports.append(check_positivity(pcm, memo=memo))
     return reports
 
 

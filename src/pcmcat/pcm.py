@@ -80,7 +80,11 @@ class PartialFn:
 
     @staticmethod
     def of(mapping: Mapping[int, int]) -> "PartialFn":
-        return PartialFn(frozenset(mapping.items()))
+        """The partial function ``mapping``: its keys are unique, so its graph is
+        functional and ``__post_init__``'s check is skipped."""
+        fn = object.__new__(PartialFn)
+        fn.__dict__["graph"] = frozenset(mapping.items())
+        return fn
 
     def __post_init__(self):
         keys = [k for k, _ in self.graph]

@@ -5,19 +5,24 @@ are the sweep as it was when each subfamily was cut with ``subfamily`` and
 summed with ``Pcm.sum``, and every family of block sums, built one partition
 at a time by ``_regrouped``, went through ``Pcm.sum``.  Membership is
 checked once: by the suite, on its grid before the sweep, or when a table's
-total goes through ``Pcm.sum``; after that the sweep must ask the oracle the
-same families in the same order and give the same reports, and check
-membership only of block sums on a partial carrier.
+total goes through ``Pcm.sum``; after that a checker given one family must
+ask the oracle the same families in the same order as the reference and
+give the same reports, and check membership only of block sums on a
+partial carrier.  ``reference_run_pcm_suite`` is the suite as it was with
+one table per family: the suite must ask the oracle what it asked, in the
+same order, except that a family total or subfamily whose input (labels
+and objects, in order) the suite's sweeps already asked is not asked again.
 """
 
 import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from pcmcat import laws
-from pcmcat.category import PcmCategory, check_strong_distributivity
+from pcmcat.category import Matrix, PcmCategory, check_strong_distributivity, resolve_base
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import (
     EXHAUSTIVE_PARTITION_LIMIT,
@@ -27,16 +32,27 @@ from pcmcat.family import (
     subfamily,
 )
 from pcmcat.laws import (
+    NONPOSITIVE,
+    POSITIVE,
     SIGMA_COMPATIBLE,
     WPA_ONLY,
     check_reindexing,
+    check_unary,
     check_wpa,
+    check_zero_laws,
     partition_table,
     run_pcm_suite,
 )
 from pcmcat.pcm import INT_ADD, Summable, make_finite_families_pcm, summable_families
 from pcmcat.report import Report, failing, passing
-from test_laws_reference import CARRIERS, SUITE_CARRIERS, random_families
+from test_laws_reference import (
+    CARRIERS,
+    SUITE_CARRIERS,
+    _mutant,
+    _order_dependent,
+    random_families,
+)
+from test_laws_reference import reference_run_pcm_suite as plain_run_pcm_suite
 
 # --------------------------------------------------------------------------
 # reference versions
@@ -44,20 +60,24 @@ from test_laws_reference import CARRIERS, SUITE_CARRIERS, random_families
 
 
 class ReferenceSubsetSums:
-    """``pcm.sum`` of each subfamily, each computed on first use."""
+    """``pcm.sum`` of each subfamily, each computed on first use; each
+    subfamily it asks is appended to ``asked``, when given."""
 
-    def __init__(self, pcm, fam, total=None):
+    def __init__(self, pcm, fam, total=None, asked=None):
         self.pcm, self.fam = pcm, fam
         self.labels = sorted(set(fam.labels))
         self.bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
         self.total = pcm.sum(fam) if total is None else total
         self.slots = {(1 << len(self.labels)) - 1: self.total}
+        self.asked = [] if asked is None else asked
 
     def __getitem__(self, mask):
         result = self.slots.get(mask)
         if result is None:
             keep = [label for label, bit in self.bit.items() if mask & bit]
-            result = self.slots[mask] = self.pcm.sum(subfamily(self.fam, keep))
+            sub = subfamily(self.fam, keep)
+            self.asked.append(sub)
+            result = self.slots[mask] = self.pcm.sum(sub)
         return result
 
     def partition(self, index):
@@ -107,9 +127,73 @@ def reference_full_pa(pcm, fam, sums):
     return Report(name, SIGMA_COMPATIBLE)
 
 
-def reference_check_full_pa(pcm, fam, total=None):
-    """``check_full_pa`` as the reference sweep computed it."""
-    return reference_full_pa(pcm, fam, ReferenceSubsetSums(pcm, fam, total))
+def reference_run_pcm_suite(pcm, asked, family_size, trials, seed):
+    """The suite with one subset-sum table per family, the wpa sweep handing
+    its totals to the full-pa and positivity sweeps in a list.  Each family
+    total and subfamily its sweeps ask is appended to ``asked``."""
+    reports = [check_unary(pcm), check_zero_laws(pcm)]
+    wpa_report, sub_report = passing(f"wpa[{pcm.name}]"), passing(f"subfamilies[{pcm.name}]")
+    wpa_passed, totals = 0, []
+    grid = pcm.grid
+    pcm.check_grid(grid)
+    for fam in families_over(grid, family_size):
+        asked.append(fam)
+        sums = ReferenceSubsetSums(pcm, fam, pcm.oracle(fam), asked)
+        if len(fam) <= 4:
+            totals.append(sums.total)
+        report = reference_wpa(pcm, fam, sums)
+        if not report.passed:
+            wpa_report = report
+            break
+        wpa_passed += 1
+        if len(fam) <= 4:
+            sub = laws.check_subfamilies(pcm, fam, sums)
+            if not sub.passed:
+                sub_report = sub
+                break
+    reports += [wpa_report, sub_report, check_reindexing(pcm, trials=trials, seed=seed)]
+
+    def total(index, fam):
+        if index < len(totals):
+            return totals[index]
+        asked.append(fam)
+        return pcm.sum(fam)
+
+    full_pa = Report(f"full-pa[{pcm.name}]", SIGMA_COMPATIBLE, detail="on tested families")
+    for index, fam in enumerate(families_over(grid, min(4, family_size))):
+        result = total(index, fam)
+        if index < wpa_passed and isinstance(result, Summable):
+            continue
+        report = reference_full_pa(pcm, fam, ReferenceSubsetSums(pcm, fam, result, asked))
+        if report.verdict != SIGMA_COMPATIBLE:
+            full_pa = report
+            break
+    reports.append(full_pa)
+    positivity = Report(f"positivity[{pcm.name}]", POSITIVE, detail="on tested families")
+    z = pcm.zero
+    for index, fam in enumerate(families_over(grid, 3)):
+        result = total(index, fam)
+        if isinstance(result, Summable) and pcm.close(result.value, z) and \
+                any(not pcm.close(v, z) for v in fam.values):
+            positivity = Report(positivity.name, NONPOSITIVE, witness=fam)
+            break
+    reports.append(positivity)
+    return reports
+
+
+def without_repeats(families, asked):
+    """``families`` without each of ``asked`` whose input, the same labels on
+    the same objects in the same order, an earlier one of ``asked`` had."""
+    sweep = {id(fam) for fam in asked}
+    seen, kept = set(), []
+    for fam in families:
+        if id(fam) in sweep:
+            key = tuple((label, id(value)) for label, value in fam.entries)
+            if key in seen:
+                continue
+            seen.add(key)
+        kept.append(fam)
+    return kept
 
 
 # --------------------------------------------------------------------------
@@ -151,16 +235,21 @@ def _is_block_sums(fam):
 
 
 @pytest.mark.parametrize("pcm", SUITE_CARRIERS, ids=lambda pcm: pcm.name)
-def test_the_suite_asks_the_oracle_what_the_reference_asked(pcm, monkeypatch):
+def test_the_suite_asks_the_oracle_what_the_reference_asked(pcm):
+    """Once each: the reference's log with each repeated family total or
+    subfamily removed, every other query (block sums, unary, zero and
+    reindexing) kept, all in the reference's order."""
+    assert len({id(value) for value in pcm.grid}) == len(pcm.grid)
+    # each logged carrier's zero is computed here, before its suite
     new_pcm, new = logged(pcm)
+    new_pcm.zero
     new_reports = run_pcm_suite(new_pcm, family_size=3, trials=20, seed=5)
-    monkeypatch.setattr(laws, "_SubsetSums", ReferenceSubsetSums)
-    monkeypatch.setattr(laws, "check_wpa", reference_wpa)
-    monkeypatch.setattr(laws, "check_full_pa", reference_check_full_pa)
     old_pcm, old = logged(pcm)
-    old_reports = run_pcm_suite(old_pcm, family_size=3, trials=20, seed=5)
+    old_pcm.zero
+    asked = []
+    old_reports = reference_run_pcm_suite(old_pcm, asked, family_size=3, trials=20, seed=5)
     assert _outcomes(new_reports) == _outcomes(old_reports)
-    assert new.families == old.families
+    assert new.families == without_repeats(old.families, asked)
     assert len(new.members) <= len(old.members)
 
 
@@ -259,6 +348,106 @@ def test_the_per_size_tables_follow_the_partition_table_and_combinations(n):
         tuple(zip(labels, masks)) for _, masks in partition_table(n))
     assert laws._subset_positions(n) == tuple(
         keep for size in range(n + 1) for keep in itertools.combinations(range(n), size))
+
+
+# --------------------------------------------------------------------------
+# the suite asks each sweep input once, and only inputs that are identical
+# --------------------------------------------------------------------------
+
+
+def sweep_log(pcm, family_size, monkeypatch):
+    """The families ``run_pcm_suite`` asks the oracle outside ``check_unary``,
+    ``check_zero_laws`` and ``check_reindexing``, less the block sums.  The
+    empty family is left out: it is also the block sums of the empty family's
+    one partition."""
+    probe, log = logged(pcm)
+    probe.zero  # computed here, so that positivity asks no zero
+    outside = []
+    for name in ("check_unary", "check_zero_laws", "check_reindexing"):
+        def run(*args, _real=getattr(laws, name), **kwargs):
+            start = len(log.families)
+            report = _real(*args, **kwargs)
+            outside.extend(range(start, len(log.families)))
+            return report
+
+        monkeypatch.setattr(laws, name, run)
+    run_pcm_suite(probe, family_size=family_size, trials=20, seed=5)
+    outside = set(outside)
+    return [fam for k, fam in enumerate(log.families)
+            if k not in outside and len(fam) and not _is_block_sums(fam)]
+
+
+def distinct_inputs(grid, family_size):
+    """Each non-empty subfamily of each family of ``families_over``, once, as
+    its (label, grid position) pairs in entry order."""
+    position = {id(value): k for k, value in enumerate(grid)}
+    inputs = set()
+    for fam in families_over(grid, family_size):
+        for size in range(1, len(fam) + 1):
+            for keep in itertools.combinations(fam.entries, size):
+                inputs.add(tuple((label, position[id(value)]) for label, value in keep))
+    return inputs
+
+
+def _positions(grid, families):
+    position = {id(value): k for k, value in enumerate(grid)}
+    return sorted(tuple((label, position[id(value)]) for label, value in fam.entries)
+                  for fam in families)
+
+
+def _one_hom(base):
+    target = resolve_base(base)
+    return target.hom_pcm(target.objects[0], target.objects[0])
+
+
+@pytest.mark.parametrize("base, family_size", [("int", 5), ("pfn:2", 4)])
+def test_the_suite_asks_each_family_total_and_subfamily_once(base, family_size, monkeypatch):
+    """A lawful carrier's sweeps reach every subfamily of every family (wpa
+    on the summable ones, full-pa on the rest); each is asked once."""
+    pcm = _one_hom(base)
+    assert len({id(value) for value in pcm.grid}) == len(pcm.grid)
+    asked = sweep_log(pcm, family_size, monkeypatch)
+    assert _positions(pcm.grid, asked) == sorted(distinct_inputs(pcm.grid, family_size))
+
+
+def _equal_but_distinct(base, value):
+    """The base's carrier on the grid (zero, value, a copy of value built apart)."""
+    pcm = _one_hom(base)
+    return dataclasses.replace(pcm, family_grid=(pcm.zero, value(), value()))
+
+
+@pytest.mark.parametrize("pcm", [
+    _equal_but_distinct("rational", lambda: Fraction(1, 2)),
+    _equal_but_distinct("matrix:2", lambda: Matrix.of([[Fraction(1), Fraction(1, 2)],
+                                                       [Fraction(0), Fraction(1)]])),
+], ids=["fractions", "matrices"])
+def test_equal_but_distinct_grid_elements_are_each_asked(pcm, monkeypatch):
+    zero, one, other = pcm.grid
+    assert one == other and one is not other
+    asked = sweep_log(pcm, 3, monkeypatch)
+    assert _positions(pcm.grid, asked) == sorted(distinct_inputs(pcm.grid, 3))
+    singles = {id(fam.value("i0")) for fam in asked if fam.labels == ("i0",)}
+    assert singles == {id(zero), id(one), id(other)}
+
+
+def _label_weighted():
+    """Integers where the entry labelled i1 counts twice: a lawful-looking
+    carrier whose sums depend on the labels as well as the values."""
+    base = make_finite_families_pcm(INT_ADD, family_grid=(0, 1, -1, 2))
+
+    def oracle(fam):
+        return Summable(sum(value * (2 if label == "i1" else 1) for label, value in fam.entries))
+
+    return _mutant(base, "label-weighted", oracle)
+
+
+@pytest.mark.parametrize("family_size", [3, 4, 5])
+@pytest.mark.parametrize("pcm", [_order_dependent(), _label_weighted()],
+                         ids=lambda pcm: pcm.name)
+def test_label_and_order_sensitive_oracles_get_the_plain_search_reports(pcm, family_size):
+    new = run_pcm_suite(pcm, family_size=family_size, trials=20, seed=5)
+    old = plain_run_pcm_suite(pcm, family_size=family_size, trials=20, seed=5)
+    assert _outcomes(new) == _outcomes(old)
 
 
 # --------------------------------------------------------------------------

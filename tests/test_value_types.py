@@ -5,7 +5,9 @@ slots with a hand-written ``__init__``; they must still behave as plain
 frozen dataclasses: immutable, equal only within their class, hashed by
 value, printed as before and copyable.  So must ``CauchyArrow``, whose
 ``keys`` and ``values`` columns are stored next to its coefficients but are
-left out of equality, hashing and ``repr``.
+left out of equality, hashing and ``repr``.  ``PartialFn.of`` builds a
+partial function from a mapping without the functional-graph check that
+``PartialFn(graph)`` runs, and must give the same value.
 """
 
 import copy
@@ -18,7 +20,7 @@ from pcmcat.category import from_semiring
 from pcmcat.cauchy import CauchyArrow, cauchy_product
 from pcmcat.family import IndexedFamily, family_of
 from pcmcat.fincat import cyclic_category
-from pcmcat.pcm import Relation, Summable
+from pcmcat.pcm import PartialFn, Relation, Summable
 
 ENTRIES = (("a", 1),)
 
@@ -179,3 +181,25 @@ def test_kernel_built_arrows_share_the_sorted_hom_key_tuple():
     keys = arrows["make_arrow"].keys
     assert keys == ("z0", "z1", "z2")
     assert arrows["compose"].keys is keys and arrows["sum_arrows"].keys is keys
+
+
+# --------------------------------------------------------------------------
+# PartialFn: built from a mapping without the check, from a graph with it
+# --------------------------------------------------------------------------
+
+
+def test_a_partial_fn_from_a_mapping_is_the_one_from_its_graph():
+    made = PartialFn.of({1: 2, 0: 1})
+    checked = PartialFn(frozenset({(0, 1), (1, 2)}))
+    assert made == checked and hash(made) == hash(checked)
+    assert repr(made) == repr(checked)
+    assert made.mapping == {0: 1, 1: 2} and made(1) == 2
+    for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        assert copied == checked
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made.graph = frozenset()
+
+
+def test_a_non_functional_graph_still_raises():
+    with pytest.raises(ValueError, match="graph is not functional"):
+        PartialFn(frozenset({(0, 1), (0, 2)}))
