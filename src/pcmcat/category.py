@@ -497,10 +497,10 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
 
     Per object triple, the exhaustive phase sums each f-family and each
     g-family once, kept by the family's position in the triple's
-    enumeration, and composes each pair of grid elements once, kept under
-    the identities of the two arrows (an entry holds both, so no other
-    object can take their identities while it lives).  Both are dropped at
-    the next triple, and the random trials compute afresh.  Each value is
+    enumeration until the next triple; the trials sum afresh.  Each pair of
+    grid elements is composed once in the whole call, trials included, kept
+    under the identities of the two arrows (an entry holds both, so no other
+    object can take their identities while it lives).  Each value is
     computed at its first use, so every first call, any exception the
     oracle or a composition raises and the witness come where the plain
     search has them.  The witness's ``recheck`` reuses nothing.
@@ -522,16 +522,16 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
     def recheck_at(x, y, z):
         return lambda witness: violation(x, y, z, *witness)
 
+    composites: dict = {}
+
+    def compose(g, f):
+        key = (id(g), id(f))
+        entry = composites.get(key)
+        if entry is None:
+            entry = composites[key] = (g, f, cat.compose(g, f))
+        return entry[2]
+
     for x, y, z in _object_triples(cat):
-        composites: dict = {}
-
-        def compose(g, f):
-            key = (id(g), id(f))
-            entry = composites.get(key)
-            if entry is None:
-                entry = composites[key] = (g, f, cat.compose(g, f))
-            return entry[2]
-
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
         fams_f = tuple(families_over(pf.grid[:exhaustive_grid], exhaustive_size))
         fams_g = tuple(families_over(pg.grid[:exhaustive_grid], exhaustive_size))
@@ -551,7 +551,7 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
         pf, pg = cat.hom_pcm(x, y), cat.hom_pcm(y, z)
         fam_f = random_family(pf.grid, max_family, rng, prefix="f")
         fam_g = random_family(pg.grid, max_family, rng, prefix="g")
-        if _distributivity_fails(cat, cat.compose, cat.hom_pcm(x, z), fam_f, fam_g,
+        if _distributivity_fails(cat, compose, cat.hom_pcm(x, z), fam_f, fam_g,
                                  pf.oracle(fam_f), pg.oracle(fam_g)):
             return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
                            recheck=recheck_at(x, y, z))

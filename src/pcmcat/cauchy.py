@@ -13,6 +13,10 @@ with unsorted, duplicated or missing keys raises ``CarrierMismatchError``
 rather than being misread.  The arrows the kernel builds share the sorted
 hom's key tuple.  The factorizations of each triple of index objects are
 read once off the index's integer rows, as positions in the sorted homs.
+``compose`` reads one plan per triple of objects, built at its first use
+once the outer two are checked to be objects: the key tuples of both
+factors and of the output, the base carrier of the output's coefficients,
+and one (output position, factorizations) row per index arrow, in hom order.
 
 The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
@@ -23,10 +27,10 @@ members into the carrier.  So arrow construction keeps only the membership
 half of the check, through ``Pcm.admits``, and composition keeps only the
 membership check ``Pcm.sum`` makes of the factor products: the summed
 coefficients are not scanned again.  ``sum_arrows`` checks each input
-coefficient for membership once, in the flattened order, builds the
-labelled flattened family only to ask the oracle of a partial carrier, and
-then sums each column with the bare oracle.  Only over a partial carrier are
-the pointwise sums checked again.
+coefficient for membership once, in the flattened order, labels only a
+coefficient it refuses, builds the labelled flattened family only to ask
+the oracle of a partial carrier, and then sums each column with the bare
+oracle.  Only over a partial carrier are the pointwise sums checked again.
 """
 
 from __future__ import annotations
@@ -142,6 +146,7 @@ class CauchyCategory:
             (x, u) for x in base.objects for u in index.objects
         )
         self._fact: dict = {}
+        self._plans: dict = {}
         self._keys: dict = {}
         self._hom_cache: dict = {}
         self.arrow_hom = lambda arrow: (arrow.src, arrow.tgt)
@@ -222,29 +227,40 @@ class CauchyCategory:
     def zero(self, src, tgt) -> CauchyArrow:
         return self.make_arrow(src, tgt, {})
 
+    def _plan(self, key: tuple) -> tuple:
+        """The plan of composing A -> B -> C, for ``key`` = (A, B, C); see the module docstring."""
+        src, _, tgt = key
+        self._require_objects(src, tgt)
+        (x, u), (_, v), (z, w) = key
+        g_keys, f_keys = self._sorted_hom(v, w)[0], self._sorted_hom(u, v)[0]
+        keys, hom = self._sorted_hom(u, w)  # hom: (c, position of c in keys), in hom order
+        target_pcm = self.base.hom_pcm(x, z)
+        # the factorization table runs through D(u,w) in hom order, as ``hom`` does
+        rows = tuple(zip([k for _, k in hom], self._factorizations(u, v, w).values()))
+        plan = self._plans[key] = (g_keys, f_keys, keys, target_pcm, rows)
+        return plan
+
     def compose(self, g: CauchyArrow, f: CauchyArrow) -> CauchyArrow:
         """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a;
         a factor whose keys are not the sorted hom raises ``CarrierMismatchError``."""
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
-        (x, u), (_, v), (z, w) = f.src, f.tgt, g.tgt
-        if g.keys != self._sorted_hom(v, w)[0]:
-            raise self._misread(g, v, w)
-        if f.keys != self._sorted_hom(u, v)[0]:
-            raise self._misread(f, u, v)
+        key = (f.src, g.src, g.tgt)
+        g_keys, f_keys, keys, target_pcm, rows = self._plans.get(key) or self._plan(key)
+        if g.keys != g_keys:
+            raise self._misread(g, g.src[1], g.tgt[1])
+        if f.keys != f_keys:
+            raise self._misread(f, f.src[1], f.tgt[1])
         gs, fs = g.values, f.values
-        keys, hom = self._sorted_hom(u, w)  # hom: (c, position of c in keys), in hom order
-        target_pcm = self.base.hom_pcm(x, z)
         base_compose = self.base.compose
         values = [None] * len(keys)
-        # the factorization table runs through D(u,w) in hom order, as ``hom`` does
-        for (c, k), pairs in zip(hom, self._factorizations(u, v, w).values()):
+        for k, pairs in rows:
             result = target_pcm.sum(IndexedFamily(tuple([
                 (label, base_compose(gs[b], fs[a])) for label, b, a in pairs
             ])))
             if not isinstance(result, Summable):
                 raise NotSummableError(
-                    f"convolution coefficient at {c} refused by {target_pcm.name}; "
+                    f"convolution coefficient at {keys[k]} refused by {target_pcm.name}; "
                     "the base instance violates its composition law"
                 )
             values[k] = result.value
@@ -271,10 +287,11 @@ class CauchyCategory:
             if arrow.keys != keys:
                 raise self._misread(arrow, u, v)
             rows.append((i, arrow.values))
-        base_pcm._check_members(
-            (((i, a), values[k]) for i, values in rows for a, k in hom),
-            label="{0[0]}|{0[1]}".format,
-        )
+        contains = base_pcm.contains
+        for i, values in rows:
+            for a, k in hom:
+                if not contains(values[k]):
+                    raise base_pcm.outside_error(f"{i}|{a}", values[k])
         if not base_pcm.total:
             flattened = IndexedFamily(tuple([
                 (f"{i}|{a}", values[k]) for i, values in rows for a, k in hom

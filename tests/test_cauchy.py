@@ -3,6 +3,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from pcmcat.fincat import (
 from pcmcat.laws import oracle_convolution
 from pcmcat.pcm import NOT_SUMMABLE, Residue, Summable
 from pcmcat.category import k_bounded_category
+from pcmcat.cli import parse_fincat
 
 INT = from_semiring("int")
 Z2 = cyclic_category(2)
@@ -50,6 +52,7 @@ Z3 = cyclic_category(3)
 INT_Z2 = cauchy_product(INT, Z2)
 INT_Z3 = cauchy_product(INT, Z3)
 OBJ2 = ("*", "*")
+DATA = Path(__file__).parent / "data"
 
 
 def arrow(cc, coeffs, src=OBJ2, tgt=OBJ2):
@@ -86,6 +89,25 @@ def test_convolve_shifts_compose_in_z3():
     f = arrow(INT_Z3, {"z1": 1})
     g = arrow(INT_Z3, {"z2": 1})
     assert INT_Z3.compose(g, f) == arrow(INT_Z3, {"z0": 1})
+
+
+def test_point_masses_convolve_to_the_composite_in_a_non_commutative_index():
+    """delta_g * delta_h = delta_{g.h} in int[left-zero], where e.f = e but f.e = f;
+    each g.h is read off the file's compose lines, or is the identity law."""
+    text = (DATA / "left_zero.fincat").read_text()
+    table = {}
+    for line in text.splitlines():
+        if line.startswith("compose "):
+            _, g, h, _, gh = line.split()
+            table[g, h] = gh
+    assert table["e", "f"] == "e" and table["f", "e"] == "f"
+    cc = cauchy_product(INT, parse_fincat(text, name="left-zero"))
+    obj = ("*", "o")
+    arrows = ("id_o", "e", "f")
+    for g, h in itertools.product(arrows, repeat=2):
+        gh = h if g == "id_o" else g if h == "id_o" else table[g, h]
+        got = cc.compose(arrow(cc, {g: 1}, obj, obj), arrow(cc, {h: 1}, obj, obj))
+        assert got == arrow(cc, {gh: 1}, obj, obj), (g, h)
 
 
 def test_identity_arrow_coefficients():
@@ -195,10 +217,17 @@ def test_an_arrow_whose_keys_are_not_the_sorted_hom_is_refused(case):
     with pytest.raises(CarrierMismatchError, match="outside the carrier"):
         hom.sum(family_of([good, bad]))
     misread = f"{bad} is not an arrow of int[Z3]: its keys are not the sorted D(*,*)"
-    for g, f in ((one, bad), (bad, one), (bad, bad)):
-        with pytest.raises(CarrierMismatchError) as raised:
-            INT_Z3.compose(g, f)
-        assert str(raised.value) == misread
+    # composition reads one plan per object triple: made by a good pair
+    # before any malformed arrow, or by a malformed arrow first
+    planned, unplanned = cauchy_product(INT, Z3), cauchy_product(INT, Z3)
+    assert planned.compose(one, good) == good
+    for cc in (planned, unplanned):
+        for g, f in ((one, bad), (bad, one), (bad, bad)):
+            with pytest.raises(CarrierMismatchError) as raised:
+                cc.compose(g, f)
+            assert str(raised.value) == misread
+        assert cc.compose(good, good) == arrow(INT_Z3, {"z0": 13, "z1": 13, "z2": 10})
+        assert cc.compose(one, good) == good == cc.compose(good, one)
     for fam in (family_of([bad]), family_of([good, bad]), family_of([bad, good])):
         with pytest.raises(CarrierMismatchError) as raised:
             INT_Z3.sum_arrows(fam)

@@ -359,6 +359,19 @@ def test_a_factor_product_outside_the_int_carrier_raises_as_the_reference():
     assert got == outcome(reference_compose, cc, g, f)
 
 
+@pytest.mark.parametrize("index, outside", [("Z2", ("*", "x")), ("five-arrow", ("*", "W"))])
+def test_an_arrow_from_or_to_a_non_object_raises_as_the_reference(index, outside):
+    """A hand-built arrow with no coefficients, from or to a pair that is no
+    object of the category, composed with an identity."""
+    cc = build("int", index)
+    obj = cc.objects[0]
+    one = cc.identity(obj)
+    for g, f in ((one, CauchyArrow(outside, obj, ())), (CauchyArrow(obj, outside, ()), one)):
+        got = outcome(cc.compose, g, f)
+        assert got == ("raise", ValidationError, f"unknown object pair {f.src} or {g.tgt}")
+        assert got == outcome(reference_compose, cc, g, f)
+
+
 @pytest.mark.parametrize("base", ["int", "kbounded:2", "complex"])
 def test_unknown_index_arrow_raises_as_the_reference(base):
     cc = build(base, "Z2")

@@ -351,6 +351,26 @@ def test_the_exhaustive_phase_composes_each_grid_pair_and_sums_each_family_once(
     assert sum(summed.values()) == 2 * 10 + 10 * 10
 
 
+@pytest.mark.parametrize("index", ["Z2", "five-arrow"])
+def test_the_random_trials_reuse_the_composites_of_the_exhaustive_phase(index):
+    cc = cauchy_product(from_semiring("int"), INDEXES[index]())
+    recorded = Recorded(cc)
+    assert check_strong_distributivity(recorded, trials=60).passed
+    composed = collections.Counter(
+        (id(g), id(f)) for kind, g, f in recorded.log if kind == "compose"
+    )
+    exhaustive, grid_pairs = set(), set()
+    for x, y, z in _object_triples(cc):
+        grid_f, grid_g = cc.hom_pcm(x, y).grid, cc.hom_pcm(y, z).grid
+        exhaustive |= {(id(g), id(f)) for g in grid_g[:3] for f in grid_f[:3]}
+        grid_pairs |= {(id(g), id(f)) for g in grid_g for f in grid_f}
+    # each pair of grid arrows is composed once over both phases; the trials
+    # draw from the whole grid, so they also meet pairs past the prefix
+    seen = {key: composed[key] for key in grid_pairs if key in composed}
+    assert seen == dict.fromkeys(seen, 1)
+    assert exhaustive < set(seen)
+
+
 # --------------------------------------------------------------------------
 # derived laws
 # --------------------------------------------------------------------------
