@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 from .errors import ParseError, ShapeMismatchError, ValidationError
 from .family import IndexedFamily, families_over, family_of, make_family, random_family
 from .pcm import (
-    DEFAULT_TOLERANCE,
     INT_ADD,
     RATIONAL_ADD,
     UNIT_BALL_NORMS,
@@ -87,7 +86,7 @@ def _one_object(name, pcm: Pcm, multiply, one) -> PcmCategory:
     )
 
 
-def from_semiring(descriptor: str, tolerance: float = DEFAULT_TOLERANCE) -> PcmCategory:
+def from_semiring(descriptor: str) -> PcmCategory:
     """One-object categories: composition is the semiring multiplication."""
     if descriptor == "int":
         return _one_object("int", make_finite_families_pcm(INT_ADD), lambda g, f: g * f, 1)
@@ -105,7 +104,7 @@ def from_semiring(descriptor: str, tolerance: float = DEFAULT_TOLERANCE) -> PcmC
         pcm = make_finite_families_pcm(mod_add(n))
         return _one_object(f"mod:{n}", pcm, lambda g, f: g * f, Residue(1, n))
     if descriptor == "complex":
-        pcm = make_abs_convergence_pcm(tolerance)
+        pcm = make_abs_convergence_pcm()
         return _one_object("complex", pcm, lambda g, f: g * f, 1 + 0j)
     raise ParseError(f"unknown semiring descriptor {descriptor!r}")
 
@@ -394,14 +393,14 @@ def _int_parameter(descriptor: str, text: str, least: int, most: int | None = No
     return value
 
 
-def resolve_base(descriptor: str, tolerance: float = DEFAULT_TOLERANCE):
+def resolve_base(descriptor: str):
     """Map a base descriptor string to a category or, for unitball, a bare Pcm.
 
     A malformed parameter raises ParseError naming the descriptor; one above
     its ``MAX_*`` bound raises ValidationError naming the bound.
     """
     if descriptor in ("int", "rational", "complex") or descriptor.startswith("mod:"):
-        return from_semiring(descriptor, tolerance)
+        return from_semiring(descriptor)
     kind, _, rest = descriptor.partition(":")
     if ":" not in descriptor:
         raise ParseError(f"unknown base descriptor {descriptor!r}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -28,7 +27,7 @@ from .errors import (
 from .family import EXHAUSTIVE_PARTITION_LIMIT, family_of
 from .fincat import FinCategory, cyclic_category, trivial_category, validate_category
 from .laws import run_category_suite, run_pcm_suite
-from .pcm import DEFAULT_TOLERANCE, Pcm, Residue, Summable, format_element
+from .pcm import Pcm, Residue, Summable, format_element
 from .report import format_complex
 from .universal import dft_substitute, require_prime
 
@@ -37,14 +36,11 @@ from .universal import dft_substitute, require_prime
 class RunConfig:
     """The numeric flags, checked together before any base or index is built."""
 
-    tolerance: float = DEFAULT_TOLERANCE
     family_size: int = 4
     trials: int = 200
     order: int = 8
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValidationError("tolerance must be finite and positive")
         if self.family_size < 1 or self.trials < 1:
             raise ValidationError("bounds must be at least 1")
         if self.order < 0:
@@ -259,7 +255,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_laws(args, out) -> int:
-    target = resolve_base(args.base, tolerance=args.tolerance)
+    target = resolve_base(args.base)
     suite = run_pcm_suite if isinstance(target, Pcm) else run_category_suite
     reports = suite(target, family_size=args.family_size, trials=args.trials, seed=args.seed)
     failed = False
@@ -270,7 +266,7 @@ def cmd_laws(args, out) -> int:
 
 
 def _build_cauchy(args) -> CauchyCategory:
-    base = resolve_base(args.base, tolerance=args.tolerance)
+    base = resolve_base(args.base)
     if isinstance(base, Pcm):
         raise ValidationError(f"base {args.base!r} carries no composition")
     return cauchy_product(base, load_index(args.index))
@@ -368,8 +364,8 @@ def _parse_base_object(cc: CauchyCategory, text: str):
 def cmd_product(args, out) -> int:
     from .category import check_strong_distributivity
 
-    first = resolve_base(args.base, tolerance=args.tolerance)
-    second = resolve_base(args.base2, tolerance=args.tolerance)
+    first = resolve_base(args.base)
+    second = resolve_base(args.base2)
     if isinstance(first, Pcm) or isinstance(second, Pcm):
         raise ValidationError("product needs two composition-carrying bases")
     product = pcm_product(first, second)
@@ -426,7 +422,6 @@ _FLAGS = {
     "--base": {"default": "int"},
     "--index": {"default": "cyclic:2"},
     "--seed": {"type": int, "default": 0},
-    "--tolerance": {"type": float, "default": DEFAULT_TOLERANCE},
     "--family-size": {"type": int, "default": 4},
     "--trials": {"type": int, "default": 200},
 }
@@ -444,13 +439,13 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
 
-    convolution = ("--base", "--index", "--tolerance")
+    convolution = ("--base", "--index")
 
     p = sub.add_parser("validate", help="validate an index category file")
     p.add_argument("--index", required=True)
 
     p = sub.add_parser("laws", help="run the law suite on a base instance")
-    shared(p, "--base", "--seed", "--tolerance", "--family-size", "--trials")
+    shared(p, "--base", "--seed", "--family-size", "--trials")
 
     p = sub.add_parser("cauchy", help="convolution-category operations")
     cauchy_sub = p.add_subparsers(dest="cauchy_command", required=True)
@@ -478,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("arrows", nargs="*", help="arrow file (sigma)")
 
     p = sub.add_parser("product", help="product of two bases, with a law check")
-    shared(p, "--base", "--seed", "--tolerance", "--trials")
+    shared(p, "--base", "--seed", "--trials")
     p.add_argument("--base2", required=True)
 
     p = sub.add_parser("series", help="truncated convolution of coefficient streams")
@@ -492,6 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "validate": cmd_validate,
     "laws": cmd_laws,
+    "cauchy": cmd_cauchy_describe,  # `cauchy describe`, its one subcommand
     "convolve": cmd_convolve,
     "sum": cmd_sum,
     "substitute": cmd_substitute,
@@ -506,10 +502,7 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cauchy":
-        handler = cmd_cauchy_describe
-    else:
-        handler = _HANDLERS[args.command]
+    handler = _HANDLERS[args.command]
     try:
         RunConfig(**{name: value for name, value in vars(args).items() if name in _CHECKED})
         return handler(args, out)

@@ -36,10 +36,10 @@ POSITIVE = "POSITIVE"
 NONPOSITIVE = "NONPOSITIVE"
 
 
-def check_unary(pcm: Pcm, samples: tuple | None = None) -> Report:
-    """Singleton families must be summable, with the member as their sum."""
+def check_unary(pcm: Pcm) -> Report:
+    """Each sample element's singleton family must be summable, with it as sum."""
     name = f"unary[{pcm.name}]"
-    for x in samples if samples is not None else pcm.sample_elements:
+    for x in pcm.sample_elements:
         result = pcm.sum(family_of([x]))
         if not isinstance(result, Summable) or not pcm.close(result.value, x):
             return failing(name, family_of([x]))
@@ -295,18 +295,18 @@ def classify_full_pa(pcm: Pcm, max_size: int = 4, wpa_passed: int = 0,
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
 
 
-def check_positivity(pcm: Pcm, samples: tuple | None = None, max_size: int = 3,
+def check_positivity(pcm: Pcm, samples: tuple | None = None,
                      memo: _SweepMemo | None = None) -> Report:
     """Does a zero total force every member to be zero, on tested families?
 
-    The families are drawn from ``samples``, by default ``pcm.grid``, or,
-    when the caller has one, from the grid of ``memo``, the suite's memo.
+    Families of at most 3 members are drawn from ``samples``, by default
+    ``pcm.grid``, or from the grid of ``memo``, the suite's memo, when given.
     """
     name = f"positivity[{pcm.name}]"
     if memo is None:
         memo = _SweepMemo(pcm, tuple(pcm.grid if samples is None else samples))
     z = pcm.zero
-    for fam, code in memo.families(max_size):
+    for fam, code in memo.families(3):
         result = memo.total(fam, code)
         if not isinstance(result, Summable) or not pcm.close(result.value, z):
             continue

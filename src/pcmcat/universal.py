@@ -144,9 +144,9 @@ def check_triangles(data: SubstitutionData) -> Report:
     return passing(name)
 
 
-def check_hom_property(data: SubstitutionData, trials: int = 100) -> Report:
-    """h is additive and multiplicative on sampled pairs, and is forced by
-    its values on the embedded generators (extensional uniqueness); the
+def check_hom_property(data: SubstitutionData) -> Report:
+    """h is additive and multiplicative on 100 sampled pairs, and is forced
+    by its values on the embedded generators (extensional uniqueness); the
     coefficients are drawn from the first 7 grid values of the source."""
     name = "substitution-hom"
     cc = cauchy_product(data.source, data.index)
@@ -162,7 +162,7 @@ def check_hom_property(data: SubstitutionData, trials: int = 100) -> Report:
     def random_arrow():
         return cc.make_arrow(obj, obj, {m: rng.choice(a_grid) for m in data.index.arrows})
 
-    for _ in range(trials):
+    for _ in range(100):
         alpha, beta = random_arrow(), random_arrow()
         total = cc.sum_arrows(family_of([alpha, beta]))
         if isinstance(total, Summable):

@@ -294,7 +294,7 @@ def test_criterion_09_universal_property():
             ok = False
         if not check_triangles(data).passed:
             ok = False
-        if not check_hom_property(data, trials=100).passed:
+        if not check_hom_property(data).passed:
             ok = False
     for p in (2, 3, 5, 7, 11, 13):
         for s in range(1, p):
@@ -335,7 +335,7 @@ def test_criterion_11_classifier_taxonomy():
         make_partial_injection_pcm(3, "overlap"),
         make_relations_pcm(2, 2),
     ):
-        result = check_positivity(pcm, samples=pcm.sample_elements, max_size=3)
+        result = check_positivity(pcm, samples=pcm.sample_elements)
         if result.verdict != POSITIVE:
             ok = False
     _criterion(11, "classifier-taxonomy", ok,

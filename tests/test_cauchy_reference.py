@@ -29,7 +29,15 @@ from pcmcat.errors import (
 )
 from pcmcat.family import IndexedFamily, family_of
 from pcmcat.fincat import cyclic_category, product_category, two_object_five_arrow_category
-from pcmcat.pcm import NOT_SUMMABLE, PartialFn, Relation, Residue, Summable, exact_eq
+from pcmcat.pcm import (
+    COMPLEX_TOLERANCE,
+    NOT_SUMMABLE,
+    PartialFn,
+    Relation,
+    Residue,
+    Summable,
+    exact_eq,
+)
 
 # --------------------------------------------------------------------------
 # reference versions
@@ -66,6 +74,10 @@ def reference_make_arrow(cc, src, tgt, coeffs):
 def reference_compose(cc, g, f):
     if f.tgt != g.src:
         raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
+    if f.src not in cc.objects or g.tgt not in cc.objects:
+        raise ValidationError(f"unknown object pair {f.src} or {g.tgt}")
+    if f.tgt not in cc.objects:
+        raise ValidationError(f"unknown middle object pair {f.tgt}")
     (x, u) = f.src
     (y, v) = f.tgt
     (z, w) = g.tgt
@@ -372,6 +384,19 @@ def test_an_arrow_from_or_to_a_non_object_raises_as_the_reference(index, outside
         assert got == outcome(reference_compose, cc, g, f)
 
 
+@pytest.mark.parametrize("index, outside", [("Z2", ("*", "x")), ("five-arrow", ("*", "W"))])
+def test_a_composite_through_a_non_object_raises_as_the_reference(index, outside):
+    """Two hand-built arrows with no coefficients, between an object and a
+    pair that is no object of the category, composed through that pair."""
+    cc = build("int", index)
+    for obj in cc.objects:
+        g, f = CauchyArrow(outside, obj, ()), CauchyArrow(obj, outside, ())
+        for _ in range(2):  # no plan is kept for the refused triple
+            got = outcome(cc.compose, g, f)
+            assert got == ("raise", ValidationError, f"unknown middle object pair {outside}")
+            assert got == outcome(reference_compose, cc, g, f)
+
+
 @pytest.mark.parametrize("base", ["int", "kbounded:2", "complex"])
 def test_unknown_index_arrow_raises_as_the_reference(base):
     cc = build(base, "Z2")
@@ -495,7 +520,10 @@ def test_the_complex_close_keeps_its_tolerance():
     obj = cc.objects[0]
     close = cc.hom_pcm(obj, obj).close
     a = cc.make_arrow(obj, obj, {"z0": 1 + 0j, "z1": 0.5j})
-    near = cc.make_arrow(obj, obj, {"z0": complex(1 + 1e-12, 0), "z1": complex(1e-12, 0.5)})
-    far = cc.make_arrow(obj, obj, {"z0": complex(1 + 1e-6, 0), "z1": 0.5j})
-    assert a != near and close(a, near) and close(near, a)
-    assert not close(a, far) and not close(far, a)
+    assert COMPLEX_TOLERANCE == 1e-9
+    for off, is_close in ((1e-12, True), (1e-10, True), (1e-8, False), (1e-6, False)):
+        for coeffs in ({"z0": complex(1 + off, 0), "z1": 0.5j},
+                       {"z0": 1 + 0j, "z1": complex(-off, 0.5)}):
+            moved = cc.make_arrow(obj, obj, coeffs)
+            assert a != moved
+            assert close(a, moved) is close(moved, a) is is_close, (off, coeffs)

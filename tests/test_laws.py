@@ -51,7 +51,10 @@ def test_unary_fails_on_mutated_oracle():
 
 
 def test_unary_vacuous_on_empty_sample():
-    assert check_unary(INT_FF, samples=()).passed
+    """A carrier with no sample elements, whose oracle refuses every family."""
+    bare = Pcm(name="bare", contains=INT_FF.contains, oracle=lambda fam: NOT_SUMMABLE)
+    assert bare.sample_elements == ()
+    assert check_unary(bare).passed
 
 
 def test_wpa_int_triple_all_partitions_agree():

@@ -238,7 +238,7 @@ def test_check_hom_doubling_passes():
 def test_check_hom_from_bounded_into_mod2():
     mod2 = make_finite_families_pcm(mod_add(2))
     h = PcmHom(make_k_bounded_pcm(INT_ADD, 1), mod2, lambda x: Residue(x, 2))
-    assert check_hom(h, max_size=3).passed
+    assert check_hom(h).passed
 
 
 def test_check_hom_composition_of_passing_homs_passes():

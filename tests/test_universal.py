@@ -101,11 +101,11 @@ def test_triangles_for_small_primes():
 
 
 def test_hom_property_sign_character():
-    assert check_hom_property(sign_character_data(), trials=100).passed
+    assert check_hom_property(sign_character_data()).passed
 
 
 def test_hom_property_mod7():
-    assert check_hom_property(mod7_data(), trials=100).passed
+    assert check_hom_property(mod7_data()).passed
 
 
 def test_hom_property_detects_broken_character():
@@ -116,7 +116,7 @@ def test_hom_property_detects_broken_character():
         scalar_map=lambda n: complex(n),
         monoid_map={"z0": 1 + 0j, "z1": 2 + 0j},  # not a monoid hom
     )
-    report = check_hom_property(broken, trials=50)
+    report = check_hom_property(broken)
     assert not report.passed
     assert report.detail == "multiplicativity fails"
 
