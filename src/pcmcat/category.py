@@ -26,9 +26,11 @@ from .pcm import (
     NotSummable,
     PartialFn,
     Pcm,
+    PcmHom,
     Relation,
     Residue,
     Summable,
+    check_hom,
     make_abs_convergence_pcm,
     make_finite_families_pcm,
     make_k_bounded_pcm,
@@ -487,12 +489,12 @@ def _distributivity_fails(cat, compose, pp: Pcm, fam_f, fam_g, rf, rg) -> bool:
 
 
 def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
-                                seed: int = 0, exhaustive_grid: int = 3,
-                                exhaustive_size: int = 2) -> Report:
+                                seed: int = 0) -> Report:
     """Search for (f-family, g-family) pairs violating joint distributivity.
 
-    Exhausts small families over a grid prefix first (so the canonical
-    witness of a broken instance is stable), then runs seeded random trials.
+    Exhausts the families of at most 2 members over the first 3 grid
+    elements of each hom first (so the canonical witness of a broken
+    instance is stable), then runs seeded random trials.
 
     Per object triple, the exhaustive phase sums each f-family and each
     g-family once, kept by the family's position in the triple's
@@ -532,8 +534,8 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
 
     for x, y, z in _object_triples(cat):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
-        fams_f = tuple(families_over(pf.grid[:exhaustive_grid], exhaustive_size))
-        fams_g = tuple(families_over(pg.grid[:exhaustive_grid], exhaustive_size))
+        fams_f = tuple(families_over(pf.grid[:3], 2))
+        fams_g = tuple(families_over(pg.grid[:3], 2))
         sums_g: list = [None] * len(fams_g)
         for fam_f in fams_f:
             rf = pf.oracle(fam_f)
@@ -766,36 +768,26 @@ def compose_pcm_functors(g: PcmFunctor, f: PcmFunctor) -> PcmFunctor:
 
 
 def check_pcm_functor(functor: PcmFunctor, source, target) -> Report:
-    """PASS when the maps preserve identities, 100 sampled composites, and the
-    sums of the first 20 summable families of at most 3 members in each hom."""
+    """PASS when the maps preserve identities, the composite of every pair of
+    grid arrows on each object triple, and, by ``check_hom`` on each hom, the
+    sum of every summable family of at most 3 members; a failing hom gives
+    its witness and detail under this check's name."""
     name = f"pcm-functor[{source.name}->{target.name}]"
+    on_obj, on_arr = functor.on_obj, functor.on_arr
     for x in source.objects:
-        fx = functor.on_obj(x)
-        image = functor.on_arr(source.identity(x))
-        if not target.hom_pcm(fx, fx).close(image, target.identity(fx)):
+        fx = on_obj(x)
+        if not target.hom_pcm(fx, fx).close(on_arr(source.identity(x)), target.identity(fx)):
             return failing(name, x, detail="identity not preserved")
-    rng = random.Random(f"0:functor:{source.name}->{target.name}")
-    triples = list(_object_triples(source))
-    for _ in range(100):
-        x, y, z = rng.choice(triples)
-        grid_f, grid_g = source.hom_pcm(x, y).grid, source.hom_pcm(y, z).grid
-        if not grid_f or not grid_g:
-            continue
-        f, g = rng.choice(grid_f), rng.choice(grid_g)
-        lhs = functor.on_arr(source.compose(g, f))
-        rhs = target.compose(functor.on_arr(g), functor.on_arr(f))
-        if not target.hom_pcm(functor.on_obj(x), functor.on_obj(z)).close(lhs, rhs):
-            return failing(name, (g, f), detail="composite not preserved")
+    for x, y, z in _object_triples(source):
+        close = target.hom_pcm(on_obj(x), on_obj(z)).close
+        for g, f in itertools.product(source.hom_pcm(y, z).grid, source.hom_pcm(x, y).grid):
+            if not close(on_arr(source.compose(g, f)), target.compose(on_arr(g), on_arr(f))):
+                return failing(name, (g, f), detail="composite not preserved")
     for x, y in itertools.product(source.objects, repeat=2):
-        pcm = source.hom_pcm(x, y)
-        out = target.hom_pcm(functor.on_obj(x), functor.on_obj(y))
-        for fam, total in summable_families(pcm, 3, limit=20):
-            image = make_family([(lbl, functor.on_arr(v)) for lbl, v in fam.entries])
-            result = out.sum(image)
-            if not isinstance(result, Summable):
-                return failing(name, fam, detail="image family not summable")
-            if not out.close(result.value, functor.on_arr(total.value)):
-                return failing(name, fam, detail="sum not preserved")
+        hom = PcmHom(source.hom_pcm(x, y), target.hom_pcm(on_obj(x), on_obj(y)), on_arr)
+        report = check_hom(hom)
+        if not report.passed:
+            return failing(name, report.witness, detail=report.detail)
     return passing(name)
 
 

@@ -413,13 +413,12 @@ def check_identity_laws(cc: CauchyCategory) -> Report:
     return passing(name)
 
 
-def check_associativity(cc: CauchyCategory, exhaustive_limit: int = 512,
-                        seed: int = 0) -> Report:
+def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
     """(h.g).f against h.(g.f) over triples of sample arrows.
 
     The triples are listed first: every one, path by path in
-    ``product(hs, gs, fs)`` order, when there are at most
-    ``exhaustive_limit``; else 500 seeded draws.  They are then
+    ``product(hs, gs, fs)`` order, when there are at most 512; else 500
+    seeded draws.  They are then
     evaluated grouped by their middle arrow g, so that within a group each
     ``h.g`` and each ``g.f`` is composed once; a group's composites are
     dropped before the next group starts: each has the group's g as a
@@ -440,7 +439,7 @@ def check_associativity(cc: CauchyCategory, exhaustive_limit: int = 512,
             paths.append((fs, gs, hs, cc.hom_pcm(o1, o4).close))
             total += len(fs) * len(gs) * len(hs)
 
-    if total <= exhaustive_limit:
+    if total <= 512:
         triples = [(h, g, f, close) for fs, gs, hs, close in paths
                    for h, g, f in itertools.product(hs, gs, fs)]
         detail = f"exhaustive over {total} triples"

@@ -295,16 +295,14 @@ def classify_full_pa(pcm: Pcm, max_size: int = 4, wpa_passed: int = 0,
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
 
 
-def check_positivity(pcm: Pcm, samples: tuple | None = None,
-                     memo: _SweepMemo | None = None) -> Report:
+def check_positivity(pcm: Pcm, memo: _SweepMemo | None = None) -> Report:
     """Does a zero total force every member to be zero, on tested families?
 
-    Families of at most 3 members are drawn from ``samples``, by default
-    ``pcm.grid``, or from the grid of ``memo``, the suite's memo, when given.
+    Families of at most 3 members are drawn from ``pcm.grid``.  ``memo`` is
+    the suite's memo over ``pcm.grid``, when the caller has one.
     """
     name = f"positivity[{pcm.name}]"
-    if memo is None:
-        memo = _SweepMemo(pcm, tuple(pcm.grid if samples is None else samples))
+    memo = _SweepMemo(pcm, pcm.grid) if memo is None else memo
     z = pcm.zero
     for fam, code in memo.families(3):
         result = memo.total(fam, code)

@@ -24,7 +24,7 @@ from .errors import (
     NotCommutativeError,
 )
 from .family import IndexedFamily, families_over, make_family
-from .report import format_complex
+from .report import failing, format_complex, passing
 
 # The per-component bound within which two complex values are equal: `complex`
 # is the one carrier compared in floating point, and its checkers' sums stay far inside it.
@@ -765,13 +765,13 @@ def summable_families(pcm: Pcm, max_size: int, limit: int | None = None):
 
 
 def check_hom(h: PcmHom):
-    """Brute-force the homomorphism law on source-grid families of at most 3 members.
+    """Brute-force the homomorphism law on every summable source-grid family
+    of at most 3 members, the empty family and so the zero included.
 
-    Returns a Report: PASS when every tested summable source family maps to
-    a summable image family with the matching sum.
+    Returns a Report: PASS when each maps to a summable image family with
+    the matching sum.  The one sum-preservation loop: ``check_pcm_functor``
+    runs it on each hom.
     """
-    from .report import failing, passing
-
     name = f"hom[{h.source.name}->{h.target.name}]"
     for fam, result in summable_families(h.source, 3):
         image = make_family([(label, h.map(value)) for label, value in fam.entries])

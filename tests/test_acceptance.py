@@ -335,7 +335,7 @@ def test_criterion_11_classifier_taxonomy():
         make_partial_injection_pcm(3, "overlap"),
         make_relations_pcm(2, 2),
     ):
-        result = check_positivity(pcm, samples=pcm.sample_elements)
+        result = check_positivity(pcm)
         if result.verdict != POSITIVE:
             ok = False
     _criterion(11, "classifier-taxonomy", ok,

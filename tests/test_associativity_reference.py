@@ -9,6 +9,7 @@ mutants make the earliest failing or raising triple decide, which grouping
 reorders.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -16,7 +17,7 @@ import pytest
 
 from pcmcat.category import PcmCategory, from_semiring, resolve_base
 from pcmcat.cauchy import cauchy_product, check_associativity
-from pcmcat.fincat import cyclic_category, two_object_five_arrow_category
+from pcmcat.fincat import cyclic_category, trivial_category, two_object_five_arrow_category
 from pcmcat.report import failing, passing
 
 # --------------------------------------------------------------------------
@@ -24,7 +25,7 @@ from pcmcat.report import failing, passing
 # --------------------------------------------------------------------------
 
 
-def reference_check_associativity(cc, exhaustive_limit=512, sampled=500, seed=0):
+def reference_check_associativity(cc, seed=0):
     name = f"associativity[{cc.name}]"
     paths = []
     total = 0
@@ -39,19 +40,19 @@ def reference_check_associativity(cc, exhaustive_limit=512, sampled=500, seed=0)
     def holds(h, g, f, close):
         return close(cc.compose(cc.compose(h, g), f), cc.compose(h, cc.compose(g, f)))
 
-    if total <= exhaustive_limit:
+    if total <= 512:
         for fs, gs, hs, close in paths:
             for h, g, f in itertools.product(hs, gs, fs):
                 if not holds(h, g, f, close):
                     return failing(name, (h, g, f))
         return passing(name, detail=f"exhaustive over {total} triples")
     rng = random.Random(f"{seed}:assoc:{cc.name}")
-    for _ in range(sampled):
+    for _ in range(500):
         fs, gs, hs, close = rng.choice(paths)
         h, g, f = rng.choice(hs), rng.choice(gs), rng.choice(fs)
         if not holds(h, g, f, close):
             return failing(name, (h, g, f))
-    return passing(name, detail=f"{sampled} sampled triples")
+    return passing(name, detail="500 sampled triples")
 
 
 # --------------------------------------------------------------------------
@@ -65,21 +66,29 @@ INDEXES = {
 }
 BASES = ("int", "mod:5", "rational", "matrix:2", "rel:2", "kbounded:2")
 SEEDS = (0, 7)
-# Above every total here, so the exhaustive branch runs.  Exhaustive runs
-# are kept to the Z2 index: over Z3 and five-arrow they take 5-15 s each.
-EXHAUSTIVE = 10**6
+# Cases with at most 512 triples of sample arrows, so the exhaustive branch
+# runs: each base over the one-arrow index (4 or 5 sample arrows), and the
+# two bases whose hom over Z2 has 7 sample arrows (343 triples).
+EXHAUSTIVE_CASES = [(base, trivial_category()) for base in BASES] + [
+    ("kbounded:1", INDEXES["Z2"]),
+    ("pfn:2", INDEXES["Z2"]),
+]
 
 
-def _mutant_int(wrong=None, raising=None) -> PcmCategory:
-    """The int base with a product one off on the pair ``wrong``, raising on ``raising``."""
+def _mutant_int(wrong=None, raising=None, grid=None) -> PcmCategory:
+    """The int base with a product one off on the pair ``wrong``, raising on
+    ``raising``, and its hom's grid replaced by ``grid`` when given."""
     base = from_semiring("int")
+    hom = base.hom_pcm("*", "*")
+    if grid is not None:
+        hom = dataclasses.replace(hom, family_grid=grid)
 
     def multiply(g, f):
         if (g, f) == raising:
             raise ArithmeticError(f"planted raise on {g}*{f}")
         return g * f + (1 if (g, f) == wrong else 0)
 
-    return PcmCategory("int-mutant", base.objects, base.hom_pcm, multiply,
+    return PcmCategory("int-mutant", base.objects, lambda x, y: hom, multiply,
                        base.identity, base.arrow_hom)
 
 
@@ -119,10 +128,10 @@ def test_sampled_branch_matches_reference(base, index_name, seed):
     _agree(lambda: cauchy_product(resolve_base(base), INDEXES[index_name]), seed=seed)
 
 
-@pytest.mark.parametrize("base", BASES)
-def test_exhaustive_branch_matches_reference(base):
-    outcome = _agree(lambda: cauchy_product(resolve_base(base), INDEXES["Z2"]),
-                     exhaustive_limit=EXHAUSTIVE)
+@pytest.mark.parametrize("base, index", EXHAUSTIVE_CASES,
+                         ids=[f"{base}[{index.name}]" for base, index in EXHAUSTIVE_CASES])
+def test_exhaustive_branch_matches_reference(base, index):
+    outcome = _agree(lambda: cauchy_product(resolve_base(base), index))
     assert outcome[0] == "report" and "exhaustive over" in outcome[2]
 
 
@@ -142,18 +151,20 @@ def test_kbounded_over_z3_raises_the_same_refusal():
 
 
 def _mutant_cases():
-    for index_name in INDEXES:
+    for index in INDEXES.values():
         for seed in range(8):
-            yield index_name, dict(seed=seed)
-    yield "Z2", dict(exhaustive_limit=EXHAUSTIVE)
+            yield index, dict(seed=seed), None
+    # 5 sample arrows over the one-arrow index, 125 triples: the exhaustive
+    # branch, with the planted factors 3, -1 and 2 in the grid
+    yield trivial_category(), {}, (3, -1, 2)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_planted_mutants_match_reference(mutant):
     kinds = set()
-    for index_name, kwargs in _mutant_cases():
+    for index, kwargs, grid in _mutant_cases():
         def make():
-            return cauchy_product(_mutant_int(**MUTANTS[mutant]), INDEXES[index_name])
+            return cauchy_product(_mutant_int(**MUTANTS[mutant], grid=grid), index)
 
         outcome = _agree(make, **kwargs)
         kinds.add("raises" if outcome[0] == "raises" else outcome[1].split()[2])

@@ -5,10 +5,11 @@ import pytest
 
 from pcmcat.errors import ParseError, ShapeMismatchError
 from pcmcat.family import families_over, family_of, make_family
-from pcmcat.pcm import NotSummable, Pcm, Residue, Summable
+from pcmcat.pcm import NotSummable, Pcm, PcmHom, Residue, Summable, check_hom
 from pcmcat.category import (
     BUILTIN_BASES,
     Matrix,
+    PcmCategory,
     PcmFunctor,
     check_monoid_sums,
     check_pcm_functor,
@@ -207,6 +208,25 @@ def test_sum_breaking_map_fails():
     crush = PcmFunctor(lambda x: "*", lambda v: 1 if v == 1 else 0)
     report = check_pcm_functor(crush, INT, INT)
     assert not report.passed
+    # multiplicative, so only the hom check can fail it: with that check's witness and detail
+    square = PcmFunctor(lambda x: "*", lambda v: v * v)
+    report = check_pcm_functor(square, INT, INT)
+    hom = check_hom(PcmHom(INT.hom_pcm("*", "*"), INT.hom_pcm("*", "*"), square.on_arr))
+    assert report.line() == "CHECK pcm-functor[int->int] FAIL witness={i0=1,i1=1}  # sums disagree"
+    assert not hom.passed and (report.witness, report.detail) == (hom.witness, hom.detail)
+
+
+def test_functor_into_a_composition_wrong_on_one_grid_pair_fails():
+    """Every pair of grid arrows is composed, so the one wrong pair is met."""
+    def multiply(g, f):
+        return 0 if (g, f) == (3, -1) else g * f
+
+    planted = PcmCategory("planted", INT.objects, INT.hom_pcm, multiply, INT.identity,
+                          INT.arrow_hom)
+    report = check_pcm_functor(identity_pcm_functor(), INT, planted)
+    assert report.line() == (
+        "CHECK pcm-functor[int->planted] FAIL witness=[3;-1]  # composite not preserved"
+    )
 
 
 def test_functor_composition_preserves_pass():

@@ -37,6 +37,7 @@ from pcmcat.fincat import (
     Functor,
     cyclic_category,
     cyclic_reduction_functor,
+    from_monoid,
     trivial_category,
     truncated_category,
     two_object_parallel_pair,
@@ -108,6 +109,42 @@ def test_point_masses_convolve_to_the_composite_in_a_non_commutative_index():
         gh = h if g == "id_o" else g if h == "id_o" else table[g, h]
         got = cc.compose(arrow(cc, {g: 1}, obj, obj), arrow(cc, {h: 1}, obj, obj))
         assert got == arrow(cc, {gh: 1}, obj, obj), (g, h)
+
+
+def _compose_permutations(g, h):
+    """g after h, on permutation tuples of {0, ..., n-1}."""
+    return tuple(g[i] for i in h)
+
+
+def _s3():
+    """S3 from its six permutation tuples, each arrow named by its images."""
+    perms = list(itertools.permutations(range(3)))
+    name = {p: "p" + "".join(map(str, p)) for p in perms}
+    table = {(name[g], name[h]): name[_compose_permutations(g, h)]
+             for g, h in itertools.product(perms, repeat=2)}
+    return from_monoid([name[p] for p in perms], table, name[(0, 1, 2)], name="S3"), name
+
+
+def test_point_masses_convolve_to_the_product_of_permutations_in_int_s3():
+    """delta_g * delta_h = delta_{g.h} in int[S3] for all 36 pairs, with g.h
+    composed on the tuples; 18 of the pairs do not commute."""
+    s3, name = _s3()
+    cc = cauchy_product(INT, s3)
+    perms = list(name)
+    assert sum(_compose_permutations(g, h) != _compose_permutations(h, g)
+               for g, h in itertools.product(perms, repeat=2)) == 18
+    for g, h in itertools.product(perms, repeat=2):
+        got = cc.compose(arrow(cc, {name[g]: 1}), arrow(cc, {name[h]: 1}))
+        assert got == arrow(cc, {name[_compose_permutations(g, h)]: 1}), (g, h)
+
+
+def test_the_sum_of_the_group_squares_to_its_order_times_itself_in_int_s3():
+    """e = sum of delta_g over S3 satisfies e * e = 6e: each of the six
+    arrows is a product g.h in exactly six ways."""
+    s3, name = _s3()
+    cc = cauchy_product(INT, s3)
+    e = arrow(cc, dict.fromkeys(name.values(), 1))
+    assert cc.compose(e, e) == arrow(cc, dict.fromkeys(name.values(), 6))
 
 
 def test_identity_arrow_coefficients():
@@ -443,11 +480,13 @@ def test_sampled_associativity_composes_each_inner_pair_once(monkeypatch):
 
 
 def test_exhaustive_associativity_composes_each_inner_pair_once(monkeypatch):
-    obj = INT_Z2.objects[0]
-    samples = INT_Z2.hom_pcm(obj, obj).sample_elements
+    cc = cauchy_product(k_bounded_category(1), Z2)
+    obj = cc.objects[0]
+    samples = cc.hom_pcm(obj, obj).sample_elements
     total = len(samples) ** 3
+    assert total == 343  # at most 512, so every triple is checked
     calls = _counting_compose(monkeypatch)
-    report = check_associativity(INT_Z2, exhaustive_limit=total)
+    report = check_associativity(cc)
     assert report.detail == f"exhaustive over {total} triples"
     # Each pair of sample arrows is composed once as h.g and once as g.f;
     # every other call composes one of those composites.

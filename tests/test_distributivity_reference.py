@@ -58,8 +58,7 @@ def _product_family(cat, fam_g, fam_f):
     return IndexedFamily(tuple(entries))
 
 
-def reference_check_strong_distributivity(cat, max_family=4, trials=200, seed=0,
-                                          exhaustive_grid=3, exhaustive_size=2):
+def reference_check_strong_distributivity(cat, max_family=4, trials=200, seed=0):
     name = f"strong-distributivity[{cat.name}]"
 
     def violation(x, y, z, fam_f, fam_g):
@@ -74,10 +73,10 @@ def reference_check_strong_distributivity(cat, max_family=4, trials=200, seed=0,
         return not pp.close(rp.value, cat.compose(rg.value, rf.value))
 
     for x, y, z in _object_triples(cat):
-        grid_f = cat.hom_pcm(x, y).grid[:exhaustive_grid]
-        grid_g = cat.hom_pcm(y, z).grid[:exhaustive_grid]
-        for fam_f in families_over(grid_f, exhaustive_size):
-            for fam_g in families_over(grid_g, exhaustive_size):
+        grid_f = cat.hom_pcm(x, y).grid[:3]
+        grid_g = cat.hom_pcm(y, z).grid[:3]
+        for fam_f in families_over(grid_f, 2):
+            for fam_g in families_over(grid_g, 2):
                 if violation(x, y, z, fam_f, fam_g):
                     def recheck(witness, _ctx=(x, y, z)):
                         wf, wg = witness
@@ -264,11 +263,15 @@ def _wrong_on_one_pair(g, f):
     return 0 if (g, f) == (-1, 1) else g * f
 
 
-def _raises_on_one_pair(g, f):
-    """Integer multiplication that refuses to compose 2 after -1."""
-    if (g, f) == (2, -1):
-        raise PcmcatError("planted: cannot compose 2 after -1")
-    return g * f
+def _raises_on(pair):
+    """Integer multiplication that refuses to compose ``g`` after ``f``, for
+    ``pair == (g, f)``."""
+    def compose(g, f):
+        if (g, f) == pair:
+            raise PcmcatError(f"planted: cannot compose {g} after {f}")
+        return g * f
+
+    return compose
 
 
 class _ArrowRaises(CauchyCategory):
@@ -307,14 +310,14 @@ def test_a_composition_wrong_on_one_pair_fails_as_the_reference(seed):
     assert " FAIL " in shown[0]
 
 
-@pytest.mark.parametrize("exhaustive_grid", [3, 5])
+@pytest.mark.parametrize("pair", [(2, -1), (1, -1)], ids=["trials", "exhaustive"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_a_composition_that_raises_raises_at_the_same_call(seed, exhaustive_grid):
-    """The grid prefix (0, 1, -1) leaves the pair to the random trials; the
-    prefix (0, 1, -1, 2, -2) meets it in the exhaustive phase."""
-    shown = assert_same(_int_with(_raises_on_one_pair), seed=seed,
-                        exhaustive_grid=exhaustive_grid)
-    assert shown[:2] == ("PcmcatError", "planted: cannot compose 2 after -1")
+def test_a_composition_that_raises_raises_at_the_same_call(seed, pair):
+    """2 lies outside the grid prefix (0, 1, -1), so the random trials meet
+    the pair (2, -1); the exhaustive phase meets (1, -1), with no trial run."""
+    trials = 0 if pair == (1, -1) else 200
+    shown = assert_same(_int_with(_raises_on(pair)), seed=seed, trials=trials)
+    assert shown[:2] == ("PcmcatError", f"planted: cannot compose {pair[0]} after {pair[1]}")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -405,7 +408,7 @@ DERIVED_CATEGORIES = shipped_categories() + (
     resolve_base("kbounded:2"),
     _int_with(_wrong_after_zero),
     _order_dependent_sums(),
-    _int_with(_raises_on_one_pair),
+    _int_with(_raises_on((2, -1))),
     cauchy_product(resolve_base("matrix:2"), cyclic_category(2)),
     cauchy_product(resolve_base("rel:2"), two_object_five_arrow_category()),
     _ArrowRaises(from_semiring("int"), cyclic_category(2)),

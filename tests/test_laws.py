@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pcmcat.errors import NotFailingError
@@ -160,12 +162,14 @@ def test_oracle_convolution_z3_shift():
 
 def test_minimize_shrinks_strong_distributivity_witness():
     cat = k_bounded_category(2)
-    report = check_strong_distributivity(cat, max_family=3, trials=10,
-                                         exhaustive_grid=3, exhaustive_size=3)
+    report = check_strong_distributivity(cat, max_family=3, trials=10)
     assert not report.passed
-    small = minimize(report)
+    # a size-3 witness on the same hom: each family's zero can go, its two 1s stay
+    wide = (family_of([1, 0, 1]), family_of([0, 1, 1]))
+    assert report.recheck(wide)
+    small = minimize(dataclasses.replace(report, witness=wide))
     fam_f, fam_g = small.witness
-    assert len(fam_f) == 2 and len(fam_g) == 2
+    assert fam_f.values == (1, 1) and fam_g.values == (1, 1)
     assert small.recheck(small.witness)
 
 

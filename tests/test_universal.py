@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from pcmcat.category import from_semiring
+from pcmcat.category import from_semiring, resolve_base
 from pcmcat.cauchy import cauchy_product, eta_functor, gamma_functor
 from pcmcat.errors import BadResidueError, NotPrimeError, ValidationError
 from pcmcat.fincat import cyclic_category
@@ -60,6 +60,22 @@ def test_validate_rejects_broken_monoid_map():
     report = validate_substitution_data(broken)
     assert not report.passed
     assert report.detail == "monoid product not preserved"
+
+
+def test_validate_rejects_a_scalar_map_whose_image_family_is_refused():
+    """n -> n into the 2-bounded integers keeps every pair summable; the
+    family 1 + 1 + 1 is not."""
+    data = SubstitutionData(
+        source=from_semiring("int"),
+        index=cyclic_category(3),
+        target=resolve_base("kbounded:2"),
+        scalar_map=lambda n: n,
+        monoid_map={f"z{m}": 1 for m in range(3)},
+    )
+    report = validate_substitution_data(data)
+    assert report.line() == (
+        "CHECK substitution-data FAIL witness={i0=1,i1=1,i2=1}  # image family not summable"
+    )
 
 
 def test_substitution_evaluates_sign_character():
