@@ -36,6 +36,7 @@ oracle.  Only over a partial carrier are the pointwise sums checked again.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .family import IndexedFamily
 from .fincat import FinCategory, Functor, truncated_category, validate_category
-from .pcm import NOT_SUMMABLE, Pcm, Summable, exact_eq, format_element
+from .pcm import NOT_SUMMABLE, Pcm, Summable, format_element
 from .report import Report, failing, passing
 
 
@@ -111,7 +112,7 @@ def _store_arrow(arrow: CauchyArrow, src, tgt, coeffs, keys, values) -> None:
 
 
 def _arrow_close(base_close: Callable) -> Callable:
-    if base_close is exact_eq:  # the per-coefficient loop, as one tuple comparison
+    if base_close is operator.eq:  # the per-coefficient loop, as one tuple comparison
         return lambda a, b: a.src == b.src and a.tgt == b.tgt and a.coeffs == b.coeffs
 
     def close(a: CauchyArrow, b: CauchyArrow) -> bool:
@@ -224,9 +225,6 @@ class CauchyCategory:
         one = self.index.identity_of[u]
         return self.make_arrow(obj, obj, {one: self.base.identity(x)})
 
-    def zero(self, src, tgt) -> CauchyArrow:
-        return self.make_arrow(src, tgt, {})
-
     def _plan(self, key: tuple) -> tuple:
         """The plan of composing A -> B -> C, for ``key`` = (A, B, C); see the module docstring."""
         src, middle, tgt = key
@@ -337,9 +335,7 @@ class CauchyCategory:
             if arrow not in arrows:
                 arrows.append(arrow)
 
-        if not hom:
-            push({})
-        elif len(pool) ** len(hom) <= 32:
+        if len(pool) ** len(hom) <= 32:
             for values in itertools.product(pool, repeat=len(hom)):
                 push(dict(zip(hom, values)))
         else:

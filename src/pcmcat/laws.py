@@ -13,7 +13,7 @@ import random
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .errors import NotFailingError
+from .errors import NotAMonoidError, NotFailingError
 from .family import (
     EXHAUSTIVE_PARTITION_LIMIT,
     IndexedFamily,
@@ -81,40 +81,6 @@ def _subset_positions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(keep for size in range(n + 1) for keep in itertools.combinations(range(n), size))
 
 
-class _SubsetSums(list):
-    """The oracle's sum of each subfamily of one family, each computed on first use.
-
-    A list of 2**n slots: slot ``mask`` holds the sum of the subfamily whose
-    labels' ranks among the family's sorted labels are the bits of ``mask``, or
-    None until ``fill`` computes it; the full mask holds the total.  ``total`` is
-    ``pcm.sum(fam)``, computed here unless the caller passes it in, or the
-    oracle's answer for a family drawn from a grid the caller checked with
-    ``pcm.check_grid``: either way every entry is a member, so each subfamily,
-    built from the mask with its entries in family order, goes straight to
-    ``pcm.oracle``.  A table a ``_SweepMemo`` built fills its slots through
-    that memo instead, so a subfamily another family of the same sweep already
-    had is not asked again.
-    """
-
-    def __init__(self, pcm: Pcm, fam: IndexedFamily,
-                 total: Summable | NotSummable | None = None):
-        self.pcm = pcm
-        self.labels = sorted(set(fam.labels))
-        self.bit = bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
-        self.total = pcm.sum(fam) if total is None else total
-        self._entries = [(bit[entry[0]], entry) for entry in fam.entries]
-        super().__init__([None] * ((1 << len(self.labels)) - 1) + [self.total])
-
-    def fill(self, mask: int) -> Summable | NotSummable:
-        entries = tuple([entry for bit, entry in self._entries if mask & bit])
-        result = self[mask] = self.pcm.oracle(IndexedFamily(entries))
-        return result
-
-    def partition(self, index: int) -> Partition:
-        """Entry ``index`` of the family's partition table, as a witness."""
-        return enumerate_partitions(self.labels)[index]
-
-
 @lru_cache(maxsize=None)
 def _spreads(bits: tuple[int, ...], width: int) -> tuple[int, ...]:
     """Per mask over ``bits``, the fields of the entries it selects: entry j,
@@ -142,24 +108,28 @@ class _SweepMemo(dict):
     objects in the same order, so the memo assumes only that the oracle is
     a function: no value is hashed or compared, equal but distinct grid
     elements key apart, and so do relabelled inputs.  Families of block sums
-    are not kept.  Building the memo checks the grid's membership once.
+    are not kept.  ``_SubsetSums.alone`` builds a memo of one family, over
+    that family's values.
     """
 
     def __init__(self, pcm: Pcm, grid: tuple):
-        pcm.check_grid(grid)
         self.pcm, self.grid = pcm, grid
         self.width = len(grid).bit_length()
         # an object's grid position is its last index, found by identity
         self._position = {id(value): position for position, value in enumerate(grid, 1)}
 
+    def code(self, fam: IndexedFamily) -> int:
+        """The key of the total of ``fam``, a family over the grid."""
+        width, position = self.width, self._position
+        code = 0
+        for j, (_, value) in enumerate(fam.entries):
+            code |= position[id(value)] << (j * width)
+        return code
+
     def families(self, max_size: int) -> Iterator[tuple[IndexedFamily, int]]:
         """Each family of ``families_over(grid, max_size)``, in order, with its code."""
-        width, position = self.width, self._position
         for fam in families_over(self.grid, max_size):
-            code = 0
-            for j, (_, value) in enumerate(fam.entries):
-                code |= position[id(value)] << (j * width)
-            yield fam, code
+            yield fam, self.code(fam)
 
     def total(self, fam: IndexedFamily, code: int) -> Summable | NotSummable:
         result = self.get(code)
@@ -168,23 +138,50 @@ class _SweepMemo(dict):
         return result
 
 
-class _SweptSubsetSums(_SubsetSums):
-    """The table of a family of ``memo.families``, its ``code`` the key of its
-    total: each slot is the memo's answer, asked of the oracle on a miss."""
+class _SubsetSums(list):
+    """The oracle's sum of each subfamily of one family, each read from a memo.
+
+    A list of 2**n slots: slot ``mask`` holds the sum of the subfamily whose
+    labels' ranks among the family's sorted labels are the bits of ``mask``, or
+    None until ``fill`` computes it; the full mask holds the total.  ``fam`` is
+    a family of ``memo``, and ``code`` the key of its total.  ``fill`` reads a
+    slot's answer from the memo, so a subfamily another family of the same
+    sweep already had is not asked again; on a miss it asks ``pcm.oracle`` the
+    subfamily built from the mask, its entries in family order.  Every entry
+    is a member: it comes from a grid, checked when the carrier was built, or
+    from a family whose total went through ``pcm.sum`` (``alone``).
+    """
 
     def __init__(self, memo: _SweepMemo, fam: IndexedFamily, code: int):
-        super().__init__(memo.pcm, fam, memo.total(fam, code))
-        self.memo, self.code = memo, code
+        self.pcm, self.memo, self.code = memo.pcm, memo, code
+        self.labels = sorted(set(fam.labels))
+        self.bit = bit = {label: 1 << rank for rank, label in enumerate(self.labels)}
+        self.total = memo.total(fam, code)
+        self._entries = [(bit[entry[0]], entry) for entry in fam.entries]
         self.spread = _spreads(tuple([bit for bit, _ in self._entries]), memo.width)
+        super().__init__([None] * ((1 << len(self.labels)) - 1) + [self.total])
+
+    @classmethod
+    def alone(cls, pcm: Pcm, fam: IndexedFamily) -> "_SubsetSums":
+        """The table of ``fam`` checked on its own: a one-family memo over its
+        values, seeded with ``pcm.sum(fam)``, which checks every entry."""
+        memo = _SweepMemo(pcm, fam.values)
+        code = memo.code(fam)
+        memo[code] = pcm.sum(fam)
+        return cls(memo, fam, code)
 
     def fill(self, mask: int) -> Summable | NotSummable:
         key = self.code & self.spread[mask]
         result = self.memo.get(key)
         if result is None:
-            result = self.memo[key] = super().fill(mask)
-        else:
-            self[mask] = result
+            entries = tuple([entry for bit, entry in self._entries if mask & bit])
+            result = self.memo[key] = self.pcm.oracle(IndexedFamily(entries))
+        self[mask] = result
         return result
+
+    def partition(self, index: int) -> Partition:
+        """Entry ``index`` of the family's partition table, as a witness."""
+        return enumerate_partitions(self.labels)[index]
 
 
 def _regroupings(sums: _SubsetSums, sum_blocks: Callable) -> Iterator:
@@ -210,7 +207,7 @@ def check_wpa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums | None = None) -> 
     ``sums`` is the family's subset-sum table, when the caller has one.
     """
     name = f"wpa[{pcm.name}]"
-    sums = _SubsetSums(pcm, fam) if sums is None else sums
+    sums = _SubsetSums.alone(pcm, fam) if sums is None else sums
     total = sums.total
     if not isinstance(total, Summable):
         return passing(name, detail="family not summable; vacuous")
@@ -236,7 +233,7 @@ def check_subfamilies(pcm: Pcm, fam: IndexedFamily,
     ``sums`` is the family's subset-sum table, when the caller has one.
     """
     name = f"subfamilies[{pcm.name}]"
-    sums = _SubsetSums(pcm, fam) if sums is None else sums
+    sums = _SubsetSums.alone(pcm, fam) if sums is None else sums
     if not isinstance(sums.total, Summable):
         return passing(name, detail="family not summable; vacuous")
     labels = fam.labels
@@ -262,7 +259,7 @@ def check_full_pa(pcm: Pcm, fam: IndexedFamily, sums: _SubsetSums | None = None)
     subset-sum table, when the caller has one.
     """
     name = f"full-pa[{pcm.name}]"
-    sums = _SubsetSums(pcm, fam) if sums is None else sums
+    sums = _SubsetSums.alone(pcm, fam) if sums is None else sums
     if isinstance(sums.total, Summable):
         wpa = check_wpa(pcm, fam, sums)
         if not wpa.passed:
@@ -289,7 +286,7 @@ def classify_full_pa(pcm: Pcm, max_size: int = 4, wpa_passed: int = 0,
     for index, (fam, code) in enumerate(memo.families(max_size)):
         if index < wpa_passed and isinstance(memo.total(fam, code), Summable):
             continue
-        report = check_full_pa(pcm, fam, _SweptSubsetSums(memo, fam, code))
+        report = check_full_pa(pcm, fam, _SubsetSums(memo, fam, code))
         if report.verdict != SIGMA_COMPATIBLE:
             return report
     return Report(name, SIGMA_COMPATIBLE, detail="on tested families")
@@ -299,11 +296,16 @@ def check_positivity(pcm: Pcm, memo: _SweepMemo | None = None) -> Report:
     """Does a zero total force every member to be zero, on tested families?
 
     Families of at most 3 members are drawn from ``pcm.grid``.  ``memo`` is
-    the suite's memo over ``pcm.grid``, when the caller has one.
+    the suite's memo over ``pcm.grid``, when the caller has one.  A carrier
+    that refuses the empty family has no zero, so no total is zero: POSITIVE,
+    vacuously (``zero[...]`` reports the refusal).
     """
     name = f"positivity[{pcm.name}]"
     memo = _SweepMemo(pcm, pcm.grid) if memo is None else memo
-    z = pcm.zero
+    try:
+        z = pcm.zero
+    except NotAMonoidError:
+        return Report(name, POSITIVE, detail="empty family refused; vacuous")
     for fam, code in memo.families(3):
         result = memo.total(fam, code)
         if not isinstance(result, Summable) or not pcm.close(result.value, z):
@@ -317,12 +319,12 @@ def check_reindexing(pcm: Pcm, trials: int = 200, seed: int = 0) -> Report:
     """Summability and sums must be invariant under label bijections.
 
     Each family, of at most 5 members, and its relabeling are drawn from the
-    grid, which is checked once, so both go straight to the oracle.
+    grid, checked when the carrier was built, so both go straight to the
+    oracle.
     """
     name = f"reindex[{pcm.name}]"
     rng = random.Random(f"{seed}:reindex:{pcm.name}")
     grid = pcm.grid
-    pcm.check_grid(grid)
     for k in range(trials):
         fam = random_family(grid, 5, rng)
         fresh = [f"n{k}.{j}" for j in range(len(fam))]
@@ -347,12 +349,13 @@ def run_pcm_suite(pcm: Pcm, family_size: int = 4, trials: int = 200,
     # positivity sweeps, which walk a prefix of the same family order (sizes
     # up to 4 and 3): each family total and each subfamily is asked of the
     # oracle once per suite, when first reached, and the full-pa sweep also
-    # gets the count of families that passed wpa.  Building the memo checks
-    # the grid once, so every family and subfamily goes straight to the oracle.
+    # gets the count of families that passed wpa.  The grid was checked when
+    # the carrier was built, so every family and subfamily goes straight to
+    # the oracle.
     wpa_passed = 0
     memo = _SweepMemo(pcm, pcm.grid)
     for fam, code in memo.families(family_size):
-        sums = _SweptSubsetSums(memo, fam, code)
+        sums = _SubsetSums(memo, fam, code)
         report = check_wpa(pcm, fam, sums)
         if not report.passed:
             wpa_report = report

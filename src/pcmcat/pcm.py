@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import operator
 import random
 import weakref
 from dataclasses import dataclass
@@ -261,10 +262,6 @@ class NotSummable:
 NOT_SUMMABLE = NotSummable()
 
 
-def exact_eq(a, b) -> bool:
-    return a == b
-
-
 def complex_close(a: complex, b: complex) -> bool:
     """Real and imaginary parts each equal up to the fixed bound above."""
     return abs(a.real - b.real) <= COMPLEX_TOLERANCE and abs(a.imag - b.imag) <= COMPLEX_TOLERANCE
@@ -285,13 +282,14 @@ class Pcm:
     oracle.  Set it only where that holds for every carrier element: the
     finite-families, relations and matrix carriers.
 
-    Membership is checked where a value enters: ``sum`` and ``admits``
-    check every entry of the family they are given.  A checker that draws
-    its families from a grid checks that grid once, with ``check_grid``,
-    before its first oracle call, and then sends those families straight
-    to ``oracle``; every value the oracle or a composition produced (block
-    sums of a partial carrier, composites, product families) still goes
-    through ``sum`` each time it is used.
+    Membership is checked where a value enters.  The grid enters when the
+    carrier is built: ``__post_init__`` raises ``outside_error`` at the first
+    grid element outside the carrier, labelled ``grid[k]``, before any oracle
+    call.  So a family drawn from the grid is a family of members, and the
+    checkers send it straight to ``oracle``.  ``sum`` and ``admits`` check
+    every entry of the family they are given; every value the oracle or a
+    composition produced (block sums of a partial carrier, composites,
+    product families) still goes through ``sum`` each time it is used.
     """
 
     name: str
@@ -299,8 +297,11 @@ class Pcm:
     oracle: Callable[[IndexedFamily], Summable | NotSummable]
     sample_elements: tuple = ()
     family_grid: tuple = ()
-    close: Callable[[object, object], bool] = exact_eq
+    close: Callable[[object, object], bool] = operator.eq
     total: bool = False
+
+    def __post_init__(self):
+        self._check_members(enumerate(self.grid), label=lambda k: f"grid[{k}]")
 
     def sum(self, fam: IndexedFamily) -> Summable | NotSummable:
         self._check_members(fam.entries)
@@ -313,12 +314,6 @@ class Pcm:
         """
         self._check_members(fam.entries)
         return self.total or isinstance(self.oracle(fam), Summable)
-
-    def check_grid(self, grid: Iterable) -> None:
-        """Raise ``outside_error`` at the first element of ``grid`` outside the
-        carrier, labelled by its position; families drawn from a checked grid
-        need no membership check of their own."""
-        self._check_members(enumerate(grid), label=lambda k: f"grid[{k}]")
 
     def _check_members(self, entries: Iterable[tuple], label: Callable = lambda key: key) -> None:
         """Raise ``outside_error`` at the first (key, value) of ``entries`` outside
@@ -750,12 +745,10 @@ def compose_homs(g: PcmHom, f: PcmHom) -> PcmHom:
 
 def summable_families(pcm: Pcm, max_size: int, limit: int | None = None):
     """The summable families over the grid, each with its ``Summable``; the
-    first ``limit`` of them when ``limit`` is given.  The grid is checked
-    once, before the first family is summed."""
-    grid = pcm.grid
-    pcm.check_grid(grid)
+    first ``limit`` of them when ``limit`` is given.  The grid was checked
+    when the carrier was built, so each family goes straight to the oracle."""
     found = 0
-    for fam in families_over(grid, max_size):
+    for fam in families_over(pcm.grid, max_size):
         result = pcm.oracle(fam)
         if isinstance(result, Summable):
             yield fam, result

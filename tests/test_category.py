@@ -5,7 +5,8 @@ import pytest
 
 from pcmcat.errors import ParseError, ShapeMismatchError
 from pcmcat.family import families_over, family_of, make_family
-from pcmcat.pcm import NotSummable, Pcm, PcmHom, Residue, Summable, check_hom
+from pcmcat.laws import run_category_suite
+from pcmcat.pcm import NOT_SUMMABLE, NotSummable, Pcm, PcmHom, Residue, Summable, check_hom
 from pcmcat.category import (
     BUILTIN_BASES,
     Matrix,
@@ -14,6 +15,7 @@ from pcmcat.category import (
     check_monoid_sums,
     check_pcm_functor,
     check_strong_distributivity,
+    check_zero_absorption,
     compose_pcm_functors,
     derived_laws,
     from_semiring,
@@ -150,6 +152,39 @@ def test_k2_bounded_fails_strong_distributivity_with_all_ones():
     assert fam_g.values == (1, 1)
 
 
+def test_strong_distributivity_can_fail_in_its_random_trials_alone():
+    """kbounded:4 admits every product of two families of at most 2 members,
+    so the exhaustive phase passes; a 3 x 4 product of non-zero entries is refused."""
+    cat = resolve_base("kbounded:4")
+    assert check_strong_distributivity(cat, max_family=4, trials=0).passed
+    report = check_strong_distributivity(cat, max_family=4, trials=200, seed=0)
+    assert report.line() == ("CHECK strong-distributivity[kbounded:4] FAIL "
+                             "witness=[{f0=1,f1=1,f2=1};{g0=1,g1=2,g2=2,g3=-2}]  # hom (*,*,*)")
+
+
+@pytest.mark.parametrize("multiply, line", [
+    (lambda g, f: g * (f + 1), "FAIL witness=1  # f o 0 != 0 at (*,*,*)"),
+    (lambda g, f: (g + 1) * f, "FAIL witness=1  # 0 o g != 0 at (*,*,*)"),
+], ids=["f-o-0", "0-o-g"])
+def test_zero_absorption_fails_on_a_composition_that_absorbs_on_one_side(multiply, line):
+    planted = PcmCategory("planted", INT.objects, INT.hom_pcm, multiply, INT.identity,
+                          INT.arrow_hom)
+    assert check_zero_absorption(planted).line() == f"CHECK zero-absorption[planted] {line}"
+
+
+def test_the_category_suite_reports_on_a_hom_that_refuses_the_empty_family():
+    hom = INT.hom_pcm("*", "*")
+    pcm = Pcm("empty-refused", hom.contains,
+              lambda fam: hom.oracle(fam) if len(fam) else NOT_SUMMABLE,
+              sample_elements=(0, 1, 2))
+    cat = PcmCategory("empty-refused", INT.objects, lambda x, y: pcm, INT.compose, INT.identity)
+    reports = {report.name: report for report in run_category_suite(cat, family_size=3, trials=20)}
+    assert reports["zero[empty-refused]"].detail == "empty family refused"
+    assert reports["zero-absorption[empty-refused]"].line() == (
+        "CHECK zero-absorption[empty-refused] PASS  "
+        "# empty-refused: empty family must be summable; vacuous from there")
+
+
 def test_relations_category_distributivity():
     assert check_strong_distributivity(relations_category(2), trials=40).passed
 
@@ -196,6 +231,12 @@ def test_full_pa_plus_distributivity_instances_pass_strong():
 
 def test_identity_functor_passes():
     assert check_pcm_functor(identity_pcm_functor(), INT, INT).passed
+
+
+def test_a_functor_that_moves_an_identity_fails():
+    double = PcmFunctor(lambda x: x, lambda f: 2 * f)
+    assert check_pcm_functor(double, INT, INT).line() == (
+        "CHECK pcm-functor[int->int] FAIL witness=*  # identity not preserved")
 
 
 def test_mod_reduction_functor_passes():

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmcat.category import Matrix, PcmFunctor, from_semiring, matrix_category, resolve_base
+from pcmcat.category import (
+    Matrix,
+    PcmCategory,
+    PcmFunctor,
+    _exact_product,
+    from_semiring,
+    matrix_category,
+    resolve_base,
+)
 from pcmcat.cauchy import (
     BoundedStream,
     CauchyArrow,
@@ -173,6 +181,26 @@ def test_identity_is_two_sided_unit_exhaustively():
         assert cc.compose(f, ident) == f
 
 
+def _transposed(m: Matrix) -> Matrix:
+    return Matrix.of(zip(*m.rows))
+
+
+@pytest.mark.parametrize("multiply, side", [
+    (lambda g, f: _exact_product(_transposed(g), f), "right"),
+    (lambda g, f: _exact_product(g, _transposed(f)), "left"),
+], ids=["right", "left"])
+def test_a_one_sided_identity_fails_the_identity_laws(multiply, side):
+    """g.f = g^T f keeps the identity a left unit only, g.f = g f^T a right
+    unit only; both are bilinear, so each breaks just one side in C[Z2]."""
+    base = matrix_category([2])
+    planted = PcmCategory("transposed", base.objects, base.hom_pcm, multiply, base.identity,
+                          base.arrow_hom)
+    report = check_identity_laws(cauchy_product(planted, Z2))
+    assert report.line() == (
+        "CHECK identity-laws[transposed[Z2]] FAIL "
+        f"witness={{z0=[[0,0],[0,0]],z1=[[0,0],[1,-1]]}}  # {side} identity law fails")
+
+
 def test_convolve_agrees_with_double_loop_oracle_exhaustively():
     for n, cyc in ((2, Z2), (3, Z3)):
         cc = cauchy_product(INT, cyc)
@@ -287,7 +315,7 @@ def test_sigma_sums_all_coefficients():
     sigma = sigma_functor(INT_Z2)
     assert sigma.on_arr(arrow(INT_Z2, {"z0": 2, "z1": 3})) == 5
     assert sigma.on_arr(INT_Z2.identity(OBJ2)) == 1
-    assert sigma.on_arr(INT_Z2.zero(OBJ2, OBJ2)) == 0
+    assert sigma.on_arr(INT_Z2.hom_pcm(OBJ2, OBJ2).zero) == 0
     assert sigma.on_obj(OBJ2) == "*"
 
 

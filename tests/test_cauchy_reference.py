@@ -13,6 +13,7 @@ import collections
 import copy
 import dataclasses
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from pcmcat.pcm import (
     Relation,
     Residue,
     Summable,
-    exact_eq,
 )
 
 # --------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_out_of_carrier_coefficient_raises_as_the_reference(base):
             got = outcome(cc.make_arrow, src, tgt, coeffs)
             assert got[:2] == ("raise", CarrierMismatchError)
             assert got == outcome(reference_make_arrow, cc, src, tgt, coeffs)
-            good = cc.zero(src, tgt)
+            good = cc.hom_pcm(src, tgt).zero
             hand_built = CauchyArrow(src, tgt, tuple(
                 (a, foreign if a == bad else value) for a, value in good.coeffs))
             fam = family_of([good, hand_built, good])
@@ -492,7 +492,7 @@ def test_the_exact_close_agrees_with_the_per_coefficient_loop(base):
         rng = random.Random(f"exact-close:{base}:{index}")
         arrows = []
         for src, tgt in itertools.product(cc.objects, repeat=2):
-            made = [cc.zero(src, tgt)]
+            made = [cc.hom_pcm(src, tgt).zero]
             for _ in range(4):
                 got = outcome(cc.make_arrow, src, tgt, random_coeffs(rng, cc, src, tgt))
                 if got[0] == "ok":
@@ -507,7 +507,7 @@ def test_the_exact_close_agrees_with_the_per_coefficient_loop(base):
             arrows += made
         for a, b in itertools.product(arrows, repeat=2):
             base_close = cc.base.hom_pcm(a.src[0], a.tgt[0]).close
-            assert base_close is exact_eq
+            assert base_close is operator.eq
             got = _arrow_close(base_close)(a, b)
             assert got is loop_close(base_close)(a, b), (a, b)
             seen[got, (a.src, a.tgt) == (b.src, b.tgt), a is b] += 1

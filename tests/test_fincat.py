@@ -10,6 +10,7 @@ from pcmcat.cauchy import cauchy_product
 from pcmcat.errors import NotAMonoidError, ValidationError
 from pcmcat.fincat import (
     FinCategory,
+    Functor,
     compose_functors,
     constant_functor,
     cyclic_category,
@@ -167,13 +168,31 @@ def test_z4_to_z2_reduction_passes_exhaustively():
 
 
 def test_functor_with_broken_composite_fails():
-    from pcmcat.fincat import Functor
-
     z3 = cyclic_category(3)
     bad = Functor({"*": "*"}, {"z0": "z0", "z1": "z1", "z2": "z0"})
     report = validate_functor(bad, z3, z3)
     assert not report.passed
     assert report.detail == "composite not preserved"
+
+
+PAIR_IDENTITY = {"id_U": "id_U", "id_V": "id_V", "a": "a", "b": "b"}
+
+
+@pytest.mark.parametrize("arrows, line", [
+    ({"id_U": "id_U", "id_V": "id_V", "a": "a"}, "witness=b  # arrow has no image"),
+    ({**PAIR_IDENTITY, "a": "id_V"}, "witness=a  # source not preserved"),
+    ({**PAIR_IDENTITY, "a": "id_U"}, "witness=a  # target not preserved"),
+], ids=["no-image", "source", "target"])
+def test_functor_with_a_broken_arrow_map_fails(arrows, line):
+    pair = two_object_parallel_pair()
+    report = validate_functor(Functor({"U": "U", "V": "V"}, arrows), pair, pair)
+    assert report.line() == f"CHECK functor[parallel-pair->parallel-pair] FAIL {line}"
+
+
+def test_functor_that_moves_the_identity_fails():
+    z2 = cyclic_category(2)
+    report = validate_functor(Functor({"*": "*"}, {"z0": "z1", "z1": "z1"}), z2, z2)
+    assert report.line() == "CHECK functor[Z2->Z2] FAIL witness=*  # identity not preserved"
 
 
 def test_two_object_categories_are_valid():

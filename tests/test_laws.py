@@ -136,6 +136,41 @@ def test_run_pcm_suite_is_all_pass_for_int():
         assert report.passed, report.line()
 
 
+def _int_refusing(name, refused, grid=(0, 1, 2)):
+    """Integers on ``grid``, refusing each family ``refused`` picks."""
+    def oracle(fam):
+        return NOT_SUMMABLE if refused(fam) else INT_FF.oracle(fam)
+
+    return Pcm(name, INT_FF.contains, oracle, sample_elements=grid)
+
+
+def test_the_suite_reports_on_a_carrier_that_refuses_the_empty_family():
+    """It has no zero: zero fails, subfamilies fails on the empty subfamily,
+    and positivity, which reads the zero, is vacuous."""
+    pcm = _int_refusing("empty-refused", lambda fam: len(fam) == 0)
+    lines = [report.line() for report in run_pcm_suite(pcm, family_size=3, trials=20)]
+    assert lines == [
+        "CHECK unary[empty-refused] PASS",
+        "CHECK zero[empty-refused] FAIL witness={}  # empty family refused",
+        "CHECK wpa[empty-refused] PASS",
+        "CHECK subfamilies[empty-refused] FAIL witness=[{i0=0};[]]  # subfamily refused",
+        "CHECK reindex[empty-refused] PASS",
+        "CHECK full-pa[empty-refused] SIGMA_MONOID_COMPATIBLE  # on tested families",
+        "CHECK positivity[empty-refused] POSITIVE  # empty family refused; vacuous",
+    ]
+
+
+def test_a_refused_zero_padded_one_fails_wpa_before_subfamilies_meets_it():
+    """Every non-empty subfamily is a block of some partition, and the wpa
+    sweep asks it first: so subfamilies can fail only on the empty subfamily."""
+    pcm = _int_refusing("padded-one-refused", lambda fam: sorted(fam.values) == [0, 1],
+                        grid=(1, 0, 2))
+    wpa, sub = run_pcm_suite(pcm, family_size=3, trials=20)[2:4]
+    assert wpa.line() == ("CHECK wpa[padded-one-refused] FAIL "
+                          "witness=[{i0=1,i1=1,i2=0};[{i0,i2}|{i1}]]  # block not summable")
+    assert sub.line() == "CHECK subfamilies[padded-one-refused] PASS"
+
+
 def test_oracle_convolution_z2_all_ones():
     table = {("z0", "z0"): "z0", ("z0", "z1"): "z1",
              ("z1", "z0"): "z1", ("z1", "z1"): "z0"}

@@ -251,8 +251,7 @@ def _empty_refused():
 MUTANTS = (_kbounded_off_by_one(), _pfn_overlapping_domains(), _order_dependent(),
            _pairs_refused(), _block_labels_refused())
 SUITE_CARRIERS = shipped_pcm_instances() + MUTANTS
-# The suite cannot run on a carrier without a zero: its zero and positivity
-# checks read pcm.zero, which raises there.
+# The reference suites read pcm.zero, which raises on a carrier without a zero.
 CARRIERS = SUITE_CARRIERS + (_empty_refused(),)
 
 

@@ -182,7 +182,7 @@ def test_sum_arrows_checks_each_coefficient_once(base, partial, size):
     cc = cauchy_product(_counting_base(base, calls), cyclic_category(3))
     obj = cc.objects[0]
     hom = cc.index.hom("*", "*")
-    arrows = [cc.zero(obj, obj) for _ in range(size)]
+    arrows = [cc.hom_pcm(obj, obj).zero] * size
     cc.base.hom_pcm("*", "*").zero  # the cached zero costs one oracle call, once
     calls.update(contains=0, oracle=0)
     result = cc.sum_arrows(family_of(arrows), src=obj, tgt=obj)

@@ -4,7 +4,7 @@
 are the sweep as it was when each subfamily was cut with ``subfamily`` and
 summed with ``Pcm.sum``, and every family of block sums, built one partition
 at a time by ``_regrouped``, went through ``Pcm.sum``.  Membership is
-checked once: by the suite, on its grid before the sweep, or when a table's
+checked once: on the grid, when the carrier is built, or when a table's
 total goes through ``Pcm.sum``; after that a checker given one family must
 ask the oracle the same families in the same order as the reference and
 give the same reports, and check membership only of block sums on a
@@ -15,14 +15,15 @@ and objects, in order) the suite's sweeps already asked is not asked again.
 """
 
 import dataclasses
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pcmcat import laws
-from pcmcat.category import Matrix, PcmCategory, check_strong_distributivity, resolve_base
+from pcmcat import cli, laws
+from pcmcat.category import Matrix, resolve_base
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import (
     EXHAUSTIVE_PARTITION_LIMIT,
@@ -43,7 +44,15 @@ from pcmcat.laws import (
     partition_table,
     run_pcm_suite,
 )
-from pcmcat.pcm import INT_ADD, Summable, make_finite_families_pcm, summable_families
+from pcmcat.pcm import (
+    INT_ADD,
+    NOT_SUMMABLE,
+    Pcm,
+    Summable,
+    make_finite_families_pcm,
+    make_k_bounded_pcm,
+    summable_families,
+)
 from pcmcat.report import Report, failing, passing
 from test_laws_reference import (
     CARRIERS,
@@ -135,7 +144,6 @@ def reference_run_pcm_suite(pcm, asked, family_size, trials, seed):
     wpa_report, sub_report = passing(f"wpa[{pcm.name}]"), passing(f"subfamilies[{pcm.name}]")
     wpa_passed, totals = 0, []
     grid = pcm.grid
-    pcm.check_grid(grid)
     for fam in families_over(grid, family_size):
         asked.append(fam)
         sums = ReferenceSubsetSums(pcm, fam, pcm.oracle(fam), asked)
@@ -218,7 +226,9 @@ def logged(pcm):
         log.members.append(value)
         return pcm.contains(value)
 
-    return dataclasses.replace(pcm, oracle=oracle, contains=contains), log
+    probe = dataclasses.replace(pcm, oracle=oracle, contains=contains)
+    del log.members[:]  # the grid check that building the probe made
+    return probe, log
 
 
 def _outcomes(reports):
@@ -261,7 +271,7 @@ def test_membership_is_checked_on_the_family_and_block_sums_only(pcm):
     families = list(families_over(pcm.grid[:5], 3)) + list(random_families(pcm, rng))
     for fam in families:
         probe, log = logged(pcm)
-        sums = laws._SubsetSums(probe, fam)
+        sums = laws._SubsetSums.alone(probe, fam)
         assert log.members == list(fam.values)
         del log.members[:], log.families[:]
         wpa = laws.check_wpa(probe, fam, sums)
@@ -324,7 +334,7 @@ def test_the_sweep_matches_the_reference_on_families_of_seven_and_eight(pcm):
     for fam in large_families(pcm, rng):
         new_pcm, new = logged(pcm)
         old_pcm, old = logged(pcm)
-        sums = laws._SubsetSums(new_pcm, fam)
+        sums = laws._SubsetSums.alone(new_pcm, fam)
         reference = ReferenceSubsetSums(old_pcm, fam)
         new_reports = [laws.check_wpa(new_pcm, fam, sums),
                        laws.check_subfamilies(new_pcm, fam, sums)]
@@ -451,7 +461,7 @@ def test_label_and_order_sensitive_oracles_get_the_plain_search_reports(pcm, fam
 
 
 # --------------------------------------------------------------------------
-# each checker checks its grid once
+# a carrier checks its grid once, when it is built
 # --------------------------------------------------------------------------
 
 
@@ -466,36 +476,63 @@ def test_the_suite_checks_as_many_members_at_family_size_3_as_at_5():
     assert counts[0] == counts[1]
 
 
-def _bad_grid():
-    """An integer carrier whose grid, not its samples, holds a non-member."""
-    return make_finite_families_pcm(INT_ADD, family_grid=(0, 1, "x", 2))
+def test_the_checkers_that_draw_from_the_grid_check_no_member_of_it():
+    """On a total carrier every family these checkers ask is drawn from the
+    grid, or is a family of block sums, so none of them checks a member."""
+    probe, log = logged(make_finite_families_pcm(INT_ADD))
+    check_reindexing(probe, trials=20, seed=5)
+    list(summable_families(probe, 3))
+    laws.classify_full_pa(probe, 3)
+    laws.check_positivity(probe)
+    assert log.families and log.members == []
 
 
-def _one_object(pcm):
-    return PcmCategory("bad-grid", ["*"], lambda x, y: pcm,
-                       lambda g, f: g * f, lambda x: 1)
+@pytest.mark.parametrize("base", ["int", "unitball:1:l1"])
+def test_pcmcat_laws_checks_the_grid_once(base, monkeypatch):
+    """Counted as the membership checks whose entries are labelled grid[k]."""
+    checks, real = [], Pcm._check_members
+
+    def spy(self, entries, label=lambda key: key):
+        if label(0) == "grid[0]":
+            checks.append(self.name)
+        return real(self, entries, label)
+
+    monkeypatch.setattr(Pcm, "_check_members", spy)
+    cli.main(["laws", "--base", base, "--family-size", "3"], out=io.StringIO(), err=io.StringIO())
+    assert len(checks) == 1
 
 
 BAD_GRID = "entry 'grid\\[2\\]' = x is outside the carrier"
 
 
-def test_a_non_member_of_the_grid_raises_before_the_sweep_asks_the_oracle():
-    before, asked_before = logged(_bad_grid())
-    laws.check_unary(before)
-    laws.check_zero_laws(before)
-    probe, log = logged(_bad_grid())
-    with pytest.raises(CarrierMismatchError, match=BAD_GRID):
-        run_pcm_suite(probe, family_size=3, trials=20, seed=5)
-    assert log.families == asked_before.families
+def _refusing_oracle(asked):
+    def oracle(fam):
+        asked.append(fam)
+        return NOT_SUMMABLE
+
+    return oracle
 
 
-@pytest.mark.parametrize("run", [
-    lambda pcm: check_reindexing(pcm, trials=20, seed=5),
-    lambda pcm: next(summable_families(pcm, 3)),
-    lambda pcm: check_strong_distributivity(_one_object(pcm), max_family=3, trials=20),
-], ids=["check_reindexing", "summable_families", "check_strong_distributivity"])
-def test_a_non_member_of_the_grid_raises_before_any_oracle_call(run):
-    probe, log = logged(_bad_grid())
+@pytest.mark.parametrize("build", [
+    lambda oracle: Pcm("bad-grid", INT_ADD.contains, oracle, family_grid=(0, 1, "x", 2)),
+    lambda oracle: Pcm("bad-samples", INT_ADD.contains, oracle, sample_elements=(0, 1, "x")),
+    lambda oracle: dataclasses.replace(make_finite_families_pcm(INT_ADD), oracle=oracle,
+                                       family_grid=(0, 1, "x", 2)),
+    lambda oracle: make_k_bounded_pcm(INT_ADD, 2, family_grid=(0, 1, "x", 2)),
+], ids=["family_grid", "sample_elements", "replace", "builder"])
+def test_a_non_member_of_the_grid_raises_when_the_carrier_is_built(build):
+    """The grid is the family grid, else the samples; the first non-member
+    raises, labelled by its position, before any oracle call."""
+    asked = []
     with pytest.raises(CarrierMismatchError, match=BAD_GRID):
-        run(probe)
-    assert log.families == []
+        build(_refusing_oracle(asked))
+    assert asked == []
+
+
+def test_a_non_member_of_the_samples_outside_a_family_grid_is_not_checked():
+    """Only the grid is checked when the carrier is built; a sample element
+    enters through ``Pcm.sum`` when a checker sums it."""
+    pcm = Pcm("stray-sample", INT_ADD.contains, make_finite_families_pcm(INT_ADD).oracle,
+              sample_elements=(0, 1, "x"), family_grid=(0, 1))
+    with pytest.raises(CarrierMismatchError, match="entry 'i0' = x is outside the carrier"):
+        check_unary(pcm)
