@@ -14,7 +14,6 @@ from pcmcat.cauchy import (
     star_embed,
 )
 from pcmcat.fincat import cyclic_category
-from pcmcat.report import format_complex
 from pcmcat.universal import dft_substitute
 
 
@@ -47,7 +46,7 @@ def main() -> None:
     print(f"shift^3 = {cc3.compose(twice, shift)}")
 
     value = dft_substitute(5, 1, [1, 1, 1, 1, 1])
-    print(f"all-ones character sum at p=5: {format_complex(value)}")
+    print(f"all-ones character sum at p=5: {value}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from .family import (
 )
 from .pcm import (
     NOT_SUMMABLE,
+    Cyclotomic,
     NotSummable,
     PartialFn,
     Pcm,
@@ -47,6 +48,7 @@ from .category import (
     PcmFunctor,
     check_pcm_functor,
     check_strong_distributivity,
+    cyclotomic_category,
     derived_laws,
     from_semiring,
     k_bounded_category,

@@ -23,6 +23,7 @@ from .pcm import (
     INT_ADD,
     RATIONAL_ADD,
     UNIT_BALL_NORMS,
+    Cyclotomic,
     NotSummable,
     PartialFn,
     Pcm,
@@ -106,9 +107,17 @@ def from_semiring(descriptor: str) -> PcmCategory:
         pcm = make_finite_families_pcm(mod_add(n))
         return _one_object(f"mod:{n}", pcm, lambda g, f: g * f, Residue(1, n))
     if descriptor == "complex":
-        pcm = make_abs_convergence_pcm()
-        return _one_object("complex", pcm, lambda g, f: g * f, 1 + 0j)
+        return cyclotomic_category(12)
     raise ParseError(f"unknown semiring descriptor {descriptor!r}")
+
+
+def cyclotomic_category(n: int) -> PcmCategory:
+    """The cyclotomic field Q(zeta_n) of exact complex scalars, composing by
+    the field product: at n = 12 the ``complex`` base, at a prime p the target
+    of ``dft_substitute``."""
+    pcm = make_abs_convergence_pcm(n)
+    name = "complex" if n == 12 else f"cyclotomic:{n}"
+    return _one_object(name, pcm, operator.mul, Cyclotomic.of(n, 1))
 
 
 def k_bounded_category(k: int) -> PcmCategory:
@@ -485,7 +494,7 @@ def _distributivity_fails(cat, compose, pp: Pcm, fam_f, fam_g, rf, rg) -> bool:
     )))
     if not isinstance(rp, Summable):
         return True
-    return not pp.close(rp.value, cat.compose(rg.value, rf.value))
+    return rp.value != cat.compose(rg.value, rf.value)
 
 
 def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
@@ -586,7 +595,7 @@ def check_left_right_distributivity(cat) -> Report:
                 result = cat.hom_pcm(x, z).sum(mapped)
                 if not isinstance(result, Summable):
                     return failing(name, fam, detail=f"left family not summable, h={h}")
-                if not cat.hom_pcm(x, z).close(result.value, cat.compose(h, total.value)):
+                if result.value != cat.compose(h, total.value):
                     return failing(name, fam, detail=f"left distributivity fails, h={h}")
         for fam, total in summable_families(pg, 3, limit=12):
             for h in pf.grid[:4]:
@@ -594,7 +603,7 @@ def check_left_right_distributivity(cat) -> Report:
                 result = cat.hom_pcm(x, z).sum(mapped)
                 if not isinstance(result, Summable):
                     return failing(name, fam, detail=f"right family not summable, h={h}")
-                if not cat.hom_pcm(x, z).close(result.value, cat.compose(total.value, h)):
+                if result.value != cat.compose(total.value, h):
                     return failing(name, fam, detail=f"right distributivity fails, h={h}")
     return passing(name)
 
@@ -640,8 +649,8 @@ def check_reordering(cat) -> Report:
                     isinstance(by_rows, Summable)
                     and isinstance(by_cols, Summable)
                     and isinstance(whole, Summable)
-                    and pp.close(by_rows.value, whole.value)
-                    and pp.close(by_cols.value, whole.value)
+                    and by_rows.value == whole.value
+                    and by_cols.value == whole.value
                 ):
                     return failing(name, (fam_f, fam_g), detail="iterated sums disagree")
     return passing(name)
@@ -669,14 +678,14 @@ def check_composing_sums(cat) -> Report:
     return passing(name)
 
 
-def _find_identity_word(cat, others, identity, pcm):
+def _find_identity_word(cat, others, identity):
     """A word of 1 to 4 non-identity members composing to the identity, if any."""
     for length in range(1, 5):
         for word in itertools.product(others, repeat=length):
             value = word[0]
             for nxt in word[1:]:
                 value = cat.compose(value, nxt)
-            if pcm.close(value, identity):
+            if value == identity:
                 return word
     return None
 
@@ -692,12 +701,12 @@ def check_monoid_sums(cat) -> Report:
         identity = cat.identity(x)
         for fam, _ in summable_families(pcm, 3, limit=30):
             values = list(fam.values)
-            if not any(pcm.close(v, identity) for v in values):
+            if identity not in values:
                 continue
-            others = [v for v in values if not pcm.close(v, identity)]
+            others = [v for v in values if v != identity]
             if not others:
                 continue
-            word = _find_identity_word(cat, others, identity, pcm)
+            word = _find_identity_word(cat, others, identity)
             if word is None:
                 continue
             applied = True
@@ -728,10 +737,10 @@ def check_zero_absorption(cat) -> Report:
         except NotAMonoidError as refused:
             return passing(name, detail=f"{refused}; vacuous from there")
         for f in cat.hom_pcm(y, z).sample_elements[:50]:
-            if not pp.close(cat.compose(f, zero_xy), zero_xz):
+            if cat.compose(f, zero_xy) != zero_xz:
                 return failing(name, f, detail=f"f o 0 != 0 at ({x},{y},{z})")
         for g in cat.hom_pcm(x, y).sample_elements[:50]:
-            if not pp.close(cat.compose(zero_yz, g), zero_xz):
+            if cat.compose(zero_yz, g) != zero_xz:
                 return failing(name, g, detail=f"0 o g != 0 at ({x},{y},{z})")
     return passing(name)
 
@@ -777,12 +786,11 @@ def check_pcm_functor(functor: PcmFunctor, source, target) -> Report:
     on_obj, on_arr = functor.on_obj, functor.on_arr
     for x in source.objects:
         fx = on_obj(x)
-        if not target.hom_pcm(fx, fx).close(on_arr(source.identity(x)), target.identity(fx)):
+        if on_arr(source.identity(x)) != target.identity(fx):
             return failing(name, x, detail="identity not preserved")
     for x, y, z in _object_triples(source):
-        close = target.hom_pcm(on_obj(x), on_obj(z)).close
         for g, f in itertools.product(source.hom_pcm(y, z).grid, source.hom_pcm(x, y).grid):
-            if not close(on_arr(source.compose(g, f)), target.compose(on_arr(g), on_arr(f))):
+            if on_arr(source.compose(g, f)) != target.compose(on_arr(g), on_arr(f)):
                 return failing(name, (g, f), detail="composite not preserved")
     for x, y in itertools.product(source.objects, repeat=2):
         hom = PcmHom(source.hom_pcm(x, y), target.hom_pcm(on_obj(x), on_obj(y)), on_arr)
@@ -814,16 +822,12 @@ def _product_pcm(pa: Pcm, pb: Pcm) -> Pcm:
         paired = tuple(itertools.islice(itertools.product(pa.sample_elements, pb.sample_elements), 8))
     grid = tuple(zip(pa.grid, pb.grid)) or paired
 
-    def close(u, v):
-        return pa.close(u[0], v[0]) and pb.close(u[1], v[1])
-
     return Pcm(
         name=f"({pa.name})x({pb.name})",
         contains=contains,
         oracle=oracle,
         sample_elements=paired,
         family_grid=grid[:5],
-        close=close,
     )
 
 

@@ -27,8 +27,7 @@ from .errors import (
 from .family import EXHAUSTIVE_PARTITION_LIMIT, family_of
 from .fincat import FinCategory, cyclic_category, trivial_category, validate_category
 from .laws import run_category_suite, run_pcm_suite
-from .pcm import Pcm, Residue, Summable, format_element
-from .report import format_complex
+from .pcm import Cyclotomic, Pcm, Residue, Summable
 from .universal import dft_substitute, require_prime
 
 
@@ -173,8 +172,8 @@ def parse_scalar(text: str, base_name: str, lineno=None):
         raise ScalarParseError(f"expected k mod {modulus}, got {text!r}", lineno)
     if base_name == "complex":
         match = _COMPLEX_RE.match(text)
-        if match:
-            return complex(float(match.group(1)), float(match.group(2)))
+        if match:  # a + b i, exactly: i is zeta_12**3
+            return Cyclotomic.of(12, Fraction(match.group(1)), 0, 0, Fraction(match.group(2)))
         raise ScalarParseError(f"expected a+bi, got {text!r}", lineno)
     raise ScalarParseError(f"base {base_name!r} has no scalar literal syntax", lineno)
 
@@ -235,7 +234,7 @@ def render_arrow(name: str, arrow: CauchyArrow) -> str:
     (x, u), (y, v) = arrow.src, arrow.tgt
     lines = [f"arrow {name} ({x},{u}) -> ({y},{v})"]
     for index_arrow, value in arrow.coeffs:
-        lines.append(f"{index_arrow} = {format_element(value)}")
+        lines.append(f"{index_arrow} = {value}")
     return "\n".join(lines)
 
 
@@ -317,8 +316,7 @@ def cmd_substitute(args, out) -> int:
     cc = cauchy_product(base, cyclic_category(args.p))
     _, arrow = load_arrow(args.arrow, cc)
     alpha = [value for _, value in arrow.coeffs]
-    value = dft_substitute(args.p, args.s, alpha)
-    _emit(out, format_complex(value))
+    _emit(out, str(dft_substitute(args.p, args.s, alpha)))
     return 0
 
 
@@ -330,7 +328,7 @@ def cmd_embed(args, out) -> int:
         if not args.arrows:
             raise ValidationError("embed --which sigma needs an arrow file")
         _, arrow = load_arrow(args.arrows[0], cc)
-        _emit(out, format_element(sigma_functor(cc).on_arr(arrow)))
+        _emit(out, str(sigma_functor(cc).on_arr(arrow)))
         return 0
     if args.which in ("eta", "star") and args.scalar is None:
         raise ValidationError(f"embed --which {args.which} needs --scalar")

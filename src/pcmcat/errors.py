@@ -25,10 +25,6 @@ class CarrierMismatchError(PcmcatError):
     """An element does not belong to the summation's carrier."""
 
 
-class NonFiniteError(PcmcatError):
-    """A numeric component is NaN or infinite."""
-
-
 class NotAMonoidError(PcmcatError):
     """A binary operation failed a monoid law on checked data."""
 

@@ -9,27 +9,22 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import operator
+import math
 import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
     CarrierMismatchError,
-    NonFiniteError,
     NotAMonoidError,
     NotCommutativeError,
 )
 from .family import IndexedFamily, families_over, make_family
 from .report import failing, format_complex, passing
-
-# The per-component bound within which two complex values are equal: `complex`
-# is the one carrier compared in floating point, and its checkers' sums stay far inside it.
-COMPLEX_TOLERANCE = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -175,10 +170,150 @@ class Vec:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def format_element(x) -> str:
-    if isinstance(x, complex):
-        return format_complex(x)
-    return str(x)
+@cache
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n, lowest degree first: x**n - 1 divided exactly by Phi_d for each
+    proper divisor d of n (Washington, *Introduction to Cyclotomic Fields*, ch. 2)."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            divisor = _cyclotomic_polynomial(d)
+            quotient = [0] * (len(poly) - len(divisor) + 1)
+            for i in range(len(quotient) - 1, -1, -1):
+                quotient[i] = top = poly[i + len(divisor) - 1]
+                for j, c in enumerate(divisor):
+                    poly[i + j] -= top * c
+            poly = quotient
+    return tuple(poly)
+
+
+@cache
+def _powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n**k for k in 0..n-1, each reduced modulo Phi_n to its phi(n)
+    coordinates in the basis 1, zeta_n, zeta_n**2, ..."""
+    phi = _cyclotomic_polynomial(n)
+    degree = len(phi) - 1
+    rows = [tuple(int(j == 0) for j in range(degree))]
+    for _ in range(n - 1):  # times zeta: up one degree, and zeta**degree = -(Phi_n less its top)
+        row = rows[-1]
+        rows.append(tuple([(row[j - 1] if j else 0) - row[-1] * phi[j] for j in range(degree)]))
+    return tuple(rows)
+
+
+def _reduce(by_power: list[int], n: int) -> tuple[int, ...]:
+    """The coordinates of sum(by_power[k] * zeta_n**k) over the n powers of zeta_n."""
+    powers = _powers(n)
+    out = by_power[:len(powers[0])]
+    for k in range(len(out), n):
+        c = by_power[k]
+        if c:
+            for j, r in enumerate(powers[k]):
+                out[j] += c * r
+    return tuple(out)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Cyclotomic:
+    """An element of the cyclotomic field Q(zeta_n), zeta_n = exp(2 pi i / n), held exactly.
+
+    The value is sum(num[k] * zeta_n**k for k < phi(n)) / den, kept canonical:
+    ``num`` is reduced modulo the cyclotomic polynomial Phi_n, ``den > 0`` and
+    ``gcd(den, *num) == 1``.  So equal values have equal fields, and the
+    dataclass ``==`` and ``hash`` are value equality.  Adding or multiplying
+    values of different n raises ``CarrierMismatchError``.  ``complex(x)``
+    evaluates the value in floating point, for printing only.
+    """
+
+    num: tuple[int, ...]
+    den: int
+    n: int
+
+    def __init__(self, num: Iterable[int], den: int, n: int):
+        """sum(num[k] * zeta_n**k) / den, for any integers num[k] and den != 0, made canonical."""
+        if n < 1 or den == 0:
+            raise ValueError(f"Q(zeta_n) needs n >= 1 and den != 0, got n={n}, den={den}")
+        by_power = [0] * n
+        for k, c in enumerate(num):
+            by_power[k % n] += c if den > 0 else -c
+        value = Cyclotomic._over(_reduce(by_power, n), abs(den), n)
+        _set_num(self, value.num)
+        _set_den(self, value.den)
+        _set_n(self, n)
+
+    @staticmethod
+    def _over(num: tuple[int, ...], den: int, n: int) -> "Cyclotomic":
+        """``num / den`` for reduced ``num`` and ``den > 0``, made canonical by one gcd."""
+        if den != 1:
+            common = gcd(den, *num)
+            if common != 1:
+                den //= common
+                num = tuple([c // common for c in num])
+        value = _new(Cyclotomic)
+        _set_num(value, num)
+        _set_den(value, den)
+        _set_n(value, n)
+        return value
+
+    @staticmethod
+    def of(n: int, *coeffs) -> "Cyclotomic":
+        """sum(coeffs[k] * zeta_n**k), for rational ``coeffs``."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in coeffs])
+        return Cyclotomic([c.numerator * (den // c.denominator) for c in coeffs], den, n)
+
+    @staticmethod
+    def root(n: int, k: int = 1) -> "Cyclotomic":
+        """zeta_n**k."""
+        return Cyclotomic._over(_powers(n)[k % n], 1, n)
+
+    def _check(self, other: "Cyclotomic") -> None:
+        if not isinstance(other, Cyclotomic) or other.n != self.n:
+            raise CarrierMismatchError(f"mixed cyclotomic fields: {self!r} vs {other!r}")
+
+    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
+        self._check(other)
+        return cyclotomic_sum([self, other])
+
+    def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
+        self._check(other)
+        n = self.n
+        by_power = [0] * n
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    if b:
+                        by_power[(i + j) % n] += a * b
+        return Cyclotomic._over(_reduce(by_power, n), self.den * other.den, n)
+
+    def __complex__(self) -> complex:
+        roots = [cmath.exp(2j * cmath.pi * k / self.n) for k in range(len(self.num))]
+        return complex(math.fsum([c * r.real for c, r in zip(self.num, roots)]) / self.den,
+                       math.fsum([c * r.imag for c, r in zip(self.num, roots)]) / self.den)
+
+    def __str__(self) -> str:
+        return format_complex(complex(self))
+
+
+# Stored through the slots' member descriptors, as in family.IndexedFamily.
+_set_num, _set_den, _set_n = (getattr(Cyclotomic, name).__set__ for name in ("num", "den", "n"))
+_new = object.__new__
+
+
+def cyclotomic_sum(values: list[Cyclotomic]) -> Cyclotomic:
+    """The sum of one or more members of one Q(zeta_n), on integer numerators alone.
+
+    The numerators, scaled to the lcm of the denominators, are added as
+    integers and made canonical by one gcd, as ``category._exact_sum`` does
+    for matrices; no Fraction is built.  One value is its own sum.
+    """
+    if len(values) == 1:
+        return values[0]
+    den = lcm(*[v.den for v in values])
+    if den == 1:
+        nums = [v.num for v in values]
+    else:
+        nums = [v.num if v.den == den else [c * (den // v.den) for c in v.num] for v in values]
+    return Cyclotomic._over(tuple(map(sum, zip(*nums))), den, values[0].n)
 
 
 # --------------------------------------------------------------------------
@@ -262,15 +397,12 @@ class NotSummable:
 NOT_SUMMABLE = NotSummable()
 
 
-def complex_close(a: complex, b: complex) -> bool:
-    """Real and imaginary parts each equal up to the fixed bound above."""
-    return abs(a.real - b.real) <= COMPLEX_TOLERANCE and abs(a.imag - b.imag) <= COMPLEX_TOLERANCE
-
-
 @dataclass(frozen=True, eq=False)
 class Pcm:
     """A carrier together with a total summation oracle over finite families.
 
+    Every carrier is exact: two of its elements are equal sums exactly when
+    they are ``==``, so the checkers compare sums with ``==`` and no tolerance.
     ``sample_elements`` is the instance's desk-scale element grid;
     ``family_grid`` is the (possibly smaller) subset that exhaustive
     family sweeps enumerate multisets over.  ``total`` declares that the
@@ -280,7 +412,7 @@ class Pcm:
     members needs no membership check of its own: convolution composites
     and the partition-law sweep's families of block sums go straight to the
     oracle.  Set it only where that holds for every carrier element: the
-    finite-families, relations and matrix carriers.
+    finite-families, relations, matrix and cyclotomic carriers.
 
     Membership is checked where a value enters.  The grid enters when the
     carrier is built: ``__post_init__`` raises ``outside_error`` at the first
@@ -297,7 +429,6 @@ class Pcm:
     oracle: Callable[[IndexedFamily], Summable | NotSummable]
     sample_elements: tuple = ()
     family_grid: tuple = ()
-    close: Callable[[object, object], bool] = operator.eq
     total: bool = False
 
     def __post_init__(self):
@@ -326,7 +457,7 @@ class Pcm:
     def outside_error(self, label: str, value) -> CarrierMismatchError:
         """The error for entry ``label`` = ``value`` found outside the carrier."""
         return CarrierMismatchError(
-            f"{self.name}: entry {label!r} = {format_element(value)} is outside the carrier"
+            f"{self.name}: entry {label!r} = {value} is outside the carrier"
         )
 
     @cached_property
@@ -616,38 +747,41 @@ def make_relations_pcm(n: int, m: int, family_grid: tuple = ()) -> Pcm:
     )
 
 
+# 0, 1, -1, i, -i, (1+i)/2 and exp(2 pi i / 3), in Q(zeta_12): i = zeta_12**3,
+# exp(2 pi i / 3) = zeta_12**4.
 COMPLEX_SAMPLE = (
-    0j,
-    1 + 0j,
-    -1 + 0j,
-    1j,
-    -1j,
-    0.5 + 0.5j,
-    cmath.exp(2j * cmath.pi / 3),
+    Cyclotomic.of(12, 0),
+    Cyclotomic.of(12, 1),
+    Cyclotomic.of(12, -1),
+    Cyclotomic.root(12, 3),
+    Cyclotomic.root(12, 9),
+    Cyclotomic.of(12, Fraction(1, 2), 0, 0, Fraction(1, 2)),
+    Cyclotomic.root(12, 4),
 )
 
 
-def make_abs_convergence_pcm() -> Pcm:
-    """Complex scalars; every finite family is summable.
+def make_abs_convergence_pcm(n: int = 12) -> Pcm:
+    """Complex scalars held exactly, in the cyclotomic field Q(zeta_n); every
+    finite family is summable, and ``cyclotomic_sum`` folds it.
 
-    Floating addition is not associative, so entries are folded in ascending
-    label order to make results bit-reproducible, and compared by ``complex_close``.
+    At n = 12 this is the ``complex`` carrier ``abs-convergence[C]``, whose
+    samples are ``COMPLEX_SAMPLE``; at another n the samples are 0, 1, -1 and
+    zeta_n.
     """
+    zero = Cyclotomic.of(n, 0)
+    sample = COMPLEX_SAMPLE if n == 12 else (zero, Cyclotomic.of(n, 1), Cyclotomic.of(n, -1),
+                                             Cyclotomic.root(n))
 
     def oracle(fam: IndexedFamily):
-        total = 0j
-        for _, value in sorted(fam.entries, key=lambda e: e[0]):
-            if not (cmath.isfinite(value)):
-                raise NonFiniteError(f"non-finite component in {value!r}")
-            total += value
-        return Summable(total)
+        return Summable(cyclotomic_sum([value for _, value in fam.entries]) if fam.entries
+                        else zero)
 
     return Pcm(
-        name="abs-convergence[C]",
-        contains=lambda x: isinstance(x, complex),
+        name="abs-convergence[C]" if n == 12 else f"abs-convergence[Q(zeta_{n})]",
+        contains=lambda x: isinstance(x, Cyclotomic) and x.n == n,
         oracle=oracle,
-        sample_elements=COMPLEX_SAMPLE,
-        close=complex_close,
+        sample_elements=sample,
+        total=True,
     )
 
 
@@ -771,6 +905,6 @@ def check_hom(h: PcmHom):
         image_result = h.target.sum(image)
         if not isinstance(image_result, Summable):
             return failing(name, fam, detail="image family not summable")
-        if not h.target.close(h.map(result.value), image_result.value):
+        if h.map(result.value) != image_result.value:
             return failing(name, fam, detail="sums disagree")
     return passing(name)

@@ -18,8 +18,6 @@ def format_complex(z: complex) -> str:
 
 def serialize(obj) -> str:
     """Deterministic compact text for witnesses (families, partitions, elements)."""
-    if isinstance(obj, complex):
-        return format_complex(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ";".join(serialize(x) for x in obj) + "]"
     if hasattr(obj, "entries"):  # IndexedFamily

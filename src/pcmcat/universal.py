@@ -3,26 +3,31 @@
 Given a scalar homomorphism f out of the base and a monoid homomorphism g
 out of the index, the induced map evaluates a coefficient arrow by
 h(alpha) = sum over m of f(alpha(m)) * g(m), interpreting the formal index
-variable at a concrete value.  The character sum into the complex plane is
-the stock instance.  In the multi-object setting no such family of maps can
-exist unless both object maps are constant and agree, which the obstruction
-check reports.
+variable at a concrete value.  The character sum into the cyclotomic field
+Q(zeta_p), exact complex scalars, is the stock instance.  In the
+multi-object setting no such family of maps can exist unless both object
+maps are constant and agree, which the obstruction check reports.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .category import PcmCategory, PcmFunctor, check_pcm_functor, from_semiring
+from .category import (
+    PcmCategory,
+    PcmFunctor,
+    check_pcm_functor,
+    cyclotomic_category,
+    from_semiring,
+)
 from .cauchy import CauchyArrow, cauchy_product, eta_functor, gamma_functor
 from .errors import BadResidueError, NotPrimeError, NotSummableError, ValidationError
 from .family import IndexedFamily, family_of
 from .fincat import FinCategory, cyclic_category
-from .pcm import Summable
+from .pcm import Cyclotomic, Summable
 from .report import Report, failing, passing
 
 
@@ -55,19 +60,18 @@ def validate_substitution_data(data: SubstitutionData) -> Report:
     """
     name = "substitution-data"
     b_obj = data.target.objects[0]
-    b_pcm = data.target.hom_pcm(b_obj, b_obj)
     scalar = check_pcm_functor(PcmFunctor(lambda x: b_obj, data.scalar_map),
                                data.source, data.target)
     if not scalar.passed:
         return failing(name, scalar.witness, detail=scalar.detail)
     unit = data.index.identity_of[data.index.objects[0]]
-    if not b_pcm.close(data.monoid_map[unit], data.target.identity(b_obj)):
+    if data.monoid_map[unit] != data.target.identity(b_obj):
         return failing(name, unit, detail="monoid unit not preserved")
     for m in data.index.arrows:
         for k in data.index.arrows:
             lhs = data.monoid_map[data.index.compose(m, k)]
             rhs = data.target.compose(data.monoid_map[m], data.monoid_map[k])
-            if not b_pcm.close(lhs, rhs):
+            if lhs != rhs:
                 return failing(name, (m, k), detail="monoid product not preserved")
     return passing(name)
 
@@ -94,11 +98,12 @@ def require_prime(p: int) -> None:
         raise NotPrimeError(f"{p} is not prime")
 
 
-def dft_substitute(p: int, s: int, alpha: list[int]) -> complex:
+def dft_substitute(p: int, s: int, alpha: list[int]) -> Cyclotomic:
     """Character sum: evaluate integer coefficients at the p-th roots of unity.
 
-    Specializes the substitution map with the canonical inclusion into the
-    complex plane and the character m -> exp(2 pi i m s / p).
+    Specializes the substitution map with the inclusion of the integers into
+    the cyclotomic field Q(zeta_p) and the character z_m -> zeta_p**(m s), so
+    the value is exact.
     """
     require_prime(p)
     if not 0 < s < p:
@@ -108,9 +113,9 @@ def dft_substitute(p: int, s: int, alpha: list[int]) -> complex:
     data = SubstitutionData(
         source=from_semiring("int"),
         index=cyclic_category(p),
-        target=from_semiring("complex"),
-        scalar_map=lambda n: complex(n),
-        monoid_map={f"z{m}": cmath.exp(2j * cmath.pi * m * s / p) for m in range(p)},
+        target=cyclotomic_category(p),
+        scalar_map=lambda n: Cyclotomic.of(p, n),
+        monoid_map={f"z{m}": Cyclotomic.root(p, m * s) for m in range(p)},
     )
     cc = cauchy_product(data.source, data.index)
     obj = cc.objects[0]
@@ -122,16 +127,14 @@ def check_triangles(data: SubstitutionData) -> Report:
     """h composed with the two embeddings restricts to f and g."""
     name = "substitution-triangles"
     cc = cauchy_product(data.source, data.index)
-    b_obj = data.target.objects[0]
-    b_pcm = data.target.hom_pcm(b_obj, b_obj)
     a_obj = data.source.objects[0]
     eta = eta_functor(cc, data.index.objects[0])
     for value in data.source.hom_pcm(a_obj, a_obj).sample_elements:
-        if not b_pcm.close(substitution_hom(data, eta.on_arr(value)), data.scalar_map(value)):
+        if substitution_hom(data, eta.on_arr(value)) != data.scalar_map(value):
             return failing(name, value, detail="h after eta differs from f")
     gamma = gamma_functor(cc, a_obj)
     for m in data.index.arrows:
-        if not b_pcm.close(substitution_hom(data, gamma.on_arr(m)), data.monoid_map[m]):
+        if substitution_hom(data, gamma.on_arr(m)) != data.monoid_map[m]:
             return failing(name, m, detail="h after gamma differs from g")
     return passing(name)
 
@@ -162,13 +165,13 @@ def check_hom_property(data: SubstitutionData) -> Report:
             rhs = b_pcm.sum(
                 family_of([substitution_hom(data, alpha), substitution_hom(data, beta)])
             )
-            if not isinstance(rhs, Summable) or not b_pcm.close(lhs, rhs.value):
+            if not isinstance(rhs, Summable) or lhs != rhs.value:
                 return failing(name, (alpha, beta), detail="additivity fails")
         lhs = substitution_hom(data, cc.compose(alpha, beta))
         rhs = data.target.compose(
             substitution_hom(data, alpha), substitution_hom(data, beta)
         )
-        if not b_pcm.close(lhs, rhs):
+        if lhs != rhs:
             return failing(name, (alpha, beta), detail="multiplicativity fails")
         # uniqueness on samples: alpha decomposes along the embeddings, so any
         # additive multiplicative map agreeing with f and g is forced to h's value
@@ -176,9 +179,7 @@ def check_hom_property(data: SubstitutionData) -> Report:
             cc.compose(eta.on_arr(value), gamma.on_arr(m)) for m, value in alpha.coeffs
         ]
         rebuilt = cc.sum_arrows(family_of(pieces), src=obj, tgt=obj)
-        if not isinstance(rebuilt, Summable) or not cc.hom_pcm(obj, obj).close(
-            rebuilt.value, alpha
-        ):
+        if not isinstance(rebuilt, Summable) or rebuilt.value != alpha:
             return failing(name, alpha, detail="arrow does not decompose along embeddings")
         forced_terms = family_of(
             [
@@ -190,9 +191,7 @@ def check_hom_property(data: SubstitutionData) -> Report:
             ]
         )
         forced = b_pcm.sum(forced_terms)
-        if not isinstance(forced, Summable) or not b_pcm.close(
-            forced.value, substitution_hom(data, alpha)
-        ):
+        if not isinstance(forced, Summable) or forced.value != substitution_hom(data, alpha):
             return failing(name, alpha, detail="value not forced by the embeddings")
     return passing(name)
 

@@ -6,7 +6,16 @@ import pytest
 from pcmcat.errors import ParseError, ShapeMismatchError
 from pcmcat.family import families_over, family_of, make_family
 from pcmcat.laws import run_category_suite
-from pcmcat.pcm import NOT_SUMMABLE, NotSummable, Pcm, PcmHom, Residue, Summable, check_hom
+from pcmcat.pcm import (
+    NOT_SUMMABLE,
+    Cyclotomic,
+    NotSummable,
+    Pcm,
+    PcmHom,
+    Residue,
+    Summable,
+    check_hom,
+)
 from pcmcat.category import (
     BUILTIN_BASES,
     Matrix,
@@ -48,7 +57,9 @@ def test_mod5_composition():
 
 def test_complex_composition():
     cplx = from_semiring("complex")
-    assert cplx.hom_pcm("*", "*").close(cplx.compose(1j, 1j), -1 + 0j)
+    i = Cyclotomic.root(12, 3)
+    assert cplx.compose(i, i) == Cyclotomic.of(12, -1)
+    assert cplx.identity("*") == Cyclotomic.of(12, 1)
 
 
 def test_matrix_identities_and_swap():
@@ -183,6 +194,21 @@ def test_the_category_suite_reports_on_a_hom_that_refuses_the_empty_family():
     assert reports["zero-absorption[empty-refused]"].line() == (
         "CHECK zero-absorption[empty-refused] PASS  "
         "# empty-refused: empty family must be summable; vacuous from there")
+
+
+def test_a_complex_composition_off_by_a_trillionth_fails_the_category_suite():
+    """g.f = gf + 10**-12 exactly: the float carrier, compared within 1e-9,
+    passed every check; the exact one fails where the extra term shows."""
+    cplx = from_semiring("complex")
+    off = Cyclotomic.of(12, Fraction(1, 10**12))
+    planted = PcmCategory("complex-off", cplx.objects, cplx.hom_pcm,
+                          lambda g, f: g * f + off, cplx.identity, cplx.arrow_hom)
+    failed = {report.name for report in run_category_suite(planted, family_size=3, trials=60)
+              if not report.passed}
+    assert failed == {"strong-distributivity[complex-off]",
+                      "left-right-distributivity[complex-off]",
+                      "zero-absorption[complex-off]"}
+    assert all(report.passed for report in run_category_suite(cplx, family_size=3, trials=60))
 
 
 def test_relations_category_distributivity():

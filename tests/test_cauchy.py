@@ -51,7 +51,7 @@ from pcmcat.fincat import (
     two_object_parallel_pair,
 )
 from pcmcat.laws import oracle_convolution
-from pcmcat.pcm import NOT_SUMMABLE, Residue, Summable
+from pcmcat.pcm import NOT_SUMMABLE, Pcm, Residue, Summable
 from pcmcat.category import k_bounded_category
 from pcmcat.cli import parse_fincat
 
@@ -299,6 +299,19 @@ def test_an_arrow_whose_keys_are_not_the_sorted_hom_is_refused(case):
         assert str(raised.value) == misread
 
 
+def test_a_base_hom_that_refuses_the_empty_family_is_refused_when_c_d_is_built():
+    """A missing coefficient is the base hom's zero; without one there is no
+    convolution category, so building it raises, naming the hom."""
+    hom = INT.hom_pcm("*", "*")
+    pcm = Pcm("empty-refused", hom.contains,
+              lambda fam: hom.oracle(fam) if len(fam) else NOT_SUMMABLE,
+              sample_elements=(0, 1, 2))
+    base = PcmCategory("empty-refused", INT.objects, lambda x, y: pcm, INT.compose, INT.identity)
+    with pytest.raises(ValidationError, match=r"base hom \(\*,\*\) has no zero arrow: "
+                                              "empty-refused: empty family must be summable"):
+        cauchy_product(base, cyclic_category(2))
+
+
 def test_make_arrow_rejects_unknown_index_arrow():
     with pytest.raises(ValidationError):
         arrow(INT_Z2, {"z9": 1})
@@ -336,11 +349,10 @@ def test_eta_is_multiplicative_on_mod5():
     mod5 = from_semiring("mod:5")
     cc = cauchy_product(mod5, Z3)
     eta = eta_functor(cc, "*")
-    close = cc.hom_pcm(cc.objects[0], cc.objects[0]).close
     for a in range(5):
         for b in range(5):
             k, h = Residue(a, 5), Residue(b, 5)
-            assert close(eta.on_arr(k * h), cc.compose(eta.on_arr(k), eta.on_arr(h)))
+            assert eta.on_arr(k * h) == cc.compose(eta.on_arr(k), eta.on_arr(h))
 
 
 def test_gamma_places_unit_at_named_arrow():

@@ -32,7 +32,7 @@ from pcmcat.errors import (
 )
 from pcmcat.family import family_of
 from pcmcat.fincat import cyclic_category
-from pcmcat.pcm import UNIT_BALL_NORMS, Residue, Summable, make_unit_ball_pcm
+from pcmcat.pcm import UNIT_BALL_NORMS, Cyclotomic, Residue, Summable, make_unit_ball_pcm
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,7 +71,9 @@ def test_parse_scalar_variants():
     assert parse_scalar("-3", "int") == -3
     assert parse_scalar("2/3", "rational").numerator == 2
     assert parse_scalar("3 mod 5", "mod:5") == Residue(3, 5)
-    assert parse_scalar("1.5+0.5i", "complex") == complex(1.5, 0.5)
+    assert parse_scalar("1.5+0.5i", "complex") == Cyclotomic.of(12, Fraction(3, 2), 0, 0,
+                                                                Fraction(1, 2))
+    assert parse_scalar("0.1-2i", "complex") == Cyclotomic.of(12, Fraction(1, 10), 0, 0, -2)
 
 
 def test_parse_scalar_rejects_fraction_over_int():
@@ -348,7 +350,7 @@ def _refuse_any_work(monkeypatch):
     ("embed", "--which", "eta", "--base", "complex", "--scalar", "1+0i"),
 ])
 def test_no_command_takes_a_tolerance(argv, monkeypatch):
-    """The complex carrier's bound is fixed, so no flag can turn a verdict."""
+    """The complex carrier is exact, so no flag sets a tolerance."""
     _refuse_any_work(monkeypatch)
     code, out, err = _run_catching_usage_errors((*argv, "--tolerance=1e-17"))
     assert (code, out) == (2, "")

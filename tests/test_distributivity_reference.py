@@ -70,7 +70,7 @@ def reference_check_strong_distributivity(cat, max_family=4, trials=200, seed=0)
         rp = pp.sum(prod)
         if not isinstance(rp, Summable):
             return True
-        return not pp.close(rp.value, cat.compose(rg.value, rf.value))
+        return rp.value != cat.compose(rg.value, rf.value)
 
     for x, y, z in _object_triples(cat):
         grid_f = cat.hom_pcm(x, y).grid[:3]
@@ -121,7 +121,7 @@ def reference_check_left_right_distributivity(cat, max_size=3):
                 result = cat.hom_pcm(x, z).sum(mapped)
                 if not isinstance(result, Summable):
                     return failing(name, fam, detail=f"left family not summable, h={h}")
-                if not cat.hom_pcm(x, z).close(result.value, cat.compose(h, total)):
+                if result.value != cat.compose(h, total):
                     return failing(name, fam, detail=f"left distributivity fails, h={h}")
         for fam in _summable_families(pg, max_size, limit=12):
             total = pg.sum(fam).value
@@ -130,7 +130,7 @@ def reference_check_left_right_distributivity(cat, max_size=3):
                 result = cat.hom_pcm(x, z).sum(mapped)
                 if not isinstance(result, Summable):
                     return failing(name, fam, detail=f"right family not summable, h={h}")
-                if not cat.hom_pcm(x, z).close(result.value, cat.compose(total, h)):
+                if result.value != cat.compose(total, h):
                     return failing(name, fam, detail=f"right distributivity fails, h={h}")
     return passing(name)
 
@@ -162,8 +162,8 @@ def reference_check_reordering(cat, max_size=3):
                     isinstance(by_rows, Summable)
                     and isinstance(by_cols, Summable)
                     and isinstance(whole, Summable)
-                    and pp.close(by_rows.value, whole.value)
-                    and pp.close(by_cols.value, whole.value)
+                    and by_rows.value == whole.value
+                    and by_cols.value == whole.value
                 ):
                     return failing(name, (fam_f, fam_g), detail="iterated sums disagree")
     return passing(name)

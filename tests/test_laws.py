@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from pcmcat.family import Partition, enumerate_partitions, family_of
 from pcmcat.pcm import (
     INT_ADD,
     NOT_SUMMABLE,
+    Cyclotomic,
     Pcm,
     Summable,
     make_abs_convergence_pcm,
@@ -65,9 +67,10 @@ def test_wpa_int_triple_all_partitions_agree():
     assert check_wpa(INT_FF, fam).passed
 
 
-def test_wpa_complex_within_tolerance():
+def test_wpa_complex_exactly():
     pcm = make_abs_convergence_pcm()
-    fam = family_of([1 + 0j, -1 + 0j, 1j])
+    fam = family_of([Cyclotomic.of(12, 1), Cyclotomic.of(12, -1), Cyclotomic.root(12, 3),
+                     Cyclotomic.of(12, Fraction(1, 3), Fraction(-2, 5))])
     assert check_wpa(pcm, fam).passed
 
 
@@ -158,6 +161,37 @@ def test_the_suite_reports_on_a_carrier_that_refuses_the_empty_family():
         "CHECK full-pa[empty-refused] SIGMA_MONOID_COMPATIBLE  # on tested families",
         "CHECK positivity[empty-refused] POSITIVE  # empty family refused; vacuous",
     ]
+
+
+def test_a_sum_that_depends_on_entry_order_fails_reindexing():
+    """The table 2 + 2 = 0, folded in entry order: (2, 2, 1) sums to 1, while
+    (1, 2, 2) is refused, since 1 + 2 is undefined.  Relabelling alone keeps
+    each entry in its place, so only the shuffle of the entries shows it."""
+    def fold(fam):
+        total = 0
+        for _, value in fam.entries:
+            if total == 0 or value == 0:
+                total = total or value
+            elif (total, value) == (2, 2):
+                total = 0
+            else:
+                return NOT_SUMMABLE
+        return Summable(total)
+
+    pcm = Pcm("two-plus-two", INT_FF.contains, fold, sample_elements=(0, 1, 2))
+    assert fold(family_of([2, 2, 1])) == Summable(1)
+    assert fold(family_of([1, 2, 2])) is NOT_SUMMABLE
+    report = check_reindexing(pcm)
+    assert not report.passed
+    assert report.detail.endswith("changed under reordering"), report.detail
+
+
+def test_a_sum_that_depends_on_labels_fails_reindexing_under_relabeling():
+    """A sum that reads its labels is broken by the relabelling, whatever the order."""
+    pcm = Pcm("label-count", INT_FF.contains,
+              lambda fam: Summable(sum(len(label) for label in fam.labels)),
+              sample_elements=(0, 1, 2))
+    assert check_reindexing(pcm).detail == "sum changed under relabeling"
 
 
 def test_a_refused_zero_padded_one_fails_wpa_before_subfamilies_meets_it():

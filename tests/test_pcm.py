@@ -1,8 +1,8 @@
-import cmath
 import dataclasses
 import enum
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 from pcmcat import pcm as pcm_module
 from pcmcat.errors import (
     CarrierMismatchError,
-    NonFiniteError,
     NotAMonoidError,
     NotCommutativeError,
 )
 from pcmcat.family import family_of, make_family
 from pcmcat.pcm import (
+    COMPLEX_SAMPLE,
     INT_ADD,
     NOT_SUMMABLE,
     RATIONAL_ADD,
+    Cyclotomic,
     Monoid,
     PartialFn,
     PcmHom,
@@ -160,21 +161,74 @@ def test_relations_sum_is_union():
 
 def test_complex_cancellation():
     pcm = make_abs_convergence_pcm()
-    fam = family_of([1 + 0j, cmath.exp(1j * cmath.pi)])
-    result = pcm.sum(fam)
-    assert isinstance(result, Summable)
-    assert pcm.close(result.value, 0j)
+    fam = family_of([Cyclotomic.of(12, 1), Cyclotomic.root(12, 6)])  # 1 + exp(i pi)
+    assert pcm.sum(fam) == Summable(Cyclotomic.of(12, 0))
 
 
 def test_complex_doubling():
     pcm = make_abs_convergence_pcm()
-    assert pcm.sum(family_of([1j, 1j])) == Summable(2j)
+    i = Cyclotomic.root(12, 3)
+    assert pcm.sum(family_of([i, i])) == Summable(Cyclotomic.of(12, 0, 0, 0, 2))
 
 
-def test_complex_rejects_nan():
+def test_complex_refuses_a_float_or_another_field():
     pcm = make_abs_convergence_pcm()
-    with pytest.raises(NonFiniteError):
-        pcm.sum(family_of([complex("nan")]))
+    for outside in (1 + 0j, Cyclotomic.of(5, 1)):
+        with pytest.raises(CarrierMismatchError, match="outside the carrier"):
+            pcm.sum(family_of([Cyclotomic.of(12, 1), outside]))
+
+
+def test_complex_samples_print_as_the_float_samples_did():
+    assert [str(x) for x in COMPLEX_SAMPLE] == [
+        "0.000000000000+0.000000000000i", "1.000000000000+0.000000000000i",
+        "-1.000000000000+0.000000000000i", "0.000000000000+1.000000000000i",
+        "0.000000000000-1.000000000000i", "0.500000000000+0.500000000000i",
+        "-0.500000000000+0.866025403784i",
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 30])
+def test_cyclotomic_powers_follow_the_exponents(n):
+    """zeta_n**a * zeta_n**b = zeta_n**(a+b), zeta_n**n = 1, and the n roots
+    sum to 0 (to 1 for n = 1): each exactly, on canonical coordinates."""
+    roots = [Cyclotomic.root(n, k) for k in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        assert roots[a] * roots[b] == roots[(a + b) % n]
+    assert Cyclotomic.root(n, n) == Cyclotomic.of(n, 1)
+    assert sum(roots[1:], roots[0]) == Cyclotomic.of(n, int(n == 1))
+    assert len(set(roots)) == n
+    for k, r in enumerate(roots):
+        angle = 2 * math.pi * k / n
+        assert abs(complex(r) - complex(math.cos(angle), math.sin(angle))) < 1e-12
+
+
+def test_cyclotomic_values_are_canonical():
+    """Equal values built different ways have equal fields, so equal hashes."""
+    half = Fraction(1, 2)
+    built = [
+        Cyclotomic.of(12, half, 0, 0, half),
+        Cyclotomic([1, 0, 0, 1], 2, 12),
+        Cyclotomic([-3, 0, 0, -3], -6, 12),
+        Cyclotomic([1] + [0] * 14 + [1], 2, 12),  # zeta**15 = zeta**3
+        Cyclotomic([1, 1, 0, 0, 0, 1], 2, 12),  # zeta + zeta**5 = i, reduced modulo Phi_12
+        Cyclotomic([1, -1] + [0] * 11 + [1], 2, 12) + Cyclotomic.of(12, 0, 0, 0, half),
+    ]
+    assert all(value == built[0] and hash(value) == hash(built[0]) for value in built)
+    assert built[0].num == (1, 0, 0, 1) and built[0].den == 2
+    assert Cyclotomic([0, 0, 0, 0], 7, 12) == Cyclotomic.of(12, 0)
+    assert Cyclotomic.of(12, 0).den == 1
+    assert Cyclotomic.of(12, half) != Cyclotomic.of(12, half + Fraction(1, 10**12))
+    with pytest.raises(ValueError):
+        Cyclotomic([1], 0, 12)
+
+
+def test_mixing_cyclotomic_fields_raises():
+    with pytest.raises(CarrierMismatchError, match="mixed cyclotomic fields"):
+        Cyclotomic.of(12, 1) + Cyclotomic.of(4, 1)
+    with pytest.raises(CarrierMismatchError, match="mixed cyclotomic fields"):
+        Cyclotomic.of(12, 1) * Cyclotomic.of(6, 1)
+    with pytest.raises(CarrierMismatchError, match="mixed cyclotomic fields"):
+        Cyclotomic.of(12, 1) + 1
 
 
 def test_unit_ball_l1_boundary():
@@ -270,7 +324,7 @@ def test_unary_sum_over_all_shipped_samples():
         for x in pcm.sample_elements:
             result = pcm.sum(family_of([x]))
             assert isinstance(result, Summable)
-            assert pcm.close(result.value, x)
+            assert result.value == x
 
 
 @given(st.lists(st.integers(-20, 20), max_size=8))

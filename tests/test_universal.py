@@ -1,13 +1,12 @@
-import cmath
 import itertools
 
 import pytest
 
-from pcmcat.category import from_semiring, resolve_base
+from pcmcat.category import cyclotomic_category, from_semiring, resolve_base
 from pcmcat.cauchy import cauchy_product, eta_functor, gamma_functor
 from pcmcat.errors import BadResidueError, NotPrimeError, ValidationError
 from pcmcat.fincat import cyclic_category
-from pcmcat.pcm import Residue
+from pcmcat.pcm import Cyclotomic, Residue
 from pcmcat.universal import (
     ObstructionResult,
     SubstitutionData,
@@ -19,17 +18,14 @@ from pcmcat.universal import (
     validate_substitution_data,
 )
 
-TOL = 1e-9
-
-
 def sign_character_data():
     """Integer coefficients over the order-2 monoid, evaluated at -1."""
     return SubstitutionData(
         source=from_semiring("int"),
         index=cyclic_category(2),
         target=from_semiring("complex"),
-        scalar_map=lambda n: complex(n),
-        monoid_map={"z0": 1 + 0j, "z1": -1 + 0j},
+        scalar_map=lambda n: Cyclotomic.of(12, n),
+        monoid_map={"z0": Cyclotomic.of(12, 1), "z1": Cyclotomic.of(12, -1)},
     )
 
 
@@ -83,7 +79,7 @@ def test_substitution_evaluates_sign_character():
     cc = cauchy_product(data.source, data.index)
     obj = cc.objects[0]
     one_plus_z = cc.make_arrow(obj, obj, {"z0": 1, "z1": 1})
-    assert abs(substitution_hom(data, one_plus_z)) <= TOL
+    assert substitution_hom(data, one_plus_z) == Cyclotomic.of(12, 0)
 
 
 def test_substitution_restricts_to_f_on_eta_images():
@@ -107,11 +103,9 @@ def test_triangles_for_small_primes():
         data = SubstitutionData(
             source=from_semiring("int"),
             index=cyclic_category(p),
-            target=from_semiring("complex"),
-            scalar_map=lambda n: complex(n),
-            monoid_map={
-                f"z{m}": cmath.exp(2j * cmath.pi * m / p) for m in range(p)
-            },
+            target=cyclotomic_category(p),
+            scalar_map=lambda n, p=p: Cyclotomic.of(p, n),
+            monoid_map={f"z{m}": Cyclotomic.root(p, m) for m in range(p)},
         )
         assert check_triangles(data).passed
 
@@ -129,8 +123,8 @@ def test_hom_property_detects_broken_character():
         source=from_semiring("int"),
         index=cyclic_category(2),
         target=from_semiring("complex"),
-        scalar_map=lambda n: complex(n),
-        monoid_map={"z0": 1 + 0j, "z1": 2 + 0j},  # not a monoid hom
+        scalar_map=lambda n: Cyclotomic.of(12, n),
+        monoid_map={"z0": Cyclotomic.of(12, 1), "z1": Cyclotomic.of(12, 2)},  # not a monoid hom
     )
     report = check_hom_property(broken)
     assert not report.passed
@@ -138,27 +132,38 @@ def test_hom_property_detects_broken_character():
 
 
 def test_dft_all_ones_vanishes():
-    assert abs(dft_substitute(5, 1, [1, 1, 1, 1, 1])) <= TOL
+    assert dft_substitute(5, 1, [1, 1, 1, 1, 1]) == Cyclotomic.of(5, 0)
 
 
 def test_dft_constant_term_only():
-    assert abs(dft_substitute(3, 1, [1, 0, 0]) - 1) <= TOL
+    assert dft_substitute(3, 1, [1, 0, 0]) == Cyclotomic.of(3, 1)
 
 
 def test_dft_two_point():
-    assert abs(dft_substitute(2, 1, [1, 1])) <= TOL
+    assert dft_substitute(2, 1, [1, 1]) == Cyclotomic.of(2, 0)
 
 
 def test_dft_orthogonality_for_small_primes():
     for p in (2, 3, 5, 7, 11, 13):
         for s in range(1, p):
-            assert abs(dft_substitute(p, s, [1] * p)) <= TOL
+            assert dft_substitute(p, s, [1] * p) == Cyclotomic.of(p, 0)
 
 
 def test_dft_supported_at_zero_is_exact():
     for p in (3, 5):
         value = dft_substitute(p, 2, [4] + [0] * (p - 1))
-        assert value == 4 + 0j
+        assert value == Cyclotomic.of(p, 4)
+
+
+def test_dft_is_the_character_sum_in_q_zeta_p():
+    """sum of alpha[m] * zeta_p**(m s), built term by term, for every s."""
+    for p, alpha in ((5, [3, 0, 1, 4, 2]), (7, [1, 2, 0, 0, 5, 1, 3])):
+        for s in range(1, p):
+            want = Cyclotomic.of(p, 0)
+            for m, a in enumerate(alpha):
+                want = want + Cyclotomic.of(p, a) * Cyclotomic.root(p, m * s)
+            assert dft_substitute(p, s, alpha) == want
+            assert want.num != (0,) * (p - 1)
 
 
 def test_dft_rejects_composite_modulus():
