@@ -13,8 +13,9 @@ import math
 import random
 import weakref
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Mapping
 
@@ -221,7 +222,8 @@ class Cyclotomic:
     ``gcd(den, *num) == 1``.  So equal values have equal fields, and the
     dataclass ``==`` and ``hash`` are value equality.  Adding or multiplying
     values of different n raises ``CarrierMismatchError``.  ``complex(x)``
-    evaluates the value in floating point, for printing only.
+    evaluates the value in floating point; ``str(x)`` prints it from the
+    exact numerators.
     """
 
     num: tuple[int, ...]
@@ -291,7 +293,59 @@ class Cyclotomic:
                        math.fsum([c * r.imag for c, r in zip(self.num, roots)]) / self.den)
 
     def __str__(self) -> str:
-        return format_complex(complex(self))
+        """``a+bi`` with 12 fractional digits, each of them right: whatever
+        their magnitude, the parts are evaluated in decimal to within 10**-20,
+        so only a part within that of a rounding boundary could round apart
+        from its exact value."""
+        # each part is at most B = sum |num| / den; the partial sums need its
+        # integer digits, and the n - 1 steps of _decimal_roots and the
+        # len(num) < n roundings of the sums cost up to len(str(n)) more
+        prec = len(str(sum(map(abs, self.num)) // self.den)) + len(str(self.n)) + 22
+        cos, sin = _decimal_roots(self.n, prec)
+        with localcontext() as context:
+            context.prec = prec
+            re = sum([c * cos[k] for k, c in enumerate(self.num) if c], Decimal(0)) / self.den
+            im = sum([c * sin[k] for k, c in enumerate(self.num) if c], Decimal(0)) / self.den
+            return format_complex(re, im)
+
+
+@lru_cache(maxsize=64)
+def _decimal_roots(n: int, prec: int) -> tuple[tuple[Decimal, ...], tuple[Decimal, ...]]:
+    """cos and sin of 2 pi k / n for k < n, each within k * 10**-prec.
+
+    Computed with ``prec + 5`` digits: pi by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239), cos and sin of 2 pi / n by their
+    Taylor series, and the rest by the angle-addition recurrence.  A step of
+    the recurrence is a rotation, which keeps the error it is given, so the
+    error grows by a few units of the last digit per step.
+    """
+    with localcontext() as context:
+        context.prec = prec + 5
+        tiny = Decimal(10) ** -(prec + 5)
+
+        def atan_inverse(x: int) -> Decimal:
+            total, power, j = Decimal(0), Decimal(1) / x, 0
+            while power > tiny:
+                total += (power if j % 2 == 0 else -power) / (2 * j + 1)
+                power /= x * x
+                j += 1
+            return total
+
+        angle = 2 * (16 * atan_inverse(5) - 4 * atan_inverse(239)) / n
+        cos1, sin1, term, m = Decimal(1), Decimal(0), Decimal(1), 0
+        while abs(term) > tiny:  # term = angle**m / m!, alternately into cos and sin
+            m += 1
+            term = term * angle / m
+            if m % 2:
+                sin1 += term if m % 4 == 1 else -term
+            else:
+                cos1 += term if m % 4 == 0 else -term
+        cos, sin = [Decimal(1)], [Decimal(0)]
+        for _ in range(n - 1):
+            c, s = cos[-1], sin[-1]
+            cos.append(c * cos1 - s * sin1)
+            sin.append(s * cos1 + c * sin1)
+    return tuple(cos), tuple(sin)
 
 
 # Stored through the slots' member descriptors, as in family.IndexedFamily.

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Callable
 
 FAIL = "FAIL"
 PASS = "PASS"
 
 
-def format_complex(z: complex) -> str:
-    """Render a complex value as ``a+bi`` with 12 fixed fractional digits."""
-    re = round(z.real, 12) + 0.0  # normalize -0.0 after rounding
-    im = round(z.imag, 12) + 0.0
+_PLACES = Decimal("1e-12")
+
+
+def format_complex(re: Decimal, im: Decimal) -> str:
+    """Render a complex value as ``a+bi`` with 12 fixed fractional digits,
+    rounded half to even.  The current decimal context must hold every digit
+    of both parts to 12 places."""
+    re = re.quantize(_PLACES, ROUND_HALF_EVEN) + 0  # -0 + 0 is 0: no "-0.000..."
+    im = im.quantize(_PLACES, ROUND_HALF_EVEN) + 0
     return f"{re:.12f}{im:+.12f}i"
 
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 
@@ -164,6 +166,22 @@ def test_dft_is_the_character_sum_in_q_zeta_p():
                 want = want + Cyclotomic.of(p, a) * Cyclotomic.root(p, m * s)
             assert dft_substitute(p, s, alpha) == want
             assert want.num != (0,) * (p - 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_large_dft_value_prints_its_twelve_digits_as_mpmath_rounds_them(seed):
+    """Values in the millions: a double holds 15 to 17 significant digits,
+    too few for 7 integer digits and 12 fractional ones."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    alpha = [rng.randrange(10**6) for _ in range(251)]
+    with mpmath.workdps(50):
+        exact = mpmath.fsum(a * mpmath.expjpi(mpmath.mpf(2 * m) / 251)
+                            for m, a in enumerate(alpha))
+        re, im = (Decimal(str(part)).quantize(Decimal("1e-12"), ROUND_HALF_EVEN) + 0
+                  for part in (exact.real, exact.imag))
+    assert abs(exact.real) > 10**4 or abs(exact.imag) > 10**4
+    assert str(dft_substitute(251, 1, alpha)) == f"{re:.12f}{im:+.12f}i"
 
 
 def test_dft_rejects_composite_modulus():
