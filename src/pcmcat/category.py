@@ -92,7 +92,7 @@ def _one_object(name, pcm: Pcm, multiply, one) -> PcmCategory:
 def from_semiring(descriptor: str) -> PcmCategory:
     """One-object categories: composition is the semiring multiplication."""
     if descriptor == "int":
-        return _one_object("int", make_finite_families_pcm(INT_ADD), lambda g, f: g * f, 1)
+        return _one_object("int", make_finite_families_pcm(INT_ADD), operator.mul, 1)
     if descriptor == "rational":
         pcm = make_finite_families_pcm(
             RATIONAL_ADD,
@@ -101,11 +101,11 @@ def from_semiring(descriptor: str) -> PcmCategory:
                 Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4),
             ),
         )
-        return _one_object("rational", pcm, lambda g, f: g * f, Fraction(1))
+        return _one_object("rational", pcm, operator.mul, Fraction(1))
     if descriptor.startswith("mod:"):
         n = _int_parameter(descriptor, descriptor.split(":", 1)[1], least=1)
         pcm = make_finite_families_pcm(mod_add(n))
-        return _one_object(f"mod:{n}", pcm, lambda g, f: g * f, Residue(1, n))
+        return _one_object(f"mod:{n}", pcm, operator.mul, Residue(1, n))
     if descriptor == "complex":
         return cyclotomic_category(12)
     raise ParseError(f"unknown semiring descriptor {descriptor!r}")
@@ -128,7 +128,7 @@ def k_bounded_category(k: int) -> PcmCategory:
     family can hold k*k nonzero entries.
     """
     pcm = make_k_bounded_pcm(INT_ADD, k, family_grid=(0, 1, -1, 2, -2))
-    return _one_object(f"kbounded:{k}", pcm, lambda g, f: g * f, 1)
+    return _one_object(f"kbounded:{k}", pcm, operator.mul, 1)
 
 
 class Matrix:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import NotAMonoidError, ValidationError
@@ -125,9 +126,13 @@ def validate_category(cat: FinCategory) -> Report:
 def _check_table(cat: FinCategory) -> Report:
     """Totality, endpoints, unit laws and associativity, read off the integer rows.
 
-    Once the endpoints are checked, g.f and h.(g.f) lie in the hom-sets the
-    rows assume, so h.g.f agrees both ways for every f exactly when
-    ``rows[h.g]`` equals ``rows[h]`` read at the places of ``rows[g]``.
+    On a one-object category every arrow is an endo-arrow of that object, so
+    every composite has the endpoints it needs and only a missing one can
+    fail: the rows are scanned for None alone.  With more objects each
+    composite's endpoints are compared with those of its factors.  Once the
+    endpoints hold, g.f and h.(g.f) lie in the hom-sets the rows assume, so
+    h.g.f agrees both ways for every f exactly when ``rows[h.g]`` equals
+    ``rows[h]`` read at the places of ``rows[g]``.
 
     Associativity is decided by Light's test: that comparison runs only for
     the middle arrows g in ``_generators(cat)``.  The middle arrows at which
@@ -139,8 +144,11 @@ def _check_table(cat: FinCategory) -> Report:
     """
     name = f"category[{cat.name or 'unnamed'}]"
     arrows, ends, rows, into, pos = cat.arrows, cat._ends, cat._rows, cat._into, cat._pos
+    one_object = len(cat.objects) == 1
     wanted: dict[tuple[str, str], list] = {}  # the endpoints of each g.f, by those of g
     for g, row in enumerate(rows):
+        if one_object and None not in row:
+            continue
         src_g, tgt_g = ends[g]
         want = wanted.get(ends[g])
         if want is None:
@@ -158,9 +166,11 @@ def _check_table(cat: FinCategory) -> Report:
             return failing(name, arrows[a], detail="right identity law fails")
     for g in map(cat._number.get, _generators(cat)):
         places, k = [pos[x] for x in rows[g]], pos[g]
+        if len(places) == 1:  # the one f is the identity: the unit laws decide every triple
+            continue
+        read = itemgetter(*places)  # a row read at the places, as a tuple
         for h, row_h in enumerate(rows):
-            if (ends[h][0] == ends[g][1]
-                    and rows[row_h[k]] != list(map(row_h.__getitem__, places))):
+            if ends[h][0] == ends[g][1] and rows[row_h[k]] != list(read(row_h)):
                 witness = next(_associativity_failures(cat))
                 return failing(name, witness, detail="associativity fails")
     return passing(name)
@@ -169,8 +179,12 @@ def _check_table(cat: FinCategory) -> Report:
 def _generators(cat: FinCategory) -> list[str]:
     """Arrows that, with the identities, reach every arrow by composition.
 
-    Greedy in arrow order: an arrow not yet reached becomes a generator.
-    The reached set is closed under composition with a generator on the
+    Greedy over the endo-arrows in arrow order, then the other arrows in
+    arrow order: an arrow not yet reached becomes a generator.  Endo-arrows
+    come first because they compose with each other and so reach the most;
+    this also makes the count independent of factor order in a product (6
+    generators on ``five-arrow x Zk`` and on ``Zk x five-arrow``).  The
+    reached set is closed under composition with a generator on the
     left: a new generator is composed with each arrow reached so far, and a
     newly reached arrow with each generator so far, so each (generator,
     arrow) pair is composed at most once.  Needs a total, well-typed table
@@ -182,9 +196,10 @@ def _generators(cat: FinCategory) -> list[str]:
     reached = set(identity.values())
     generators_out_of: dict[str, list[int]] = {obj: [] for obj in cat.objects}
     generators = []
-    for a, (src_a, _) in enumerate(ends):
+    for a in sorted(range(len(ends)), key=lambda a: ends[a][0] != ends[a][1]):
         if a in reached:
             continue
+        src_a = ends[a][0]
         generators.append(cat.arrows[a])
         generators_out_of[src_a].append(a)
         frontier = [rows[a][pos[r]] for r in reached_into[src_a]]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcmcat.errors import ParseError, ShapeMismatchError
+from pcmcat.errors import CarrierMismatchError, ParseError, ShapeMismatchError
 from pcmcat.family import families_over, family_of, make_family
 from pcmcat.laws import run_category_suite
 from pcmcat.pcm import (
@@ -53,6 +53,20 @@ def test_int_semiring_composition_and_zero():
 def test_mod5_composition():
     mod5 = from_semiring("mod:5")
     assert mod5.compose(Residue(3, 5), Residue(4, 5)) == Residue(2, 5)
+
+
+@pytest.mark.parametrize("descriptor", ["int", "rational", "mod:5", "kbounded:2"])
+def test_a_semiring_base_composes_every_grid_pair_to_their_product(descriptor):
+    base = resolve_base(descriptor)
+    pairs = list(itertools.product(base.hom_pcm("*", "*").grid, repeat=2))
+    assert len(pairs) >= 25
+    assert [(type(h), h) for h in (base.compose(g, f) for g, f in pairs)] == [
+        (type(g * f), g * f) for g, f in pairs]
+
+
+def test_mod5_composition_refuses_a_residue_of_another_modulus():
+    with pytest.raises(CarrierMismatchError, match="mixed moduli"):
+        from_semiring("mod:5").compose(Residue(3, 4), Residue(4, 5))
 
 
 def test_complex_composition():

@@ -378,6 +378,14 @@ def test_a_cyclic_category_is_generated_by_z1():
         assert fincat._generators(cyclic_category(n)) == ["z1"]
 
 
+def test_a_five_arrow_product_picks_as_few_generators_in_either_factor_order():
+    five = two_object_five_arrow_category()
+    for k in range(2, 19):
+        counts = {len(fincat._generators(product_category(five, cyclic_category(k)))),
+                  len(fincat._generators(product_category(cyclic_category(k), five)))}
+        assert len(counts) == 1 and counts.pop() <= 6, k
+
+
 @pytest.mark.parametrize("cat", [two_object_parallel_pair(), _span()]
                          + [_discrete(n) for n in range(1, 4)], ids=lambda cat: cat.name)
 def test_every_non_identity_arrow_is_a_generator_where_none_composes(cat):
