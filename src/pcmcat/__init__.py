@@ -82,7 +82,6 @@ from .laws import (
     check_unary,
     check_wpa,
     minimize,
-    oracle_convolution,
     run_category_suite,
     run_pcm_suite,
 )

@@ -17,6 +17,12 @@ read once off the index's integer rows, as positions in the sorted homs.
 once all three are checked to be objects: the key tuples of both
 factors and of the output, the base carrier of the output's coefficients,
 and one (output position, factorizations) row per index arrow, in hom order.
+``sum_arrows`` reads one plan per hom, built the same way once both ends are
+checked: the base hom carrier, the sorted keys and the hom order.
+``check_associativity`` gives ``compose`` one memo of base products per
+middle arrow, keyed by the identities of the two factors and dropped when
+the group ends; it assumes that base composition is a function of its two
+arguments.
 
 The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
@@ -145,6 +151,7 @@ class CauchyCategory:
         )
         self._fact: dict = {}
         self._plans: dict = {}
+        self._sum_plans: dict = {}
         self._keys: dict = {}
         self._hom_cache: dict = {}
         self.arrow_hom = lambda arrow: (arrow.src, arrow.tgt)
@@ -237,9 +244,17 @@ class CauchyCategory:
         plan = self._plans[key] = (g_keys, f_keys, keys, target_pcm, rows)
         return plan
 
-    def compose(self, g: CauchyArrow, f: CauchyArrow) -> CauchyArrow:
+    def compose(self, g: CauchyArrow, f: CauchyArrow, *,
+                products: dict | None = None) -> CauchyArrow:
         """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a;
-        a factor whose keys are not the sorted hom raises ``CarrierMismatchError``."""
+        a factor whose keys are not the sorted hom raises ``CarrierMismatchError``.
+
+        ``products`` is a memo of base products that the caller keeps: each
+        g(b) f(a) is looked up under the identities of its two factors, and
+        composed and stored on a miss as (g(b), f(a), product), so neither id
+        can pass to another object while the memo lives.  A product that
+        raises is not stored.  The memo assumes that base composition is a
+        function of its two arguments."""
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
         key = (f.src, g.src, g.tgt)
@@ -250,6 +265,16 @@ class CauchyCategory:
             raise self._misread(f, f.src[1], f.tgt[1])
         gs, fs = g.values, f.values
         base_compose = self.base.compose
+        if products is not None:
+            plain = base_compose
+
+            def base_compose(gb, fa):
+                key = (id(gb), id(fa))
+                entry = products.get(key)
+                if entry is None:
+                    entry = products[key] = (gb, fa, plain(gb, fa))
+                return entry[2]
+
         values = [None] * len(keys)
         for k, pairs in rows:
             result = target_pcm.sum(IndexedFamily(tuple([
@@ -266,23 +291,30 @@ class CauchyCategory:
         # carrier's oracle sums carrier elements into the carrier.
         return arrow if target_pcm.total else self._admitted(arrow, target_pcm)
 
+    def _sum_plan(self, src, tgt) -> tuple:
+        """The plan of summing arrows src -> tgt, once both are checked to be
+        objects: the base hom carrier, the sorted keys and the hom order."""
+        self._require_objects(src, tgt)
+        (x, u), (y, v) = src, tgt
+        plan = self._sum_plans[src, tgt] = (self.base.hom_pcm(x, y), *self._sorted_hom(u, v))
+        return plan
+
     def sum_arrows(self, fam: IndexedFamily, src=None, tgt=None):
         """Summable exactly when the flattened coefficient family is; pointwise sums."""
-        if len(fam) == 0:
-            if src is None or tgt is None:
-                raise ValidationError("summing an empty arrow family needs src and tgt")
-        else:
-            heads = {(arrow.src, arrow.tgt) for _, arrow in fam.entries}
-            if len(heads) > 1:
-                raise CarrierMismatchError("arrows in a family must share src and tgt")
-            src, tgt = next(iter(heads))
-        (x, u), (y, v) = src, tgt
-        base_pcm = self.base.hom_pcm(x, y)
-        keys, hom = self._sorted_hom(u, v)  # hom: (a, position of a in keys), in hom order
+        if fam.entries:
+            first = fam.entries[0][1]
+            src, tgt = first.src, first.tgt
+            for _, arrow in fam.entries:
+                if arrow.src != src or arrow.tgt != tgt:
+                    raise CarrierMismatchError("arrows in a family must share src and tgt")
+        elif src is None or tgt is None:
+            raise ValidationError("summing an empty arrow family needs src and tgt")
+        # hom: (a, position of a in keys), in hom order
+        base_pcm, keys, hom = self._sum_plans.get((src, tgt)) or self._sum_plan(src, tgt)
         rows = []  # (label, coefficients in sorted order) per arrow, once its keys are checked
         for i, arrow in fam.entries:
             if arrow.keys != keys:
-                raise self._misread(arrow, u, v)
+                raise self._misread(arrow, src[1], tgt[1])
             rows.append((i, arrow.values))
         contains = base_pcm.contains
         for i, values in rows:
@@ -304,7 +336,6 @@ class CauchyCategory:
                     "was admitted; the base instance violates the partition law"
                 )
             sums[k] = result.value
-        self._require_objects(src, tgt)
         arrow = CauchyArrow._of(src, tgt, keys, sums)
         # a total carrier's oracle sums carrier elements into the carrier
         return Summable(arrow if base_pcm.total else self._admitted(arrow, base_pcm))
@@ -409,13 +440,17 @@ def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
     ``product(hs, gs, fs)`` order, when there are at most 512; else 500
     seeded draws.  They are then
     evaluated grouped by their middle arrow g, so that within a group each
-    ``h.g`` and each ``g.f`` is composed once; a group's composites are
-    dropped before the next group starts: each has the group's g as a
-    factor, so no later triple reuses it, and call-wide memos walked in list
-    order ran `cauchy-laws` 5 % slower with 3 % more peak memory (Python
-    3.11, shared 2-core x86-64).  The outcome is the one of running the list
-    in order: the earliest triple that fails decides the witness, and one
-    that raises before any earlier failure has its exception re-raised.
+    ``h.g`` and each ``g.f`` is composed once, and each product of two base
+    arrows once: the group keeps a memo of base products, keyed by the
+    identities of the two factors (see ``CauchyCategory.compose``), which
+    assumes that base composition is a function of its two arguments.  The
+    sample arrows draw their coefficients from a pool of at most 4 base
+    values, so the same pairs recur.  A group's composites and its memo are
+    dropped before the next group starts: each composite has the group's g
+    as a factor, so no later triple reuses it.  The outcome is the one of
+    running the list in order: the earliest triple that fails decides the
+    witness, and one that raises before any earlier failure has its
+    exception re-raised.
     """
     name = f"associativity[{cc.name}]"
     paths = []
@@ -452,6 +487,7 @@ def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
         if positions[0] > first:
             break
         after_g, before_g = {}, {}  # id(h) -> h.g and id(f) -> g.f
+        products: dict = {}  # the group's base products, see ``CauchyCategory.compose``
         for k in positions:
             if k > first:
                 break
@@ -459,12 +495,12 @@ def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
             try:
                 hg = after_g.get(id(h))
                 if hg is None:
-                    hg = after_g[id(h)] = compose(h, g)
-                left = compose(hg, f)
+                    hg = after_g[id(h)] = compose(h, g, products=products)
+                left = compose(hg, f, products=products)
                 gf = before_g.get(id(f))
                 if gf is None:
-                    gf = before_g[id(f)] = compose(g, f)
-                if left == compose(h, gf):
+                    gf = before_g[id(f)] = compose(g, f, products=products)
+                if left == compose(h, gf, products=products):
                     continue
                 outcome = failing(name, (h, g, f))
             except Exception as exc:  # held: an earlier triple may yet fail

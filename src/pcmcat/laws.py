@@ -12,7 +12,7 @@ import itertools
 import random
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import NotAMonoidError, NotFailingError
 from .family import (
@@ -424,34 +424,6 @@ def run_category_suite(cat, family_size: int = 4, trials: int = 200,
     )
     reports.extend(derived_laws(cat))
     return reports
-
-
-# --------------------------------------------------------------------------
-# independent convolution oracle
-# --------------------------------------------------------------------------
-
-
-def oracle_convolution(
-    scalar_mul: Callable,
-    scalar_add: Callable,
-    scalar_zero,
-    monoid_table: dict[tuple[str, str], str],
-    alpha: dict[str, object],
-    beta: dict[str, object],
-) -> dict[str, object]:
-    """Double-loop product of coefficient maps over a finite monoid.
-
-    Deliberately independent of the factorization-index path used by the
-    composition code: it walks all (q, p) pairs and accumulates with plain
-    scalar operations.
-    """
-    elements = sorted({m for pair in monoid_table for m in pair})
-    out = {m: scalar_zero for m in elements}
-    for q in elements:
-        for p in elements:
-            target = monoid_table[(q, p)]
-            out[target] = scalar_add(out[target], scalar_mul(alpha[q], beta[p]))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from pcmcat.laws import (
     check_wpa,
     check_zero_laws,
     families_over,
-    oracle_convolution,
     run_pcm_suite,
 )
 from pcmcat.pcm import (
@@ -71,6 +70,8 @@ from pcmcat.universal import (
     object_obstruction,
     validate_substitution_data,
 )
+
+from test_cauchy_reference import oracle_convolution
 
 CAUCHY_BASES = ("int", "mod:5", "rational", "matrix:2", "rel:2")
 CAUCHY_INDEXES = (

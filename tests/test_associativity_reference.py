@@ -16,9 +16,10 @@ import random
 import pytest
 
 from pcmcat.category import PcmCategory, from_semiring, resolve_base
-from pcmcat.cauchy import cauchy_product, check_associativity
+from pcmcat.cauchy import CauchyCategory, cauchy_product, check_associativity
 from pcmcat.fincat import cyclic_category, trivial_category, two_object_five_arrow_category
 from pcmcat.report import failing, passing
+from test_census import as_index, isomorphic, monoids_by_backtracking
 
 # --------------------------------------------------------------------------
 # the reference
@@ -172,3 +173,78 @@ def test_planted_mutants_match_reference(mutant):
     # triple decides, and it is a failure in some cases and a raise in others.
     assert kinds == {"wrong": {"FAIL"}, "raising": {"raises"},
                      "both": {"FAIL", "raises"}}[mutant]
+
+
+# --------------------------------------------------------------------------
+# the group memo of base products
+# --------------------------------------------------------------------------
+
+
+def _counting(base: PcmCategory, log: list) -> PcmCategory:
+    """``base`` with each composition logged as (factor g, factor f)."""
+    def multiply(g, f):
+        log.append((g, f))
+        return base.compose(g, f)
+
+    return PcmCategory(f"counted-{base.name}", base.objects, base.hom_pcm, multiply,
+                       base.identity, base.arrow_hom)
+
+
+def test_each_base_product_is_composed_once_per_middle_arrow_group():
+    """matrix:2[Z3] at seed 0: within one group, that is under one memo, no
+    pair of factor identities is composed twice; over the whole check the
+    base composes at most 40 % as often as the reference checker makes it."""
+    reference_log, log = [], []
+    expected = reference_check_associativity(
+        cauchy_product(_counting(resolve_base("matrix:2"), reference_log), INDEXES["Z3"]))
+    cc = cauchy_product(_counting(resolve_base("matrix:2"), log), INDEXES["Z3"])
+    memos, groups = [], []  # every memo seen, kept alive; the memo of each base product
+
+    def compose(g, f, *, products):
+        if not memos or memos[-1] is not products:
+            assert all(memo is not products for memo in memos)  # a group runs unbroken
+            memos.append(products)
+        before = len(log)
+        arrow = CauchyCategory.compose(cc, g, f, products=products)
+        groups.extend([len(memos)] * (len(log) - before))
+        return arrow
+
+    cc.compose = compose
+    report = check_associativity(cc)
+    assert (report.line(), report.witness) == (expected.line(), expected.witness)
+    assert report.detail == "500 sampled triples" and len(groups) == len(log)
+    # ``log`` holds every factor, so no two of them share an identity
+    pairs = [(group, id(g), id(f)) for group, (g, f) in zip(groups, log)]
+    assert len(set(pairs)) == len(pairs)
+    assert len(memos) > 1 and len(log) <= 0.4 * len(reference_log)
+
+
+def test_a_base_product_that_raises_is_not_memoized():
+    cc = cauchy_product(_mutant_int(**MUTANTS["raising"]), trivial_category())
+    obj = cc.objects[0]
+    four, two = (cc.make_arrow(obj, obj, {"id_*": value}) for value in (4, 2))
+    products = {}
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"planted raise on 4\*2"):
+            cc.compose(four, two, products=products)
+        assert products == {}
+    assert cc.compose(two, four, products=products) == cc.make_arrow(obj, obj, {"id_*": 8})
+    assert [product for _, _, product in products.values()] == [8]
+
+
+def test_non_commutative_order_4_monoids_match_reference():
+    """int[M] for each of the 16 non-commutative monoids of order 4, up to
+    isomorphism, where g.f and f.g differ: the grouped checker composes
+    through its memos and must still give the reference's verdict.  The small
+    ints a product gives are shared objects, so a memo is hit across arrows
+    as well as within one."""
+    representatives = []
+    for table in monoids_by_backtracking(4):
+        if not any(isomorphic(table, rep, 4) for rep in representatives):
+            representatives.append(table)
+    non_commutative = [table for table in representatives
+                       if any(table[a, b] != table[b, a] for a, b in table)]
+    assert len(non_commutative) == 16
+    for table in non_commutative:
+        outcome = _agree(lambda: cauchy_product(resolve_base("int"), as_index(table, 4)))
+        assert outcome[1] == "CHECK associativity[int[M4]] PASS  # 500 sampled triples"

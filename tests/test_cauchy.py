@@ -48,9 +48,10 @@ from pcmcat.fincat import (
     from_monoid,
     trivial_category,
     truncated_category,
+    two_object_five_arrow_category,
     two_object_parallel_pair,
 )
-from pcmcat.laws import oracle_convolution
+from test_cauchy_reference import oracle_convolution
 from pcmcat.pcm import NOT_SUMMABLE, Pcm, Residue, Summable
 from pcmcat.category import k_bounded_category
 from pcmcat.cli import parse_fincat
@@ -259,6 +260,47 @@ def test_sum_arrows_respects_bounded_base():
 def test_sum_arrows_empty_family_is_zero_arrow():
     result = INT_Z2.sum_arrows(family_of([]), src=OBJ2, tgt=OBJ2)
     assert result == Summable(arrow(INT_Z2, {"z0": 0, "z1": 0}))
+
+
+U, V = ("*", "U"), ("*", "V")
+# One fault each, over int[two-object-five-arrow]: the arguments of ``sum_arrows`` and
+# the exception it raises, type and message.
+SUM_FAULTS = {
+    "mixed ends": (
+        lambda cc: (family_of([cc.identity(U), cc.identity(V)]),),
+        CarrierMismatchError, "arrows in a family must share src and tgt"),
+    "empty family with no ends": (
+        lambda cc: (family_of([]),),
+        ValidationError, "summing an empty arrow family needs src and tgt"),
+    "keys not the sorted hom": (
+        lambda cc: (family_of([cc.identity(U), CauchyArrow(U, U, (("id_U", 1), ("e", 0)))]),),
+        CarrierMismatchError,
+        "{id_U=1,e=0} is not an arrow of int[two-object-five-arrow]: "
+        "its keys are not the sorted D(U,U)"),
+    "coefficient outside the base carrier": (
+        lambda cc: (family_of([CauchyArrow(U, V, (("a", 1), ("b", 2))),
+                               CauchyArrow(U, V, (("a", 3), ("b", "x")))]),),
+        CarrierMismatchError,
+        "finite-families[(Z,+)]: entry 'i1|b' = x is outside the carrier"),
+    "unknown object pair": (
+        lambda cc: (family_of([]), ("*", "W"), ("*", "W")),
+        ValidationError, "unknown object pair ('*', 'W') or ('*', 'W')"),
+}
+
+
+@pytest.mark.parametrize("fault", SUM_FAULTS)
+def test_sum_arrows_raises_each_fault_with_its_message(fault):
+    """The same exception on a fresh category and on one that has already
+    summed a family in every hom."""
+    args, error, message = SUM_FAULTS[fault]
+    fresh = cauchy_product(INT, two_object_five_arrow_category())
+    used = cauchy_product(INT, two_object_five_arrow_category())
+    for src, tgt in itertools.product(used.objects, repeat=2):
+        assert isinstance(used.sum_arrows(family_of([]), src, tgt), Summable)
+    for cc in (fresh, used):
+        with pytest.raises(error) as raised:
+            cc.sum_arrows(*args(cc))
+        assert str(raised.value) == message
 
 
 # Coefficient tuples of Z3 arrows whose keys are not the sorted hom
@@ -491,9 +533,9 @@ def _counting_compose(monkeypatch):
     calls = []
     compose = CauchyCategory.compose
 
-    def counted(self, g, f):
+    def counted(self, g, f, **memo):
         calls.append((g, f))
-        return compose(self, g, f)
+        return compose(self, g, f, **memo)
 
     monkeypatch.setattr(CauchyCategory, "compose", counted)
     return calls

@@ -125,6 +125,29 @@ def reference_sum_arrows(cc, fam, src=None, tgt=None):
     return Summable(reference_make_arrow(cc, src, tgt, coeffs))
 
 
+def oracle_convolution(
+    scalar_mul,
+    scalar_add,
+    scalar_zero,
+    monoid_table: dict[tuple[str, str], str],
+    alpha: dict[str, object],
+    beta: dict[str, object],
+) -> dict[str, object]:
+    """Double-loop product of coefficient maps over a finite monoid.
+
+    Deliberately independent of the factorization-index path used by the
+    composition code: it walks all (q, p) pairs and accumulates with plain
+    scalar operations.
+    """
+    elements = sorted({m for pair in monoid_table for m in pair})
+    out = {m: scalar_zero for m in elements}
+    for q in elements:
+        for p in elements:
+            target = monoid_table[(q, p)]
+            out[target] = scalar_add(out[target], scalar_mul(alpha[q], beta[p]))
+    return out
+
+
 # --------------------------------------------------------------------------
 # instances and outcomes
 # --------------------------------------------------------------------------
@@ -391,6 +414,30 @@ def test_unknown_index_arrow_raises_as_the_reference(base):
     got = outcome(cc.make_arrow, obj, obj, coeffs)
     assert got[:2] == ("raise", ValidationError)
     assert got == outcome(reference_make_arrow, cc, obj, obj, coeffs)
+
+
+def test_oracle_convolution_z2_all_ones():
+    table = {("z0", "z0"): "z0", ("z0", "z1"): "z1",
+             ("z1", "z0"): "z1", ("z1", "z1"): "z0"}
+    alpha = {"z0": 1, "z1": 1}
+    out = oracle_convolution(lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, alpha)
+    assert out == {"z0": 2, "z1": 2}
+
+
+def test_oracle_convolution_unit_is_neutral():
+    table = {(f"z{a}", f"z{b}"): f"z{(a+b) % 3}" for a in range(3) for b in range(3)}
+    alpha = {"z0": 5, "z1": 7, "z2": -2}
+    unit = {"z0": 1, "z1": 0, "z2": 0}
+    out = oracle_convolution(lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, unit)
+    assert out == alpha
+
+
+def test_oracle_convolution_z3_shift():
+    table = {(f"z{a}", f"z{b}"): f"z{(a+b) % 3}" for a in range(3) for b in range(3)}
+    alpha = {"z0": 0, "z1": 0, "z2": 1}
+    beta = {"z0": 0, "z1": 1, "z2": 0}
+    out = oracle_convolution(lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, beta)
+    assert out == {"z0": 1, "z1": 0, "z2": 0}
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from pcmcat.laws import (
     check_zero_laws,
     classify_full_pa,
     minimize,
-    oracle_convolution,
     run_pcm_suite,
 )
 
@@ -203,30 +202,6 @@ def test_a_refused_zero_padded_one_fails_wpa_before_subfamilies_meets_it():
     assert wpa.line() == ("CHECK wpa[padded-one-refused] FAIL "
                           "witness=[{i0=1,i1=1,i2=0};[{i0,i2}|{i1}]]  # block not summable")
     assert sub.line() == "CHECK subfamilies[padded-one-refused] PASS"
-
-
-def test_oracle_convolution_z2_all_ones():
-    table = {("z0", "z0"): "z0", ("z0", "z1"): "z1",
-             ("z1", "z0"): "z1", ("z1", "z1"): "z0"}
-    alpha = {"z0": 1, "z1": 1}
-    out = oracle_convolution(lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, alpha)
-    assert out == {"z0": 2, "z1": 2}
-
-
-def test_oracle_convolution_unit_is_neutral():
-    table = {(f"z{a}", f"z{b}"): f"z{(a+b) % 3}" for a in range(3) for b in range(3)}
-    alpha = {"z0": 5, "z1": 7, "z2": -2}
-    unit = {"z0": 1, "z1": 0, "z2": 0}
-    out = oracle_convolution(lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, unit)
-    assert out == alpha
-
-
-def test_oracle_convolution_z3_shift():
-    table = {(f"z{a}", f"z{b}"): f"z{(a+b) % 3}" for a in range(3) for b in range(3)}
-    alpha = {"z0": 0, "z1": 0, "z2": 1}
-    beta = {"z0": 0, "z1": 1, "z2": 0}
-    out = oracle_convolution(lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, beta)
-    assert out == {"z0": 1, "z1": 0, "z2": 0}
 
 
 def test_minimize_shrinks_strong_distributivity_witness():

@@ -32,7 +32,7 @@ from pcmcat.cauchy import CauchyArrow, cauchy_product
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import IndexedFamily, family_of, make_family
 from pcmcat.fincat import cyclic_category, two_object_five_arrow_category
-from pcmcat.laws import oracle_convolution
+from test_cauchy_reference import oracle_convolution
 from pcmcat.pcm import Pcm, Summable
 
 DIMS = (1, 2, 3)
