@@ -479,6 +479,25 @@ def _object_triples(cat):
     return itertools.product(cat.objects, repeat=3)
 
 
+def memoized_compose(compose, memo: dict):
+    """``compose`` memoized in ``memo``, a dict the caller keeps.
+
+    Each (g, f) is keyed by the identities of its two arguments and stored
+    on a miss as (g, f, composite), so neither id can pass to another object
+    while the memo lives; a composition that raises stores nothing.  The one
+    assumption: composition is a function of its two arguments.
+    """
+
+    def composed(g, f):
+        key = (id(g), id(f))
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (g, f, compose(g, f))
+        return entry[2]
+
+    return composed
+
+
 # --------------------------------------------------------------------------
 # strong distributivity
 # --------------------------------------------------------------------------
@@ -508,9 +527,8 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
     Per object triple, the exhaustive phase sums each f-family and each
     g-family once, kept by the family's position in the triple's
     enumeration until the next triple; the trials sum afresh.  Each pair of
-    grid elements is composed once in the whole call, trials included, kept
-    under the identities of the two arrows (an entry holds both, so no other
-    object can take their identities while it lives).  Each value is
+    grid elements is composed once in the whole call, trials included, through
+    one ``memoized_compose`` memo.  Each value is
     computed at its first use, so every first call, any exception the
     oracle or a composition raises and the witness come where the plain
     search has them.  The witness's ``recheck`` reuses nothing.
@@ -529,15 +547,7 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
     def recheck_at(x, y, z):
         return lambda witness: violation(x, y, z, *witness)
 
-    composites: dict = {}
-
-    def compose(g, f):
-        key = (id(g), id(f))
-        entry = composites.get(key)
-        if entry is None:
-            entry = composites[key] = (g, f, cat.compose(g, f))
-        return entry[2]
-
+    compose = memoized_compose(cat.compose, {})
     for x, y, z in _object_triples(cat):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
         fams_f = tuple(families_over(pf.grid[:3], 2))

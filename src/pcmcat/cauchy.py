@@ -20,9 +20,9 @@ and one (output position, factorizations) row per index arrow, in hom order.
 ``sum_arrows`` reads one plan per hom, built the same way once both ends are
 checked: the base hom carrier, the sorted keys and the hom order.
 ``check_associativity`` gives ``compose`` one memo of base products per
-middle arrow, keyed by the identities of the two factors and dropped when
-the group ends; it assumes that base composition is a function of its two
-arguments.
+middle arrow, dropped when the group ends; ``compose`` reads it through
+``category.memoized_compose``, the one memo of composites, which strong
+distributivity uses too.
 
 The summability checks stay on even where the construction guarantees
 success: a refusal here means the base instance is broken, and is raised
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .category import PcmCategory, PcmFunctor, from_semiring
+from .category import PcmCategory, PcmFunctor, from_semiring, memoized_compose
 from .errors import (
     CarrierMismatchError,
     NotAMonoidError,
@@ -249,12 +249,8 @@ class CauchyCategory:
         """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a;
         a factor whose keys are not the sorted hom raises ``CarrierMismatchError``.
 
-        ``products`` is a memo of base products that the caller keeps: each
-        g(b) f(a) is looked up under the identities of its two factors, and
-        composed and stored on a miss as (g(b), f(a), product), so neither id
-        can pass to another object while the memo lives.  A product that
-        raises is not stored.  The memo assumes that base composition is a
-        function of its two arguments."""
+        ``products`` is a memo of base products that the caller keeps,
+        read and filled through ``category.memoized_compose``."""
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
         key = (f.src, g.src, g.tgt)
@@ -266,15 +262,7 @@ class CauchyCategory:
         gs, fs = g.values, f.values
         base_compose = self.base.compose
         if products is not None:
-            plain = base_compose
-
-            def base_compose(gb, fa):
-                key = (id(gb), id(fa))
-                entry = products.get(key)
-                if entry is None:
-                    entry = products[key] = (gb, fa, plain(gb, fa))
-                return entry[2]
-
+            base_compose = memoized_compose(base_compose, products)
         values = [None] * len(keys)
         for k, pairs in rows:
             result = target_pcm.sum(IndexedFamily(tuple([
@@ -441,9 +429,8 @@ def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
     seeded draws.  They are then
     evaluated grouped by their middle arrow g, so that within a group each
     ``h.g`` and each ``g.f`` is composed once, and each product of two base
-    arrows once: the group keeps a memo of base products, keyed by the
-    identities of the two factors (see ``CauchyCategory.compose``), which
-    assumes that base composition is a function of its two arguments.  The
+    arrows once: the group keeps a memo of base products, which
+    ``CauchyCategory.compose`` reads through ``category.memoized_compose``.  The
     sample arrows draw their coefficients from a pool of at most 4 base
     values, so the same pairs recur.  A group's composites and its memo are
     dropped before the next group starts: each composite has the group's g

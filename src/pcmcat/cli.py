@@ -95,6 +95,8 @@ def parse_fincat(text: str, name: str = "") -> FinCategory:
         elif fields[0] == "compose":
             if len(fields) != 5 or fields[3] != "=":
                 raise ParseError("expected: compose <g> <f> = <h>", lineno)
+            if (fields[1], fields[2]) in compositions:
+                raise ParseError(f"compose {fields[1]} {fields[2]} given twice", lineno)
             compositions[(fields[1], fields[2])] = fields[4]
         else:
             raise ParseError(f"unknown directive {fields[0]!r}", lineno)
@@ -219,6 +221,8 @@ def parse_arrow(text: str, cc: CauchyCategory) -> tuple[str, CauchyArrow]:
             raise UnknownIndexArrowError(
                 f"{arrow_name!r} is not an arrow {src[1]} -> {tgt[1]}", lineno
             )
+        if arrow_name in coeffs:
+            raise ParseError(f"coefficient {arrow_name!r} given twice", lineno)
         coeffs[arrow_name] = parse_scalar(scalar_text, cc.base.name, lineno)
     if header is None:
         raise ParseError("missing arrow header", None)
@@ -300,8 +304,8 @@ def cmd_sum(args, out) -> int:
     cc = _build_cauchy(args)
     named = [load_arrow(path, cc) for path in args.arrows]
     fam = family_of([arrow for _, arrow in named])
-    result = cc.sum_arrows(fam) if named else None
-    if result is None or not isinstance(result, Summable):
+    result = cc.sum_arrows(fam)
+    if not isinstance(result, Summable):
         _emit(out, "NOT SUMMABLE")
         return 3
     _emit(out, render_arrow("+".join(name for name, _ in named), result.value))

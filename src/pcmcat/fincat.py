@@ -10,6 +10,13 @@ from .errors import NotAMonoidError, ValidationError
 from .report import Report, failing, passing
 
 
+def _refuse_repeats(kind: str, names: tuple) -> None:
+    """Raise ``ValidationError`` at the first of ``names`` that repeats an earlier one."""
+    if len(set(names)) < len(names):
+        repeat = next(name for k, name in enumerate(names) if names.index(name) < k)
+        raise ValidationError(f"duplicate {kind} name {repeat!r}")
+
+
 class FinCategory:
     """Objects, named arrows, identities, and a composition table of integer rows.
 
@@ -29,6 +36,7 @@ class FinCategory:
         name: str = "",
     ):
         objects = tuple(objects)
+        _refuse_repeats("object", objects)
         number: dict[str, int] = {}
         ends: list[tuple[str, str]] = []
         for arrow, src, tgt in arrows:
@@ -307,10 +315,8 @@ def product_category(a: FinCategory, b: FinCategory) -> FinCategory:
             cat.compose(g, f)
     objects = tuple(f"({x},{y})" for x in a.objects for y in b.objects)
     arrows = tuple(f"({f},{g})" for f in a.arrows for g in b.arrows)
-    for kind, names in (("arrow", arrows), ("object", objects)):
-        if len(set(names)) < len(names):
-            repeat = next(pair for k, pair in enumerate(names) if names.index(pair) < k)
-            raise ValidationError(f"duplicate {kind} name {repeat!r}")
+    _refuse_repeats("arrow", arrows)
+    _refuse_repeats("object", objects)
     ends = [(f"({src_a},{src_b})", f"({tgt_a},{tgt_b})")
             for src_a, tgt_a in a._ends for src_b, tgt_b in b._ends]
     size = len(b.arrows)

@@ -20,7 +20,6 @@ from .family import (
     IndexedFamily,
     Partition,
     enumerate_partitions,
-    families_over,  # noqa: F401 -- re-exported
     family_of,
     make_family,
     partition_table,

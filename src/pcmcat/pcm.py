@@ -136,9 +136,6 @@ class Relation:
                     out.add((a, d))
         return Relation(frozenset(out))
 
-    def union(self, other: "Relation") -> "Relation":
-        return Relation(self.pairs | other.pairs)
-
     @staticmethod
     def identity(n: int) -> "Relation":
         return Relation(frozenset((i, i) for i in range(n)))
@@ -405,23 +402,6 @@ def _sqrt_sum_sign(radicands: Iterable[int], bound: int) -> int:
         if lo + len(irrational) <= scaled:
             return -1
         shift += 32
-
-
-def compare_sqrt_sum(squares: Iterable[Fraction], bound: Fraction) -> int:
-    """Sign of (sum of sqrt(q) for q in squares) - bound, computed exactly.
-
-    Puts the squares and the bound over one common denominator d, where
-    sqrt(p/q) * d = sqrt(p*q*(d/q)**2), and compares integer roots.
-    """
-    squares = [Fraction(q) for q in squares]
-    if any(q < 0 for q in squares):
-        raise ValueError("negative radicand")
-    bound = Fraction(bound)
-    d = lcm(bound.denominator, *[q.denominator for q in squares])
-    return _sqrt_sum_sign(
-        [q.numerator * q.denominator * (d // q.denominator) ** 2 for q in squares],
-        bound.numerator * (d // bound.denominator),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -696,21 +676,13 @@ def all_partial_injections(n: int) -> tuple[PartialFn, ...]:
     return tuple(f for f in all_partial_fns(n) if f.is_injective())
 
 
-def _disjoint_union(fam: IndexedFamily) -> PartialFn | None:
+def _union(fam: IndexedFamily, overlap: bool) -> PartialFn | None:
+    """The union of the family's graphs, or None where two domains meet
+    (with ``overlap``, only where they meet with different values)."""
     union: dict[int, int] = {}
     for _, f in fam.entries:
         for x, y in f.graph:
-            if x in union:
-                return None
-            union[x] = y
-    return PartialFn.of(union)
-
-
-def _overlap_union(fam: IndexedFamily) -> PartialFn | None:
-    union: dict[int, int] = {}
-    for _, f in fam.entries:
-        for x, y in f.graph:
-            if x in union and union[x] != y:
+            if x in union and (not overlap or union[x] != y):
                 return None
             union[x] = y
     return PartialFn.of(union)
@@ -725,7 +697,7 @@ def make_partial_fn_pcm(n: int, family_grid: tuple = ()) -> Pcm:
         )
 
     def oracle(fam: IndexedFamily):
-        union = _disjoint_union(fam)
+        union = _union(fam, overlap=False)
         return Summable(union) if union is not None else NOT_SUMMABLE
 
     return Pcm(
@@ -745,7 +717,7 @@ def make_partial_injection_pcm(n: int, mode: str, family_grid: tuple = ()) -> Pc
     """
     if mode not in ("disjoint", "overlap"):
         raise ValueError(f"unknown mode {mode!r}")
-    merge = _disjoint_union if mode == "disjoint" else _overlap_union
+    overlap = mode == "overlap"
 
     def contains(x):
         return (
@@ -755,7 +727,7 @@ def make_partial_injection_pcm(n: int, mode: str, family_grid: tuple = ()) -> Pc
         )
 
     def oracle(fam: IndexedFamily):
-        union = merge(fam)
+        union = _union(fam, overlap)
         if union is None or not union.is_injective():
             return NOT_SUMMABLE
         return Summable(union)

@@ -33,6 +33,7 @@ from pcmcat.cauchy import (
     star_embed,
 )
 from pcmcat.cli import main
+from pcmcat.family import families_over
 from pcmcat.fincat import (
     Functor,
     compose_functors,
@@ -50,7 +51,6 @@ from pcmcat.laws import (
     check_unary,
     check_wpa,
     check_zero_laws,
-    families_over,
     run_pcm_suite,
 )
 from pcmcat.pcm import (

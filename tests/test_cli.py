@@ -107,6 +107,25 @@ def test_validate_command_rejects_incomplete_table():
     assert "error" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("objects U U\narrow a U U\ncompose a a = a\n", "duplicate object name 'U'"),
+    ("objects U\narrow a U U\narrow b U U\ncompose a a = a\ncompose a b = a\n"
+     "compose b a = b\ncompose b b = b\ncompose a a = b\n", "line 8: compose a a given twice"),
+], ids=["object", "compose"])
+def test_validate_refuses_a_repeated_declaration(text, message, tmp_path):
+    path = tmp_path / "repeat.fincat"
+    path.write_text(text)
+    code, out, err = run_cli("validate", "--index", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_arrow_file_that_gives_a_coefficient_twice_exits_two(tmp_path):
+    path = tmp_path / "twice.arrow"
+    path.write_text("arrow f (*,*) -> (*,*)\nz0 = 1\nz0 = 5\n")
+    code, out, err = run_cli("convolve", "--base", "int", str(path), str(path))
+    assert (code, out, err) == (2, "", "error: line 3: coefficient 'z0' given twice\n")
+
+
 @pytest.mark.parametrize("descriptor", ["cyclic:x", "cyclic:", "cyclic:0", "cyclic:-2"])
 def test_validate_malformed_cyclic_descriptor_exits_two(descriptor):
     code, out, err = run_cli("validate", "--index", descriptor)

@@ -561,6 +561,11 @@ def test_product_refuses_a_repeated_object_name():
         product_category(left, right)
 
 
+def test_the_constructor_refuses_a_repeated_object_name():
+    with pytest.raises(ValidationError, match=r"^duplicate object name 'U'$"):
+        FinCategory(("U", "V", "U"), (("a", "U", "U"),), {("a", "a"): "a"})
+
+
 def test_product_raises_the_first_missing_composite_of_a_factor():
     missing = FinCategory(("*",), (("f", "*", "*"),), {})
     # (p, p) composes; (q, q) is missing too, but the pairwise product meets (f, f) first

@@ -31,7 +31,6 @@ from pcmcat.pcm import (
     Summable,
     Vec,
     check_hom,
-    compare_sqrt_sum,
     compose_homs,
     identity_hom,
     make_abs_convergence_pcm,
@@ -266,18 +265,18 @@ def test_unit_ball_l2_irrational_norms():
 
 
 @pytest.mark.parametrize(
-    "squares,bound,expected",
+    "radicands,bound,expected",
     [
-        ([Fraction(1, 4), Fraction(1, 4)], Fraction(1), 0),
-        ([Fraction(1, 2), Fraction(1, 2)], Fraction(1), 1),
-        ([Fraction(1, 2)], Fraction(1), -1),
-        ([], Fraction(1), -1),
-        ([Fraction(2)], Fraction(3, 2), -1),
-        ([Fraction(2)], Fraction(7, 5), 1),
+        ([1, 1], 2, 0),
+        ([2, 2], 2, 1),
+        ([2], 2, -1),
+        ([], 1, -1),
+        ([8], 3, -1),
+        ([50], 7, 1),
     ],
 )
-def test_compare_sqrt_sum(squares, bound, expected):
-    assert compare_sqrt_sum(squares, bound) == expected
+def test_sqrt_sum_sign(radicands, bound, expected):
+    assert pcm_module._sqrt_sum_sign(radicands, bound) == expected
 
 
 def test_check_hom_identity_passes():
