@@ -112,10 +112,9 @@ def parse_fincat(text: str, name: str = "") -> FinCategory:
 def load_index(descriptor: str) -> FinCategory:
     """Builtin index descriptors, else a .fincat file path."""
     if descriptor.startswith("cyclic:"):
-        try:
-            n = int(descriptor.split(":", 1)[1])
-        except ValueError:
-            n = 0
+        text = descriptor.split(":", 1)[1]
+        # ASCII digits only: int() would also take signs, underscores and spaces
+        n = int(text) if text.isascii() and text.isdigit() else 0
         if n < 1:
             raise ParseError(f"cyclic:<n> needs an integer n >= 1, got {descriptor!r}")
         if n > MAX_CYCLIC_ORDER:

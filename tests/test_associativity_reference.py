@@ -1,60 +1,24 @@
-"""The grouped associativity checker against the one that walks its triples in order.
+"""The grouped associativity checker against the plain triple loop.
 
-``reference_check_associativity`` below is ``check_associativity`` as it was
-before the triples were grouped by their middle arrow: it evaluates each
-triple in list order and composes ``h.g`` and ``g.f`` afresh for every one.
-The grouped checker must agree with it case for case: the same report line,
-detail and witness, or the same exception type and message.  The planted
-mutants make the earliest failing or raising triple decide, which grouping
-reorders.
+``plain.associativity`` evaluates each triple in list order and composes
+``h.g`` and ``g.f`` afresh for every one, where the checker groups the
+triples by their middle arrow.  The grouped checker must agree with it case
+for case: the same report line, detail and witness, or the same exception
+type and message.  The planted mutants make the earliest failing or raising
+triple decide, which grouping reorders.
 """
 
 import dataclasses
-import itertools
-import random
 
 import pytest
 
+import plain
+from plain import Recorder, outcome
 from pcmcat.category import PcmCategory, from_semiring, resolve_base
 from pcmcat.cauchy import CauchyCategory, cauchy_product, check_associativity
 from pcmcat.fincat import cyclic_category, trivial_category, two_object_five_arrow_category
-from pcmcat.report import failing, passing
-from test_census import as_index, isomorphic, monoids_by_backtracking
 
-# --------------------------------------------------------------------------
-# the reference
-# --------------------------------------------------------------------------
-
-
-def reference_check_associativity(cc, seed=0):
-    name = f"associativity[{cc.name}]"
-    paths = []
-    total = 0
-    for o1, o2, o3, o4 in itertools.product(cc.objects, repeat=4):
-        fs = cc.hom_pcm(o1, o2).sample_elements
-        gs = cc.hom_pcm(o2, o3).sample_elements
-        hs = cc.hom_pcm(o3, o4).sample_elements
-        if fs and gs and hs:
-            paths.append((fs, gs, hs))
-            total += len(fs) * len(gs) * len(hs)
-
-    def holds(h, g, f):
-        return cc.compose(cc.compose(h, g), f) == cc.compose(h, cc.compose(g, f))
-
-    if total <= 512:
-        for fs, gs, hs in paths:
-            for h, g, f in itertools.product(hs, gs, fs):
-                if not holds(h, g, f):
-                    return failing(name, (h, g, f))
-        return passing(name, detail=f"exhaustive over {total} triples")
-    rng = random.Random(f"{seed}:assoc:{cc.name}")
-    for _ in range(500):
-        fs, gs, hs = rng.choice(paths)
-        h, g, f = rng.choice(hs), rng.choice(gs), rng.choice(fs)
-        if not holds(h, g, f):
-            return failing(name, (h, g, f))
-    return passing(name, detail="500 sampled triples")
-
+CHECKS = (check_associativity, plain.associativity)
 
 # --------------------------------------------------------------------------
 # cases
@@ -102,21 +66,6 @@ MUTANTS = {
 }
 
 
-def _outcome(check, cc, **kwargs):
-    try:
-        report = check(cc, **kwargs)
-    except Exception as exc:  # the exception is part of the outcome
-        return ("raises", type(exc), str(exc))
-    return ("report", report.line(), report.detail, report.witness)
-
-
-def _agree(make_cc, **kwargs):
-    """Both checkers on fresh instances; the shared outcome."""
-    expected = _outcome(reference_check_associativity, make_cc(), **kwargs)
-    assert _outcome(check_associativity, make_cc(), **kwargs) == expected
-    return expected
-
-
 # --------------------------------------------------------------------------
 # tests
 # --------------------------------------------------------------------------
@@ -126,29 +75,32 @@ def _agree(make_cc, **kwargs):
 @pytest.mark.parametrize("index_name", INDEXES)
 @pytest.mark.parametrize("base", BASES)
 def test_sampled_branch_matches_reference(base, index_name, seed):
-    _agree(lambda: cauchy_product(resolve_base(base), INDEXES[index_name]), seed=seed)
+    got, want = (outcome(check, cauchy_product(resolve_base(base), INDEXES[index_name]),
+                         seed=seed) for check in CHECKS)
+    assert got == want
 
 
 @pytest.mark.parametrize("base, index", EXHAUSTIVE_CASES,
                          ids=[f"{base}[{index.name}]" for base, index in EXHAUSTIVE_CASES])
 def test_exhaustive_branch_matches_reference(base, index):
-    outcome = _agree(lambda: cauchy_product(resolve_base(base), index))
-    assert outcome[0] == "report" and "exhaustive over" in outcome[2]
+    got, want = (outcome(check, cauchy_product(resolve_base(base), index)) for check in CHECKS)
+    assert got == want
+    assert got[0] == "ok" and "exhaustive over" in got[4]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nested_convolution_matches_reference(seed):
-    def make():
-        return cauchy_product(cauchy_product(resolve_base("int"), INDEXES["Z2"]),
-                              INDEXES["Z3"])
-
-    outcome = _agree(make, seed=seed)
-    assert outcome[1] == "CHECK associativity[int[Z2][Z3]] PASS  # 500 sampled triples"
+    got, want = (outcome(check, cauchy_product(cauchy_product(resolve_base("int"), INDEXES["Z2"]),
+                                               INDEXES["Z3"]), seed=seed) for check in CHECKS)
+    assert got == want
+    assert got[1] == "CHECK associativity[int[Z2][Z3]] PASS  # 500 sampled triples"
 
 
 def test_kbounded_over_z3_raises_the_same_refusal():
-    outcome = _agree(lambda: cauchy_product(resolve_base("kbounded:2"), INDEXES["Z3"]))
-    assert outcome[0] == "raises" and "not summable in 2-bounded" in outcome[2]
+    got, want = (outcome(check, cauchy_product(resolve_base("kbounded:2"), INDEXES["Z3"]))
+                 for check in CHECKS)
+    assert got == want
+    assert got[0] == "raise" and "not summable in 2-bounded" in got[2]
 
 
 def _mutant_cases():
@@ -164,11 +116,10 @@ def _mutant_cases():
 def test_planted_mutants_match_reference(mutant):
     kinds = set()
     for index, kwargs, grid in _mutant_cases():
-        def make():
-            return cauchy_product(_mutant_int(**MUTANTS[mutant], grid=grid), index)
-
-        outcome = _agree(make, **kwargs)
-        kinds.add("raises" if outcome[0] == "raises" else outcome[1].split()[2])
+        got, want = (outcome(check, cauchy_product(_mutant_int(**MUTANTS[mutant], grid=grid), index),
+                             **kwargs) for check in CHECKS)
+        assert got == want
+        kinds.add("raises" if got[0] == "raise" else got[3])
     # The single mutants decide every case; planted together, the earliest
     # triple decides, and it is a failure in some cases and a raise in others.
     assert kinds == {"wrong": {"FAIL"}, "raising": {"raises"},
@@ -180,43 +131,36 @@ def test_planted_mutants_match_reference(mutant):
 # --------------------------------------------------------------------------
 
 
-def _counting(base: PcmCategory, log: list) -> PcmCategory:
-    """``base`` with each composition logged as (factor g, factor f)."""
-    def multiply(g, f):
-        log.append((g, f))
-        return base.compose(g, f)
-
-    return PcmCategory(f"counted-{base.name}", base.objects, base.hom_pcm, multiply,
-                       base.identity, base.arrow_hom)
-
-
 def test_each_base_product_is_composed_once_per_middle_arrow_group():
     """matrix:2[Z3] at seed 0: within one group, that is under one memo, no
     pair of factor identities is composed twice; over the whole check the
-    base composes at most 40 % as often as the reference checker makes it."""
-    reference_log, log = [], []
-    expected = reference_check_associativity(
-        cauchy_product(_counting(resolve_base("matrix:2"), reference_log), INDEXES["Z3"]))
-    cc = cauchy_product(_counting(resolve_base("matrix:2"), log), INDEXES["Z3"])
-    memos, groups = [], []  # every memo seen, kept alive; the memo of each base product
+    base composes at most 40 % as often as the plain triple loop makes it."""
+    plain_rec, rec = Recorder(), Recorder()
+    expected = plain.associativity(
+        cauchy_product(plain_rec.category(resolve_base("matrix:2")), INDEXES["Z3"]))
+    cc = cauchy_product(rec.category(resolve_base("matrix:2")), INDEXES["Z3"])
+    memos, spans = [], []  # every memo seen, kept alive; each compose's log span and memo
 
     def compose(g, f, *, products):
         if not memos or memos[-1] is not products:
             assert all(memo is not products for memo in memos)  # a group runs unbroken
             memos.append(products)
-        before = len(log)
+        start = len(rec.log)
         arrow = CauchyCategory.compose(cc, g, f, products=products)
-        groups.extend([len(memos)] * (len(log) - before))
+        spans.append((start, len(rec.log), len(memos)))
         return arrow
 
     cc.compose = compose
     report = check_associativity(cc)
     assert (report.line(), report.witness) == (expected.line(), expected.witness)
+    log = rec.calls("compose")
+    groups = [group for start, end, group in spans
+              for kind, _, _ in rec.log[start:end] if kind == "compose"]
     assert report.detail == "500 sampled triples" and len(groups) == len(log)
     # ``log`` holds every factor, so no two of them share an identity
     pairs = [(group, id(g), id(f)) for group, (g, f) in zip(groups, log)]
     assert len(set(pairs)) == len(pairs)
-    assert len(memos) > 1 and len(log) <= 0.4 * len(reference_log)
+    assert len(memos) > 1 and len(log) <= 0.4 * len(plain_rec.calls("compose"))
 
 
 def test_a_base_product_that_raises_is_not_memoized():
@@ -239,12 +183,14 @@ def test_non_commutative_order_4_monoids_match_reference():
     ints a product gives are shared objects, so a memo is hit across arrows
     as well as within one."""
     representatives = []
-    for table in monoids_by_backtracking(4):
-        if not any(isomorphic(table, rep, 4) for rep in representatives):
+    for table in plain.monoids_by_backtracking(4):
+        if not any(plain.isomorphic(table, rep, 4) for rep in representatives):
             representatives.append(table)
     non_commutative = [table for table in representatives
                        if any(table[a, b] != table[b, a] for a, b in table)]
     assert len(non_commutative) == 16
     for table in non_commutative:
-        outcome = _agree(lambda: cauchy_product(resolve_base("int"), as_index(table, 4)))
-        assert outcome[1] == "CHECK associativity[int[M4]] PASS  # 500 sampled triples"
+        got, want = (outcome(check, cauchy_product(resolve_base("int"), plain.as_index(table, 4)))
+                     for check in CHECKS)
+        assert got == want
+        assert got[1] == "CHECK associativity[int[M4]] PASS  # 500 sampled triples"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pcmcat.errors import CarrierMismatchError, ParseError, ShapeMismatchError
-from pcmcat.family import families_over, family_of, make_family
+from pcmcat.family import families_over, family_of
 from pcmcat.laws import run_category_suite
 from pcmcat.pcm import (
     NOT_SUMMABLE,
@@ -415,46 +415,3 @@ def test_partial_function_grids_hold_a_nontrivial_summable_family(descriptor):
         sum(v != pcm.zero for v in fam.values) >= 2 and isinstance(pcm.sum(fam), Summable)
         for fam in families_over(pcm.grid, 3)
     )
-
-
-# --------------------------------------------------------------------------
-# matrix product and sum against the plain folds
-# --------------------------------------------------------------------------
-
-
-def reference_matmul(g: Matrix, f: Matrix) -> Matrix:
-    """Each entry as a sum from the int 0."""
-    (n, k), (_, m) = g.shape, f.shape
-    return Matrix(tuple(
-        tuple(sum(g.rows[i][t] * f.rows[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    ))
-
-
-def reference_matrix_sum(fam, n, m):
-    """Matrix additions from the zero matrix, in label order."""
-    total = fraction_zero(n, m)
-    for _, v in sorted(fam.entries, key=lambda e: e[0]):
-        total = total + v
-    return total
-
-
-def test_matrix_product_and_sum_match_the_plain_folds():
-    import random
-
-    rng = random.Random("matrix-folds:rational")
-    values = [Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)]
-    dims = (1, 2, 3)
-    cat = matrix_category(dims)
-
-    def random_matrix(n, m):
-        return Matrix.of([[rng.choice(values) for _ in range(m)] for _ in range(n)])
-
-    for _ in range(300):
-        n, k, m = (rng.choice(dims) for _ in range(3))
-        g, f = random_matrix(n, k), random_matrix(k, m)
-        assert cat.compose(g, f).rows == reference_matmul(g, f).rows
-        labels = rng.sample(range(100), rng.randint(0, 5))
-        fam = make_family((f"m{label}", random_matrix(n, k)) for label in labels)
-        got = cat.hom_pcm(k, n).sum(fam)
-        assert got.value.rows == reference_matrix_sum(fam, n, k).rows

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plain import Recorder, convolution
 from pcmcat.category import (
     Matrix,
     PcmCategory,
@@ -51,7 +52,6 @@ from pcmcat.fincat import (
     two_object_five_arrow_category,
     two_object_parallel_pair,
 )
-from test_cauchy_reference import oracle_convolution
 from pcmcat.pcm import NOT_SUMMABLE, Pcm, Residue, Summable
 from pcmcat.category import k_bounded_category
 from pcmcat.cli import parse_fincat
@@ -202,26 +202,6 @@ def test_a_one_sided_identity_fails_the_identity_laws(multiply, side):
         f"witness={{z0=[[0,0],[0,0]],z1=[[0,0],[1,-1]]}}  # {side} identity law fails")
 
 
-def test_convolve_agrees_with_double_loop_oracle_exhaustively():
-    for n, cyc in ((2, Z2), (3, Z3)):
-        cc = cauchy_product(INT, cyc)
-        names = [f"z{k}" for k in range(n)]
-        table = {
-            (f"z{a}", f"z{b}"): f"z{(a + b) % n}" for a in range(n) for b in range(n)
-        }
-        mismatches = 0
-        for avals in itertools.product((0, 1, 2), repeat=n):
-            for bvals in itertools.product((0, 1, 2), repeat=n):
-                alpha, beta = dict(zip(names, avals)), dict(zip(names, bvals))
-                lhs = cc.compose(arrow(cc, alpha), arrow(cc, beta))
-                rhs = oracle_convolution(
-                    lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, beta
-                )
-                if dict(lhs.coeffs) != rhs:
-                    mismatches += 1
-        assert mismatches == 0
-
-
 def test_convolve_agrees_with_double_loop_oracle_sampled_z4():
     import random
 
@@ -235,10 +215,8 @@ def test_convolve_agrees_with_double_loop_oracle_sampled_z4():
         alpha = {name: rng.randint(-3, 3) for name in names}
         beta = {name: rng.randint(-3, 3) for name in names}
         lhs = cc.compose(cc.make_arrow(obj, obj, alpha), cc.make_arrow(obj, obj, beta))
-        rhs = oracle_convolution(
-            lambda a, b: a * b, lambda a, b: a + b, 0, table, alpha, beta
-        )
-        assert dict(lhs.coeffs) == rhs
+        assert dict(lhs.coeffs) == convolution(lambda a, b: a * b, lambda a, b: a + b, 0,
+                                               table, alpha, beta)
 
 
 def test_sum_arrows_pointwise():
@@ -528,20 +506,7 @@ def test_cauchy_validation_checks():
     assert check_associativity(parallel).passed
 
 
-def _counting_compose(monkeypatch):
-    """Record the argument pairs of every ``CauchyCategory.compose`` call."""
-    calls = []
-    compose = CauchyCategory.compose
-
-    def counted(self, g, f, **memo):
-        calls.append((g, f))
-        return compose(self, g, f, **memo)
-
-    monkeypatch.setattr(CauchyCategory, "compose", counted)
-    return calls
-
-
-def test_sampled_associativity_composes_each_inner_pair_once(monkeypatch):
+def test_sampled_associativity_composes_each_inner_pair_once():
     cc = cauchy_product(matrix_category([2]), Z3)
     paths = []
     for o1, o2, o3, o4 in itertools.product(cc.objects, repeat=4):
@@ -554,21 +519,25 @@ def test_sampled_associativity_composes_each_inner_pair_once(monkeypatch):
         triples.append((rng.choice(hs), rng.choice(gs), rng.choice(fs)))
     after_g = {(h, g) for h, g, _ in triples}
     before_g = {(g, f) for _, g, f in triples}
-    calls = _counting_compose(monkeypatch)
+    rec = Recorder()
+    cc.compose = rec.composing(cc.compose)
     assert check_associativity(cc, seed=0).detail == "500 sampled triples"
+    calls = rec.calls("compose")
     # Two outer composes per triple, one inner compose per distinct pair.
     assert len(calls) == 2 * 500 + len(after_g) + len(before_g)
     assert after_g | before_g <= set(calls)
 
 
-def test_exhaustive_associativity_composes_each_inner_pair_once(monkeypatch):
+def test_exhaustive_associativity_composes_each_inner_pair_once():
     cc = cauchy_product(k_bounded_category(1), Z2)
     obj = cc.objects[0]
     samples = cc.hom_pcm(obj, obj).sample_elements
     total = len(samples) ** 3
     assert total == 343  # at most 512, so every triple is checked
-    calls = _counting_compose(monkeypatch)
+    rec = Recorder()
+    cc.compose = rec.composing(cc.compose)
     report = check_associativity(cc)
+    calls = rec.calls("compose")
     assert report.detail == f"exhaustive over {total} triples"
     # Each pair of sample arrows is composed once as h.g and once as g.f;
     # every other call composes one of those composites.
@@ -650,7 +619,7 @@ def test_series_products_are_one_convolution_composite(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 8, 16])
 def test_truncated_convolution_matches_the_oracle_double_loop(n):
-    """rational[trunc:n] against ``oracle_convolution`` over {0..n, inf} written out."""
+    """rational[trunc:n] against ``plain.convolution`` over {0..n, inf} written out."""
     names = [f"x{k}" for k in range(n + 1)] + ["xinf"]
     table = {(names[a], names[b]): names[min(a + b, n + 1)]
              for a in range(n + 2) for b in range(n + 2)}
@@ -663,7 +632,7 @@ def test_truncated_convolution_matches_the_oracle_double_loop(n):
         alpha, beta = ({a: Fraction(0) for a in names} | dict(zip(names, stream))
                        for stream in streams)
         got = cc.compose(cc.make_arrow(obj, obj, alpha), cc.make_arrow(obj, obj, beta))
-        assert dict(got.coeffs) == oracle_convolution(
+        assert dict(got.coeffs) == convolution(
             operator.mul, operator.add, Fraction(0), table, alpha, beta)
 
 

@@ -7,24 +7,25 @@ written here from the definition, against the harness.
   is the same for every order of every family; the carrier battery must
   pass exactly the tables for which it is.
 - Indexes: every unital table on 1, 2 and 3 elements (1 + 2 + 81 tables)
-  through ``validate_category``, against a plain triple loop; and the
+  through ``validate_category``, against ``plain.validate``; and the
   known answer delta_g * delta_h = delta_{g.h} of ``int[M]`` on each monoid
   of order 3, up to isomorphism.
 - Indexes of order 4: every monoid on {0, 1, 2, 3} with unit 0, found by a
   backtracking search (156 tables in 35 classes), and each of them with one
   non-unit entry replaced (156 x 9 x 3 tables); ``validate_category`` must
-  give the report line and witness of a plain triple loop on each.
+  give the report line and witness of ``plain.validate`` on each.
 """
 
 import collections
 import itertools
 
+import plain
+from plain import as_index, isomorphic
 from pcmcat.category import from_semiring
 from pcmcat.cauchy import cauchy_product
-from pcmcat.fincat import FinCategory, validate_category
+from pcmcat.fincat import validate_category
 from pcmcat.laws import run_pcm_suite
 from pcmcat.pcm import NOT_SUMMABLE, Pcm, Summable
-from pcmcat.report import failing, passing
 
 # --------------------------------------------------------------------------
 # carriers on {0, 1, 2}
@@ -101,29 +102,8 @@ def unital_tables(n):
         yield table
 
 
-def associative(table, n) -> bool:
-    return all(table[table[a, b], c] == table[a, table[b, c]]
-               for a, b, c in itertools.product(range(n), repeat=3))
-
-
-def as_index(table, n) -> FinCategory:
-    """The table as a one-object category with arrows m0..m{n-1}, m0 its identity."""
-    return FinCategory(("*",), tuple((f"m{a}", "*", "*") for a in range(n)),
-                       {(f"m{a}", f"m{b}"): f"m{c}" for (a, b), c in table.items()},
-                       identities={"*": "m0"}, name=f"M{n}")
-
-
-def isomorphic(t1, t2, n) -> bool:
-    """Some bijection fixing the unit 0 carries ``t1`` onto ``t2``."""
-    for rest in itertools.permutations(range(1, n)):
-        image = (0, *rest)
-        if all(t2[image[a], image[b]] == image[c] for (a, b), c in t1.items()):
-            return True
-    return False
-
-
 def monoids(n):
-    return [t for t in unital_tables(n) if associative(t, n)]
+    return [t for t in unital_tables(n) if plain.validate(as_index(t, n)).passed]
 
 
 def test_validate_category_agrees_with_the_triple_loop_on_every_unital_table():
@@ -132,7 +112,8 @@ def test_validate_category_agrees_with_the_triple_loop_on_every_unital_table():
         tables = list(unital_tables(n))
         assert len(tables) == n ** ((n - 1) ** 2)
         for table in tables:
-            assert validate_category(as_index(table, n)).passed == associative(table, n), table
+            index = as_index(table, n)
+            assert validate_category(index).passed == plain.validate(index).passed, table
         found = monoids(n)
         representatives = []
         for table in found:
@@ -172,53 +153,9 @@ def test_deltas_convolve_as_the_index_composes_on_every_monoid_of_order_3():
 # --------------------------------------------------------------------------
 
 
-def monoids_by_backtracking(n):
-    """Every associative table on 0..n-1 with unit 0: the non-unit entries are
-    filled in row order, and a partial table is dropped as soon as some triple
-    whose four products are all filled in fails to associate."""
-    cells = list(itertools.product(range(1, n), repeat=2))
-    table = {(a, b): (b if a == 0 else a) for a in range(n) for b in range(n) if a == 0 or b == 0}
-
-    def consistent():
-        for a, b, c in itertools.product(range(1, n), repeat=3):
-            ab, bc = table.get((a, b)), table.get((b, c))
-            if ab is None or bc is None:
-                continue
-            left, right = table.get((ab, c)), table.get((a, bc))
-            if left is not None and right is not None and left != right:
-                return False
-        return True
-
-    def fill(k):
-        if k == len(cells):
-            yield dict(table)
-            return
-        for value in range(n):
-            table[cells[k]] = value
-            if consistent():
-                yield from fill(k + 1)
-        del table[cells[k]]
-
-    return list(fill(0))
-
-
-def triple_loop(table, n):
-    """The report of a plain loop over arrows, then triples, on the table as ``as_index`` names it."""
-    name = f"category[M{n}]"
-    for a in range(n):
-        if table[0, a] != a:
-            return failing(name, f"m{a}", detail="left identity law fails")
-        if table[a, 0] != a:
-            return failing(name, f"m{a}", detail="right identity law fails")
-    for h, g, f in itertools.product(range(n), repeat=3):
-        if table[table[h, g], f] != table[h, table[g, f]]:
-            return failing(name, (f"m{h}", f"m{g}", f"m{f}"), detail="associativity fails")
-    return passing(name)
-
-
 def test_validate_category_agrees_with_the_triple_loop_on_every_order_4_monoid_and_its_neighbours():
-    found = monoids_by_backtracking(4)
-    assert all(associative(table, 4) for table in found)
+    found = plain.monoids_by_backtracking(4)
+    assert all(plain.validate(as_index(table, 4)).passed for table in found)
     representatives = []
     for table in found:
         if not any(isomorphic(table, rep, 4) for rep in representatives):
@@ -231,7 +168,8 @@ def test_validate_category_agrees_with_the_triple_loop_on_every_order_4_monoid_a
     assert len(tables) == 156 + 156 * 9 * 3
     verdicts = collections.Counter()
     for table in tables:
-        report, want = validate_category(as_index(table, 4)), triple_loop(table, 4)
+        index = as_index(table, 4)
+        report, want = validate_category(index), plain.validate(index)
         assert (report.line(), report.witness) == (want.line(), want.witness), table
         verdicts[report.detail or "pass"] += 1
     # a replaced entry can give another monoid, so more tables pass than the 156

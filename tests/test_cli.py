@@ -10,8 +10,10 @@ from pcmcat import category, cauchy, pcm
 from pcmcat.category import (
     MAX_MATRIX_DIM,
     MAX_MATRIX_OBJECTS,
+    MAX_MODULUS,
     MAX_PARTIAL_FN_POINTS,
     MAX_RELATION_POINTS,
+    MAX_UNIT_BALL_DIM,
     from_semiring,
 )
 from pcmcat.cauchy import cauchy_product
@@ -126,7 +128,8 @@ def test_an_arrow_file_that_gives_a_coefficient_twice_exits_two(tmp_path):
     assert (code, out, err) == (2, "", "error: line 3: coefficient 'z0' given twice\n")
 
 
-@pytest.mark.parametrize("descriptor", ["cyclic:x", "cyclic:", "cyclic:0", "cyclic:-2"])
+@pytest.mark.parametrize("descriptor", ["cyclic:x", "cyclic:", "cyclic:0", "cyclic:-2",
+                                        "cyclic:1_6", "cyclic:+3", "cyclic: 3"])
 def test_validate_malformed_cyclic_descriptor_exits_two(descriptor):
     code, out, err = run_cli("validate", "--index", descriptor)
     assert (code, out) == (2, "")
@@ -152,6 +155,9 @@ def test_validate_oversized_cyclic_descriptor_is_refused_before_building(descrip
     ("pinj-disjoint:7", MAX_PARTIAL_FN_POINTS),
     ("matrix:17", MAX_MATRIX_DIM),
     ("matrix:2,100000", MAX_MATRIX_DIM),
+    ("mod:33", MAX_MODULUS),
+    ("mod:100000", MAX_MODULUS),
+    ("unitball:257:l1", MAX_UNIT_BALL_DIM),
 ])
 def test_laws_oversized_base_descriptor_is_refused_before_building(descriptor, most, monkeypatch):
     def no_build(*args):
@@ -160,6 +166,8 @@ def test_laws_oversized_base_descriptor_is_refused_before_building(descriptor, m
     monkeypatch.setattr(pcm, "all_relations", no_build)
     monkeypatch.setattr(pcm, "all_partial_fns", no_build)
     monkeypatch.setattr(category, "matrix_category", no_build)
+    monkeypatch.setattr(category, "mod_add", no_build)
+    monkeypatch.setattr(category, "make_unit_ball_pcm", no_build)
     code, out, err = run_cli("laws", "--base", descriptor, "--family-size", "3")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: descriptor {descriptor!r} takes an integer <= {most} ")
@@ -179,6 +187,13 @@ def test_laws_too_many_matrix_objects_are_refused_before_building(monkeypatch):
 def test_the_largest_matrix_descriptor_resolves():
     cat = category.resolve_base("matrix:16,16,16,16")
     assert cat.objects == (16, 16, 16, 16)
+
+
+def test_the_largest_modulus_and_unit_ball_dimension_resolve():
+    assert category.resolve_base(f"mod:{MAX_MODULUS}").hom_pcm("*", "*").grid == tuple(
+        Residue(k, 32) for k in range(32))
+    ball = category.resolve_base(f"unitball:{MAX_UNIT_BALL_DIM}:l2")
+    assert {len(v.coords) for v in ball.grid} == {256}
 
 
 def test_validate_largest_cyclic_descriptor_passes():
@@ -417,6 +432,11 @@ def test_library_parse_validation_and_file_errors_exit_two(argv, prefix):
     ("laws", "--base", "unitball:2:l3"),
     ("laws", "--base", "unitball:x:l1"),
     ("laws", "--base", "pfn:-1"),
+    ("laws", "--base", "pfn:+2"),
+    ("laws", "--base", "mod:0_5"),
+    ("laws", "--base", "mod: 5"),
+    ("laws", "--base", "matrix:+2"),
+    ("laws", "--base", "unitball:1_0:l1"),
     ("cauchy", "describe", "--base", "mod:0"),
     ("product", "--base", "int", "--base2", "kbounded:0"),
 ])

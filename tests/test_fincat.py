@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import plain
 from pcmcat import fincat
 from pcmcat.category import resolve_base
 from pcmcat.cauchy import cauchy_product
@@ -26,31 +27,7 @@ from pcmcat.fincat import (
     validate_category,
     validate_functor,
 )
-from pcmcat.report import failing, passing
-
-
-def reference_validate(cat: FinCategory):
-    """The plain triple loop that validate_category must agree with, line for line."""
-    name = f"category[{cat.name or 'unnamed'}]"
-    for g, f in cat.composable_pairs():
-        try:
-            h = cat.compose(g, f)
-        except ValidationError:
-            return failing(name, (g, f), detail="composite missing")
-        if cat.src(h) != cat.src(f) or cat.tgt(h) != cat.tgt(g):
-            return failing(name, (g, f), detail="composite has wrong endpoints")
-    for a in cat.arrows:
-        if cat.compose(cat.identity_of[cat.tgt(a)], a) != a:
-            return failing(name, a, detail="left identity law fails")
-        if cat.compose(a, cat.identity_of[cat.src(a)]) != a:
-            return failing(name, a, detail="right identity law fails")
-    for h, g in cat.composable_pairs():
-        for f in cat.arrows:
-            if cat.src(g) != cat.tgt(f):
-                continue
-            if cat.compose(cat.compose(h, g), f) != cat.compose(h, cat.compose(g, f)):
-                return failing(name, (h, g, f), detail="associativity fails")
-    return passing(name)
+from pcmcat.report import passing
 
 
 def test_trivial_category_is_valid():
@@ -261,10 +238,10 @@ def _random_category(rng):
     ident = {obj: names[a] for obj, a in identities.items()}
     pairs = sorted(table)
     # identity composites left out of the table are filled in by FinCategory
-    plain = [(g, f) for g, f in pairs if g not in ident.values() and f not in ident.values()]
+    bare = [(g, f) for g, f in pairs if g not in ident.values() and f not in ident.values()]
     defect = rng.choice(("none", "missing", "endpoints", "identity", "entry", "magma"))
     if defect == "missing":
-        del table[rng.choice(plain or pairs)]
+        del table[rng.choice(bare or pairs)]
     elif defect == "endpoints":
         g, f = rng.choice(pairs)
         wrong = [h for h in ends if ends[h] != (ends[f][0], ends[g][1])]
@@ -275,10 +252,10 @@ def _random_category(rng):
         pair = rng.choice([(ident[ends[a][1]], a), (a, ident[ends[a][0]])])
         table[pair] = rng.choice([h for h in ends if ends[h] == ends[a] and h != a] or [a])
     elif defect == "entry":
-        g, f = rng.choice(plain or pairs)
+        g, f = rng.choice(bare or pairs)
         table[(g, f)] = rng.choice([h for h in ends if ends[h] == (ends[f][0], ends[g][1])])
     elif defect == "magma":
-        for g, f in plain:
+        for g, f in bare:
             table[(g, f)] = rng.choice([h for h in ends if ends[h] == (ends[f][0], ends[g][1])])
     return FinCategory(objects, [(a, *ends[a]) for a in ends], table, ident, name=defect)
 
@@ -289,7 +266,7 @@ def test_kernel_matches_reference_on_random_tables():
     for _ in range(2400):
         cat = _random_category(rng)
         report = validate_category(cat)
-        assert report.line() == reference_validate(cat).line()
+        assert report.line() == plain.validate(cat).line()
         details[(len(cat.objects), report.detail or "pass")] += 1
         for u, v in itertools.product(cat.objects, repeat=2):
             assert cat.hom(u, v) == tuple(
@@ -368,7 +345,7 @@ def test_generators_reach_every_arrow(cat):
     assert len(set(generators)) == len(generators)
     assert not set(generators) & set(cat.identity_of.values())
     assert _reached(cat, generators) == set(cat.arrows)
-    assert validate_category(cat).line() == reference_validate(cat).line() == passing(
+    assert validate_category(cat).line() == plain.validate(cat).line() == passing(
         f"category[{cat.name}]").line()
 
 
@@ -425,7 +402,7 @@ def test_one_replaced_composite_is_reported_as_the_triple_loop_reports_it():
     for cat in cases:
         for broken in _one_entry_replaced(cat, rng, 3):
             report = validate_category(broken)
-            assert report.line() == reference_validate(broken).line()
+            assert report.line() == plain.validate(broken).line()
             details[report.detail or "pass"] += 1
     assert details["associativity fails"] >= 100, details
     assert details["left identity law fails"] + details["right identity law fails"] >= 5, details

@@ -1,6 +1,6 @@
 """The unit-ball oracles on integer numerators against the plain Fraction oracle.
 
-``reference_oracle`` below decides membership of the ball with Fraction
+``plain.unit_ball_oracle`` decides membership of the ball with Fraction
 norms and a Fraction comparison of square-root sums, and adds vectors one
 Fraction coordinate at a time.  The integer kernel must give the same
 verdict and the same coordinates, ``repr`` included.
@@ -12,79 +12,13 @@ from math import isqrt
 
 import pytest
 
+from plain import unit_ball_oracle
 from pcmcat.errors import CarrierMismatchError
 from pcmcat.family import family_of
 from pcmcat.pcm import NOT_SUMMABLE, UNIT_BALL_NORMS, Summable, Vec, make_unit_ball_pcm
 
 DIMS = (1, 2, 3)
 COPRIME = (7, 11, 13, 17, 19, 23, 25)
-
-# --------------------------------------------------------------------------
-# reference version
-# --------------------------------------------------------------------------
-
-
-def reference_exact_sqrt(q):
-    p, d = q.numerator, q.denominator
-    rp, rd = isqrt(p), isqrt(d)
-    if rp * rp == p and rd * rd == d:
-        return Fraction(rp, rd)
-    return None
-
-
-def reference_compare_sqrt_sum(squares, bound):
-    rational_part = Fraction(0)
-    irrational = []
-    for q in squares:
-        root = reference_exact_sqrt(q)
-        if root is None:
-            irrational.append(q)
-        else:
-            rational_part += root
-    target = bound - rational_part
-    if not irrational:
-        return (0 > target) - (0 < target)
-    if target <= 0:
-        return 1
-    shift = 32
-    while True:
-        scale = 1 << shift
-        lo = hi = Fraction(0)
-        for q in irrational:
-            r = isqrt(q.numerator * q.denominator * scale * scale)
-            lo += Fraction(r, q.denominator * scale)
-            hi += Fraction(r + 1, q.denominator * scale)
-        if lo > target:
-            return 1
-        if hi < target:
-            return -1
-        shift += 32
-
-
-def reference_norm(v, norm):
-    if norm == "l1":
-        return sum((abs(c) for c in v.coords), Fraction(0))
-    if norm == "linf":
-        return max((abs(c) for c in v.coords), default=Fraction(0))
-    return sum((c * c for c in v.coords), Fraction(0))
-
-
-def reference_oracle(dim, norm):
-    def oracle(fam):
-        norms = [reference_norm(v, norm) for _, v in fam.entries]
-        if norm == "l2":
-            inside = reference_compare_sqrt_sum(norms, Fraction(1)) <= 0
-        else:
-            inside = sum(norms, Fraction(0)) <= 1
-        if not inside:
-            return NOT_SUMMABLE
-        total = Vec(tuple(Fraction(0) for _ in range(dim)))
-        for _, v in fam.entries:
-            total = total + v
-        return Summable(total)
-
-    return oracle
-
 
 # --------------------------------------------------------------------------
 # families
@@ -173,7 +107,7 @@ def boundary_families(dim):
 @pytest.mark.parametrize("dim", DIMS)
 def test_the_oracle_matches_the_fraction_reference(dim, norm):
     pcm = make_unit_ball_pcm(dim, norm)
-    reference = reference_oracle(dim, norm)
+    reference = unit_ball_oracle(dim, norm)
     rng = random.Random(f"unit-ball:{dim}:{norm}")
     verdicts = {True: 0, False: 0}
     for fam in list(random_families(pcm, dim, rng)) + boundary_families(dim):
