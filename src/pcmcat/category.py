@@ -54,7 +54,7 @@ class PcmCategory:
         self._hom_pcm = hom_pcm
         self._compose = compose
         self._identity = identity
-        self.arrow_hom = arrow_hom
+        self._arrow_hom = arrow_hom
         self._hom_cache: dict = {}
 
     def hom_pcm(self, x, y) -> Pcm:
@@ -68,6 +68,14 @@ class PcmCategory:
 
     def identity(self, x):
         return self._identity(x)
+
+    def arrow_hom(self, f) -> tuple:
+        """The (source, target) of arrow f: the builder's map, else the one object twice."""
+        if self._arrow_hom is not None:
+            return self._arrow_hom(f)
+        if len(self.objects) != 1:
+            raise ValidationError("cannot infer the hom of a base arrow; multi-object base")
+        return self.objects * 2
 
     def __repr__(self):
         return f"PcmCategory({self.name!r})"
@@ -85,7 +93,6 @@ def _one_object(name, pcm: Pcm, multiply, one) -> PcmCategory:
         hom_pcm=lambda x, y: pcm,
         compose=multiply,
         identity=lambda x: one,
-        arrow_hom=lambda f: ("*", "*"),
     )
 
 

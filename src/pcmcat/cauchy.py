@@ -5,38 +5,27 @@ the base hom-set C(X,Y) whose value family is summable.  Composition
 convolves over factorizations c = b.a in the index category; each hom-set
 inherits a summation computed on the flattened coefficient family.
 
-An arrow stores its coefficients sorted by index arrow, and with them their
-two columns, ``keys`` and ``values``.  Its keys must be exactly the sorted
-D(U,V): the hom carrier checks the key tuple against it, and ``compose`` and
-``sum_arrows`` check it before they read ``values`` by position, so an arrow
-with unsorted, duplicated or missing keys raises ``CarrierMismatchError``
-rather than being misread.  The arrows the kernel builds share the sorted
-hom's key tuple.  The factorizations of each triple of index objects are
-read once off the index's integer rows, as positions in the sorted homs.
-``compose`` reads one plan per triple of objects, built at its first use
-once all three are checked to be objects: the key tuples of both
-factors and of the output, the base carrier of the output's coefficients,
-and one (output position, factorizations) row per index arrow, in hom order.
-``sum_arrows`` reads one plan per hom, built the same way once both ends are
-checked: the base hom carrier, the sorted keys and the hom order.
-``check_associativity`` gives ``compose`` one memo of base products per
-middle arrow, dropped when the group ends; ``compose`` reads it through
-``category.memoized_compose``, the one memo of composites, which strong
-distributivity uses too.
+An arrow stores its coefficients, and their columns ``keys`` and
+``values``, in the order of ``FinCategory.hom``, which lists a hom sorted by
+name; the arrows the kernel builds share the index's hom tuple.  The hom
+carrier, ``compose`` and ``sum_arrows`` check ``keys`` against that tuple
+before reading ``values`` by position, so a misordered arrow raises
+``CarrierMismatchError`` rather than being misread.  The index builds the
+factorization table (``FinCategory.factorizations``); ``compose`` keeps one
+plan per triple of objects and ``sum_arrows`` one per hom, each built once
+its objects are checked.  ``check_associativity`` gives ``compose`` a memo of
+base products per middle arrow, read through ``category.memoized_compose``.
 
 The summability checks stay on even where the construction guarantees
-success: a refusal here means the base instance is broken, and is raised
-rather than swallowed.  Over a partial base carrier every check runs the
-oracle.  Over a total one (``Pcm.total``: finite families, relations,
-matrices) no family of carrier elements can be refused, and its oracle sums
-members into the carrier.  So arrow construction keeps only the membership
-half of the check, through ``Pcm.admits``, and composition keeps only the
-membership check ``Pcm.sum`` makes of the factor products: the summed
-coefficients are not scanned again.  ``sum_arrows`` checks each input
-coefficient for membership once, in the flattened order, labels only a
-coefficient it refuses, builds the labelled flattened family only to ask
-the oracle of a partial carrier, and then sums each column with the bare
-oracle.  Only over a partial carrier are the pointwise sums checked again.
+success: a refusal means the base instance is broken, and is raised.  Over
+a partial base carrier every check runs the oracle.  A total one
+(``Pcm.total``: finite families, relations, matrices) refuses no family of
+its elements and sums them into the carrier, so over it arrow construction
+checks membership only (``Pcm.admits``), composition only the membership
+that ``Pcm.sum`` checks of the factor products, and ``sum_arrows`` only each
+input coefficient's membership, once, in the flattened order; it builds the
+labelled flattened family, and checks the pointwise sums again, only over a
+partial carrier.
 
 Every base carrier is exact, so two arrows are the same arrow exactly when
 they are ``==``: the same ends and the same coefficient tuple.  That is the
@@ -69,13 +58,13 @@ from .report import Report, failing, passing
 
 @dataclass(frozen=True, slots=True, init=False)
 class CauchyArrow:
-    """A coefficient map: one base arrow per index arrow, stored sorted.
+    """A coefficient map: one base arrow per index arrow, in hom order.
 
     ``keys`` and ``values`` are the two columns of ``coeffs``, stored when
     the arrow is built; they take no part in equality, hashing or ``repr``.
     ``CauchyCategory.compose`` and ``sum_arrows`` read coefficients by their
-    position in ``values``, once ``keys`` is checked against the sorted hom.
-    The arrows they build share that hom's key tuple.
+    position in ``values``, once ``keys`` is checked against the index's
+    hom.  The arrows they build share that hom's tuple.
     """
 
     src: tuple
@@ -111,7 +100,7 @@ class CauchyArrow:
 # The frozen dataclass stores each field with object.__setattr__; the slots'
 # member descriptors do the same stores without the attribute lookups, and
 # assignment after __init__ still raises.
-_set_src, _set_tgt, _set_coeffs, _set_keys, _set_values = (
+_set_src, _set_tgt, _set_coeffs, _set_key_column, _set_value_column = (
     getattr(CauchyArrow, name).__set__ for name in ("src", "tgt", "coeffs", "keys", "values"))
 
 
@@ -119,8 +108,8 @@ def _store_arrow(arrow: CauchyArrow, src, tgt, coeffs, keys, values) -> None:
     _set_src(arrow, src)
     _set_tgt(arrow, tgt)
     _set_coeffs(arrow, coeffs)
-    _set_keys(arrow, keys)
-    _set_values(arrow, values)
+    _set_key_column(arrow, keys)
+    _set_value_column(arrow, values)
 
 
 # Random draws after which a hom's sample stops short of 24 arrows.  A
@@ -146,53 +135,17 @@ class CauchyCategory:
         self.base = base
         self.index = index
         self.name = f"{base.name}[{index.name}]"
-        self.objects = tuple(
-            (x, u) for x in base.objects for u in index.objects
-        )
-        self._fact: dict = {}
+        self.objects = tuple((x, u) for x in base.objects for u in index.objects)
         self._plans: dict = {}
         self._sum_plans: dict = {}
-        self._keys: dict = {}
         self._hom_cache: dict = {}
         self.arrow_hom = lambda arrow: (arrow.src, arrow.tgt)
 
     # -- structure ---------------------------------------------------------
 
     def _factorizations(self, u: str, v: str, w: str) -> dict[str, tuple]:
-        """c -> one ``(label, b, a)`` per factorization c = b.a, built once per triple.
-
-        The keys run through D(u,w) in hom order, and the factorizations of
-        each c in the order b then a run through D(v,w) and D(u,v).  The label
-        is ``"b*a"``; b and a are positions in the sorted D(v,w) and D(u,v),
-        which is how an arrow stores its coefficients.  Both positions come
-        from ``_sorted_hom``, and each composite b.a is read off b's integer
-        row of the index table into the bucket of its arrow number.
-        """
-        key = (u, v, w)
-        table = self._fact.get(key)
-        if table is None:
-            index = self.index
-            number, place, rows = index._number, index._pos, index._rows
-            a_hom = [(a, k, place[number[a]]) for a, k in self._sorted_hom(u, v)[1]]
-            c_hom = index.hom(u, w)
-            buckets: dict[int, list] = {number[c]: [] for c in c_hom}
-            for b, j in self._sorted_hom(v, w)[1]:
-                row = rows[number[b]]
-                for a, k, p in a_hom:
-                    buckets[row[p]].append((f"{b}*{a}", j, k))
-            table = self._fact[key] = {
-                c: tuple(pairs) for c, pairs in zip(c_hom, buckets.values())}
-        return table
-
-    def _sorted_hom(self, u: str, v: str) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
-        """D(u,v) sorted, the keys of every arrow (X,u) -> (Y,v), and each arrow
-        of D(u,v) in hom order with its position in the sorted tuple; built once per hom."""
-        entry = self._keys.get((u, v))
-        if entry is None:
-            hom = self.index.hom(u, v)
-            place = {a: k for k, a in enumerate(sorted(hom))}
-            entry = self._keys[u, v] = (tuple(place), tuple((a, place[a]) for a in hom))
-        return entry
+        """The index's factorization table of (u, v, w); the kernel's one read of it."""
+        return self.index.factorizations(u, v, w)
 
     def _misread(self, arrow: CauchyArrow, u: str, v: str) -> CarrierMismatchError:
         """The error for an arrow whose keys are not the sorted D(u,v)."""
@@ -216,10 +169,11 @@ class CauchyCategory:
         """Build and defensively validate an arrow; missing coefficients are zero."""
         self._require_objects(src, tgt)
         (x, u), (y, v) = src, tgt
-        hom = self._sorted_hom(u, v)[0]
-        unknown = set(coeffs) - set(hom)
+        hom = self.index.hom(u, v)
+        unknown = [*set(coeffs).difference(hom)]
         if unknown:
-            raise ValidationError(f"coefficients for arrows outside D({u},{v}): {sorted(unknown)}")
+            unknown.sort()
+            raise ValidationError(f"coefficients for arrows outside D({u},{v}): {unknown}")
         base_pcm = self.base.hom_pcm(x, y)
         arrow = CauchyArrow._of(src, tgt, hom, [coeffs.get(a, base_pcm.zero) for a in hom])
         return self._admitted(arrow, base_pcm)
@@ -230,18 +184,16 @@ class CauchyCategory:
         return self.make_arrow(obj, obj, {one: self.base.identity(x)})
 
     def _plan(self, key: tuple) -> tuple:
-        """The plan of composing A -> B -> C, for ``key`` = (A, B, C); see the module docstring."""
+        """The plan of composing A -> B -> C, for ``key`` = (A, B, C): the homs of both
+        factors and of the output, the output's base carrier, each output key's factorizations."""
         src, middle, tgt = key
         self._require_objects(src, tgt)
         if middle not in self.objects:
             raise ValidationError(f"unknown middle object pair {middle}")
         (x, u), (_, v), (z, w) = key
-        g_keys, f_keys = self._sorted_hom(v, w)[0], self._sorted_hom(u, v)[0]
-        keys, hom = self._sorted_hom(u, w)  # hom: (c, position of c in keys), in hom order
-        target_pcm = self.base.hom_pcm(x, z)
-        # the factorization table runs through D(u,w) in hom order, as ``hom`` does
-        rows = tuple(zip([k for _, k in hom], self._factorizations(u, v, w).values()))
-        plan = self._plans[key] = (g_keys, f_keys, keys, target_pcm, rows)
+        hom = self.index.hom
+        rows = tuple(self._factorizations(u, v, w).items())  # (c, factorizations), in hom order
+        plan = self._plans[key] = (hom(v, w), hom(u, v), hom(u, w), self.base.hom_pcm(x, z), rows)
         return plan
 
     def compose(self, g: CauchyArrow, f: CauchyArrow, *,
@@ -254,38 +206,30 @@ class CauchyCategory:
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
         key = (f.src, g.src, g.tgt)
-        g_keys, f_keys, keys, target_pcm, rows = self._plans.get(key) or self._plan(key)
-        if g.keys != g_keys:
+        g_hom, f_hom, hom, target_pcm, rows = self._plans.get(key) or self._plan(key)
+        if g.keys != g_hom:
             raise self._misread(g, g.src[1], g.tgt[1])
-        if f.keys != f_keys:
+        if f.keys != f_hom:
             raise self._misread(f, f.src[1], f.tgt[1])
         gs, fs = g.values, f.values
         base_compose = self.base.compose
         if products is not None:
             base_compose = memoized_compose(base_compose, products)
-        values = [None] * len(keys)
-        for k, pairs in rows:
+        values = []
+        for c, pairs in rows:
             result = target_pcm.sum(IndexedFamily(tuple([
                 (label, base_compose(gs[b], fs[a])) for label, b, a in pairs
             ])))
             if not isinstance(result, Summable):
                 raise NotSummableError(
-                    f"convolution coefficient at {keys[k]} refused by {target_pcm.name}; "
+                    f"convolution coefficient at {c} refused by {target_pcm.name}; "
                     "the base instance violates its composition law"
                 )
-            values[k] = result.value
-        arrow = CauchyArrow._of(f.src, g.tgt, keys, values)
+            values.append(result.value)
+        arrow = CauchyArrow._of(f.src, g.tgt, hom, values)
         # ``target_pcm.sum`` checked every factor product, and a total
         # carrier's oracle sums carrier elements into the carrier.
         return arrow if target_pcm.total else self._admitted(arrow, target_pcm)
-
-    def _sum_plan(self, src, tgt) -> tuple:
-        """The plan of summing arrows src -> tgt, once both are checked to be
-        objects: the base hom carrier, the sorted keys and the hom order."""
-        self._require_objects(src, tgt)
-        (x, u), (y, v) = src, tgt
-        plan = self._sum_plans[src, tgt] = (self.base.hom_pcm(x, y), *self._sorted_hom(u, v))
-        return plan
 
     def sum_arrows(self, fam: IndexedFamily, src=None, tgt=None):
         """Summable exactly when the flattened coefficient family is; pointwise sums."""
@@ -297,26 +241,31 @@ class CauchyCategory:
                     raise CarrierMismatchError("arrows in a family must share src and tgt")
         elif src is None or tgt is None:
             raise ValidationError("summing an empty arrow family needs src and tgt")
-        # hom: (a, position of a in keys), in hom order
-        base_pcm, keys, hom = self._sum_plans.get((src, tgt)) or self._sum_plan(src, tgt)
-        rows = []  # (label, coefficients in sorted order) per arrow, once its keys are checked
+        try:
+            base_pcm, keys, places = self._sum_plans[src, tgt]
+        except KeyError:  # base carrier, keys and their places, once both ends are checked
+            self._require_objects(src, tgt)
+            keys = self.index.hom(src[1], tgt[1])
+            base_pcm, keys, places = self._sum_plans[src, tgt] = (
+                self.base.hom_pcm(src[0], tgt[0]), keys, tuple(enumerate(keys)))
+        rows = []  # (label, coefficients in hom order) per arrow, once its keys are checked
         for i, arrow in fam.entries:
             if arrow.keys != keys:
                 raise self._misread(arrow, src[1], tgt[1])
             rows.append((i, arrow.values))
         contains = base_pcm.contains
         for i, values in rows:
-            for a, k in hom:
+            for k, a in places:
                 if not contains(values[k]):
                     raise base_pcm.outside_error(f"{i}|{a}", values[k])
         if not base_pcm.total:
             flattened = IndexedFamily(tuple([
-                (f"{i}|{a}", values[k]) for i, values in rows for a, k in hom
+                (f"{i}|{a}", values[k]) for i, values in rows for k, a in places
             ]))
             if not isinstance(base_pcm.oracle(flattened), Summable):
                 return NOT_SUMMABLE
         sums = [None] * len(keys)
-        for a, k in hom:
+        for k, a in places:
             result = base_pcm.oracle(IndexedFamily(tuple([(i, values[k]) for i, values in rows])))
             if not isinstance(result, Summable):
                 raise NotSummableError(
@@ -333,7 +282,7 @@ class CauchyCategory:
     def _sample_arrows(self, src, tgt) -> tuple[CauchyArrow, ...]:
         (x, u), (y, v) = src, tgt
         base_pcm = self.base.hom_pcm(x, y)
-        hom = self._sorted_hom(u, v)[0]
+        hom = self.index.hom(u, v)
         pool = [base_pcm.zero]
         for value in base_pcm.grid:
             if value not in pool:
@@ -374,10 +323,10 @@ class CauchyCategory:
         key = (src, tgt)
         if key in self._hom_cache:
             return self._hom_cache[key]
-        keys = self._sorted_hom(src[1], tgt[1])[0]
+        keys = self.index.hom(src[1], tgt[1])
 
         def contains(arrow):
-            """An arrow src -> tgt whose keys are the sorted hom tuple."""
+            """An arrow src -> tgt whose keys are the index's hom tuple."""
             return (
                 isinstance(arrow, CauchyArrow)
                 and arrow.src == src
@@ -517,15 +466,6 @@ def sigma_functor(cc: CauchyCategory) -> PcmFunctor:
     return PcmFunctor(lambda obj: obj[0], on_arr)
 
 
-def _base_arrow_hom(cc: CauchyCategory, h):
-    if cc.base.arrow_hom is not None:
-        return cc.base.arrow_hom(h)
-    if len(cc.base.objects) == 1:
-        only = cc.base.objects[0]
-        return (only, only)
-    raise ValidationError("cannot infer the hom of a base arrow; multi-object base")
-
-
 def eta_functor(cc: CauchyCategory, u) -> PcmFunctor:
     """Embed the base at index object u: the coefficient sits at the identity."""
     if u not in cc.index.objects:
@@ -533,7 +473,7 @@ def eta_functor(cc: CauchyCategory, u) -> PcmFunctor:
     one = cc.index.identity_of[u]
 
     def on_arr(h):
-        x, y = _base_arrow_hom(cc, h)
+        x, y = cc.base.arrow_hom(h)
         return cc.make_arrow((x, u), (y, u), {one: h})
 
     return PcmFunctor(lambda x: (x, u), on_arr)
@@ -553,7 +493,7 @@ def gamma_functor(cc: CauchyCategory, x) -> PcmFunctor:
 
 def star_embed(cc: CauchyCategory, f, g: str) -> CauchyArrow:
     """The arrow with coefficient f on index arrow g and zero elsewhere."""
-    x, y = _base_arrow_hom(cc, f)
+    x, y = cc.base.arrow_hom(f)
     u, v = cc.index.src(g), cc.index.tgt(g)
     return cc.make_arrow((x, u), (y, v), {g: f})
 

@@ -122,9 +122,16 @@ def load_index(descriptor: str) -> FinCategory:
         return cyclic_category(n)
     if descriptor == "trivial":
         return trivial_category()
-    with open(descriptor, encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_fincat(text, name=descriptor)
+    return parse_fincat(_read_text(descriptor), name=descriptor)
+
+
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise ``ParseError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 # --------------------------------------------------------------------------
@@ -229,8 +236,7 @@ def parse_arrow(text: str, cc: CauchyCategory) -> tuple[str, CauchyArrow]:
 
 
 def load_arrow(path: str, cc: CauchyCategory) -> tuple[str, CauchyArrow]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_arrow(handle.read(), cc)
+    return parse_arrow(_read_text(path), cc)
 
 
 def render_arrow(name: str, arrow: CauchyArrow) -> str:
@@ -284,7 +290,7 @@ def cmd_cauchy_describe(args, out) -> int:
             _emit(
                 out,
                 f"hom ({src[0]},{src[1]}) -> ({tgt[0]},{tgt[1]}): "
-                f"{len(hom)} coefficients [{', '.join(sorted(hom))}]",
+                f"{len(hom)} coefficients [{', '.join(hom)}]",
             )
     for obj in cc.objects:
         _emit(out, f"identity at ({obj[0]},{obj[1]}): {cc.identity(obj)}")

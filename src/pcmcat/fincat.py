@@ -23,8 +23,10 @@ class FinCategory:
     Arrows are numbered in ``arrows`` order; ``_rows[g]`` holds the number of
     g.f, or None where none is recorded, for each f in ``_into[src(g)]``, the
     arrows into src(g) in arrow order (``_pos[f]`` is f's place there).  Names
-    appear only at the API.  This constructor turns a table given by name into
-    rows once; composites with identities are inferred unless given.
+    appear only at the API: ``hom`` lists a hom sorted by arrow name, and
+    ``factorizations`` reads the pairs b, a with b.a = c off the rows, as
+    positions in those sorted homs.  This constructor turns a table given by
+    name into rows once; composites with identities are inferred unless given.
     """
 
     def __init__(
@@ -64,8 +66,10 @@ class FinCategory:
             for a in (g, f, h):
                 if a not in number:
                     raise ValidationError(f"composite entry mentions unknown arrow {a!r}")
-            if ends[number[g]][0] == ends[number[f]][1]:
-                rows[number[g]][pos[number[f]]] = number[h]
+            if ends[number[g]][0] != ends[number[f]][1]:
+                raise ValidationError(f"composite entry ({g!r}, {f!r}) names a pair "
+                                      "that is not composable")
+            rows[number[g]][pos[number[f]]] = number[h]
         # infer identity composites: 1.a on the left, then a.1 on the right
         for a, (src, tgt) in enumerate(ends):
             for row, k in ((rows[number[identities[tgt]]], pos[a]),
@@ -93,9 +97,10 @@ class FinCategory:
             self._pos.append(len(self._into[tgt]))
             self._into[tgt].append(a)
             homs.setdefault((src, tgt), []).append(arrows[a])
-        self._homs = {pair: tuple(hom) for pair, hom in homs.items()}
+        self._homs = {pair: tuple(sorted(hom)) for pair, hom in homs.items()}
         self._rows = [[None] * len(self._into[src]) for src, _ in ends] if rows is None else rows
         self._report: Report | None = None  # set by validate_category
+        self._tables: dict = {}  # filled by factorizations, one per triple of objects
 
     def src(self, arrow: str) -> str:
         return self._ends[self._number[arrow]][0]
@@ -105,6 +110,24 @@ class FinCategory:
 
     def hom(self, u: str, v: str) -> tuple[str, ...]:
         return self._homs.get((u, v), ())
+
+    def factorizations(self, u: str, v: str, w: str) -> dict[str, tuple]:
+        """Each c of hom(u, w), in order, with one ``("b*a", j, k)`` per c = b.a:
+        b and a run through hom(v, w) and hom(u, v), and j and k are their
+        places there.  Built once per triple, off a total, well-typed table."""
+        table = self._tables.get((u, v, w))
+        if table is None:
+            number, place, rows = self._number, self._pos, self._rows
+            a_hom = [(a, k, place[number[a]]) for k, a in enumerate(self.hom(u, v))]
+            c_hom = self.hom(u, w)
+            buckets: dict[int, list] = {number[c]: [] for c in c_hom}
+            for j, b in enumerate(self.hom(v, w)):
+                row = rows[number[b]]
+                for a, k, p in a_hom:
+                    buckets[row[p]].append((f"{b}*{a}", j, k))
+            table = self._tables[u, v, w] = {
+                c: tuple(pairs) for c, pairs in zip(c_hom, buckets.values())}
+        return table
 
     def composable_pairs(self):
         for g, (src, _) in enumerate(self._ends):

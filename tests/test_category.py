@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from pcmcat.errors import CarrierMismatchError, ParseError, ShapeMismatchError
 from pcmcat.family import families_over, family_of
 from pcmcat.laws import run_category_suite
 from pcmcat.pcm import (
+    INT_ADD,
     NOT_SUMMABLE,
     Cyclotomic,
     NotSummable,
@@ -15,14 +17,18 @@ from pcmcat.pcm import (
     Residue,
     Summable,
     check_hom,
+    make_k_bounded_pcm,
 )
 from pcmcat.category import (
     BUILTIN_BASES,
     Matrix,
     PcmCategory,
     PcmFunctor,
+    check_composing_sums,
+    check_left_right_distributivity,
     check_monoid_sums,
     check_pcm_functor,
+    check_reordering,
     check_strong_distributivity,
     check_zero_absorption,
     compose_pcm_functors,
@@ -415,3 +421,57 @@ def test_partial_function_grids_hold_a_nontrivial_summable_family(descriptor):
         sum(v != pcm.zero for v in fam.values) >= 2 and isinstance(pcm.sum(fam), Summable)
         for fam in families_over(pcm.grid, 3)
     )
+
+
+# --------------------------------------------------------------------------
+# planted carriers and compositions for each FAIL branch of the derived laws
+# --------------------------------------------------------------------------
+
+
+def _ball(bound: int, compose, name: str) -> PcmCategory:
+    """Integers whose families are summable while their absolute values sum
+    to at most ``bound``, composing by ``compose``."""
+    pcm = Pcm(f"ball:{bound}", lambda v: isinstance(v, int),
+              lambda fam: Summable(sum(fam.values)) if sum(map(abs, fam.values)) <= bound
+              else NOT_SUMMABLE, sample_elements=(0, 1, -1, 2, -2))
+    return PcmCategory(name, ("*",), lambda x, y: pcm, compose, lambda x: 1)
+
+
+def _projection(compose, name: str) -> PcmCategory:
+    """The 1-bounded integers over the grid (0, 1), composing by ``compose``."""
+    pcm = make_k_bounded_pcm(INT_ADD, 1, family_grid=(0, 1))
+    return PcmCategory(name, ("*",), lambda x, y: pcm, compose, lambda x: 1)
+
+
+@pytest.mark.parametrize("check, cat, line", [
+    (check_left_right_distributivity, _ball(2, operator.mul, "ball"),
+     "CHECK left-right-distributivity[ball] FAIL witness={i0=2}  # left family not summable, h=2"),
+    # -2, and only -2, composes on the left as 3
+    (check_left_right_distributivity, _ball(4, lambda g, f: 3 * f if g == -2 else g * f, "odd"),
+     "CHECK left-right-distributivity[odd] FAIL witness={i0=-2}  "
+     "# right family not summable, h=2"),
+    # 0 composes on the left as a unit
+    (check_left_right_distributivity, _ball(4, lambda g, f: g * f if g else f, "zero-unit"),
+     "CHECK left-right-distributivity[zero-unit] FAIL witness={}  "
+     "# right distributivity fails, h=1"),
+    (check_reordering, _ball(2, operator.mul, "ball"),
+     "CHECK reordering[ball] FAIL witness=[{i0=2};{i0=2}]  # row not summable"),
+    (check_reordering, _projection(lambda g, f: g, "left"),
+     "CHECK reordering[left] FAIL witness=[{i0=0,i1=0};{i0=1}]  # column not summable"),
+    (check_composing_sums, _ball(2, operator.mul, "ball"),
+     "CHECK composing-sums[ball] FAIL witness={i0=2}  # power 2 not summable"),
+], ids=["left-family", "right-family", "right-distributivity", "row", "column", "power"])
+def test_each_derived_law_reports_its_planted_failure(check, cat, line):
+    assert check(cat).line() == line
+
+
+def test_monoid_sums_reports_eight_copies_of_an_arrow_it_cannot_sum():
+    """0 and 1 repeat freely, any other member at most once: {1, -1} holds the
+    identity and (-1)(-1) = 1, but eight copies of -1 are refused."""
+    pcm = Pcm("units-free", lambda v: isinstance(v, int),
+              lambda fam: Summable(sum(fam.values))
+              if sum(v not in (0, 1) for v in fam.values) <= 1 else NOT_SUMMABLE,
+              sample_elements=(0, 1, -1, 2))
+    cat = PcmCategory("units-free", ("*",), lambda x, y: pcm, operator.mul, lambda x: 1)
+    assert check_monoid_sums(cat).line() == (
+        "CHECK monoid-sums[units-free] FAIL witness={i0=1,i1=-1}  # sum of 8 copies refused")

@@ -679,3 +679,54 @@ def test_the_sample_draws_stop_once_every_admitted_map_is_found():
     samples = cc.hom_pcm(obj, obj).sample_elements
     assert len(samples) == 10
     assert all(sum(1 for _, c in arrow.coeffs if c != 0) <= 1 for arrow in samples)
+
+
+# --------------------------------------------------------------------------
+# planted bases that break the partition law, and arrows the kernel never builds
+# --------------------------------------------------------------------------
+
+
+def _pairs_refused() -> PcmCategory:
+    """Integers whose oracle refuses every family of exactly two members: a hom
+    carrier that admits a family and refuses some of its parts."""
+    pcm = Pcm("pairs-refused", lambda v: isinstance(v, int),
+              lambda fam: NOT_SUMMABLE if len(fam) == 2 else Summable(sum(fam.values)),
+              sample_elements=(0, 1))
+    return PcmCategory("pairs-refused", ("*",), lambda x, y: pcm, operator.mul, lambda x: 1)
+
+
+def test_sum_arrows_raises_where_a_column_is_refused_but_the_flattened_family_is_not():
+    cc = cauchy_product(_pairs_refused(), cyclic_category(3))
+    zero = cc.make_arrow(OBJ2, OBJ2, {})
+    with pytest.raises(NotSummableError, match=(
+            "^pointwise sum at z0 refused although the flattened family was admitted; "
+            "the base instance violates the partition law$")):
+        cc.sum_arrows(family_of([zero, zero]))
+
+
+def test_map_index_raises_where_a_fiber_is_refused_but_the_arrow_is_not():
+    source = cauchy_product(_pairs_refused(), cyclic_category(4))
+    target = cauchy_product(_pairs_refused(), Z2)
+    lifted = map_index(source, target, cyclic_reduction_functor(4, 2))
+    with pytest.raises(NotSummableError, match=("^fiber over z0 refused by pairs-refused; "
+                                                "the base instance violates the partition law$")):
+        lifted.on_arr(source.make_arrow(OBJ2, OBJ2, {"z0": 1}))
+
+
+def test_sigma_raises_on_an_arrow_whose_coefficients_the_base_refuses():
+    cc = cauchy_product(k_bounded_category(1), Z2)
+    refused = CauchyArrow(OBJ2, OBJ2, (("z0", 1), ("z1", 1)))
+    with pytest.raises(NotSummableError,
+                       match="^arrow coefficients are not summable; invalid arrow$"):
+        sigma_functor(cc).on_arr(refused)
+
+
+def test_a_base_arrow_hom_is_the_one_object_twice_and_is_not_guessed_on_more_objects():
+    assert INT.arrow_hom(5) == ("*", "*")
+    assert matrix_category([1, 2]).arrow_hom(Matrix.of([[1, 0]])) == (2, 1)
+    unmapped = PcmCategory("unmapped", (1, 2), INT.hom_pcm, INT.compose, INT.identity)
+    cc = cauchy_product(unmapped, Z2)
+    for embed in (lambda: star_embed(cc, 3, "z1"), lambda: eta_functor(cc, "*").on_arr(3)):
+        with pytest.raises(ValidationError,
+                           match="^cannot infer the hom of a base arrow; multi-object base$"):
+            embed()

@@ -118,26 +118,24 @@ def test_factorization_table_matches_the_name_keyed_pairs(index):
 @pytest.mark.parametrize("index", ["Z12", "Z2 x five-arrow", "five-arrow x Z18"])
 def test_factorization_table_reads_its_positions_off_the_sorted_homs(index, monkeypatch):
     cc = cauchy_product(resolve_base("int"), TABLE_INDEXES[index])
-    objects = cc.index.objects
-    sorted_homs = {(u, v): cc._sorted_hom(u, v) for u, v in itertools.product(objects, repeat=2)}
-    asked = []
-
-    def recorded(u, v):
-        asked.append((u, v))
-        return sorted_homs[u, v]
 
     def no_sorting(*args, **kwargs):
-        raise AssertionError("the factorization table sorted a hom of its own")
+        raise AssertionError("the kernel sorted a hom of its own")
 
-    monkeypatch.setattr(cc, "_sorted_hom", recorded)
     monkeypatch.setattr(cauchy, "sorted", no_sorting, raising=False)
-    for u, v, w in itertools.product(objects, repeat=3):
-        asked.clear()
+    for u, v, w in itertools.product(cc.index.objects, repeat=3):
         table = cc._factorizations(u, v, w)
-        assert {(v, w), (u, v)} <= set(asked)
-        b_place, a_place = dict(sorted_homs[v, w][1]), dict(sorted_homs[u, v][1])
+        assert table is cc.index.factorizations(u, v, w)
+        b_hom, a_hom = cc.index.hom(v, w), cc.index.hom(u, v)
         for c, pairs in plain.factorizations(cc, u, v, w).items():
-            assert [(b, a) for _, b, a in table[c]] == [(b_place[b], a_place[a]) for b, a in pairs]
+            assert [(b_hom[b], a_hom[a]) for _, b, a in table[c]] == list(pairs)
+    for src, tgt in itertools.product(cc.objects, repeat=2):
+        hom = cc.index.hom(src[1], tgt[1])
+        assert list(hom) == sorted(hom)
+        arrow = cc.make_arrow(src, tgt, {})
+        assert arrow.keys is hom
+        assert cc.compose(cc.identity(tgt), arrow).keys is hom
+        assert cc.sum_arrows(family_of([arrow, arrow])).value.keys is hom
 
 
 def compare_on_random_arrows(base, index) -> collections.Counter:

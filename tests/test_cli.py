@@ -128,6 +128,20 @@ def test_an_arrow_file_that_gives_a_coefficient_twice_exits_two(tmp_path):
     assert (code, out, err) == (2, "", "error: line 3: coefficient 'z0' given twice\n")
 
 
+@pytest.mark.parametrize("argv, name, content", [
+    (("validate", "--index"), "bad.fincat", b"objects \xff\xfe\n"),
+    (("convolve", "--base", "int", "--index", "cyclic:2"), "bad.arrow",
+     b"arrow f (*,*) -> (*,*)\nz0 = 1\xff\n"),
+], ids=["fincat", "arrow"])
+def test_a_file_that_is_not_utf8_exits_two(argv, name, content, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(content)
+    offset = content.index(b"\xff")
+    code, out, err = run_cli(*argv, *[str(path)] * (1 + (name == "bad.arrow")))
+    assert (code, out, err) == (
+        2, "", f"error: {path}: not UTF-8 text (invalid start byte at byte {offset})\n")
+
+
 @pytest.mark.parametrize("descriptor", ["cyclic:x", "cyclic:", "cyclic:0", "cyclic:-2",
                                         "cyclic:1_6", "cyclic:+3", "cyclic: 3"])
 def test_validate_malformed_cyclic_descriptor_exits_two(descriptor):
@@ -628,3 +642,77 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, flag, monkeypat
     code, out, err = _run_catching_usage_errors(argv)
     assert (code, out) == (2, "")
     assert "unrecognized arguments: " + flag in err
+
+
+# Refused inputs of the command line, one per error message: the text of the
+# file an argument names by ``{fincat}`` or ``{arrow}``, the arguments, and the
+# whole error line.
+_EXIT_TWO = {
+    "objects-empty": ({"fincat": "objects\n"}, ("validate", "--index", "{fincat}"),
+                      "line 1: objects line needs at least one name"),
+    "compose-malformed": ({"fincat": "objects U\ncompose a b c\n"},
+                          ("validate", "--index", "{fincat}"),
+                          "line 2: expected: compose <g> <f> = <h>"),
+    "directive-unknown": ({"fincat": "objects U\nfoo bar\n"},
+                          ("validate", "--index", "{fincat}"),
+                          "line 2: unknown directive 'foo'"),
+    "no-objects": ({"fincat": "# nothing\n"}, ("validate", "--index", "{fincat}"),
+                   "no objects declared"),
+    "arrow-twice": ({"fincat": "objects U\narrow a U U\narrow a U U\n"},
+                    ("validate", "--index", "{fincat}"), "duplicate arrow name 'a'"),
+    "arrow-unknown-object": ({"fincat": "objects U\narrow a U V\n"},
+                             ("validate", "--index", "{fincat}"),
+                             "arrow 'a' mentions an unknown object"),
+    "compose-unknown-arrow": ({"fincat": "objects U\ncompose a a = a\n"},
+                              ("validate", "--index", "{fincat}"),
+                              "composite entry mentions unknown arrow 'a'"),
+    "compose-not-composable": ({"fincat": "objects U V\narrow f U V\narrow g U V\n"
+                                          "compose g f = f\n"},
+                               ("validate", "--index", "{fincat}"),
+                               "composite entry ('g', 'f') names a pair that is not composable"),
+    "scalar-rational": ({}, ("embed", "--which", "eta", "--base", "rational", "--scalar", "x"),
+                        "expected p/q or an integer, got 'x'"),
+    "scalar-modulus": ({}, ("embed", "--which", "eta", "--base", "mod:5", "--scalar", "1 mod 4"),
+                       "residue modulus 4 does not match base 5"),
+    "scalar-residue": ({}, ("embed", "--which", "eta", "--base", "mod:5", "--scalar", "x"),
+                       "expected k mod 5, got 'x'"),
+    "scalar-complex": ({}, ("embed", "--which", "eta", "--base", "complex", "--scalar", "1+i"),
+                       "expected a+bi, got '1+i'"),
+    "scalar-no-syntax": ({}, ("embed", "--which", "eta", "--base", "rel:2", "--scalar", "1"),
+                         "base 'rel:2' has no scalar literal syntax"),
+    "arrow-unknown-pair": ({"arrow": "arrow f (*,U) -> (*,*)\n"},
+                           ("convolve", "{arrow}", "{arrow}"),
+                           "line 1: unknown object pair (*,U)"),
+    "arrow-bad-header": ({"arrow": "arow f (*,*) -> (*,*)\n"},
+                         ("convolve", "{arrow}", "{arrow}"),
+                         "line 1: expected: arrow <name> (<X>,<U>) -> (<Y>,<V>)"),
+    "arrow-no-equals": ({"arrow": "arrow f (*,*) -> (*,*)\nz0 1\n"},
+                        ("convolve", "{arrow}", "{arrow}"),
+                        "line 2: expected: <index-arrow> = <scalar>"),
+    "arrow-no-header": ({"arrow": "# nothing\n"}, ("convolve", "{arrow}", "{arrow}"),
+                        "missing arrow header"),
+    "convolve-no-composition": ({}, ("convolve", "--base", "unitball:2:l1", "f", "g"),
+                                "base 'unitball:2:l1' carries no composition"),
+    "sigma-no-file": ({}, ("embed", "--which", "sigma"), "embed --which sigma needs an arrow file"),
+    "eta-no-scalar": ({}, ("embed", "--which", "eta"), "embed --which eta needs --scalar"),
+    "gamma-no-index-arrow": ({}, ("embed", "--which", "gamma"),
+                             "embed --which gamma needs --index-arrow"),
+    "gamma-unknown-index-arrow": ({}, ("embed", "--which", "gamma", "--index-arrow", "q"),
+                                  "unknown index arrow 'q'"),
+    "gamma-unknown-base-object": ({}, ("embed", "--which", "gamma", "--index-arrow", "z1",
+                                       "--at", "U"), "unknown base object 'U'"),
+    "product-unitball": ({}, ("product", "--base", "unitball:2:l1", "--base2", "int"),
+                         "product needs two composition-carrying bases"),
+    "series-geom-malformed": ({}, ("series", "--p", "geom:1", "--q", "1"),
+                              "expected geom:<scale>:<ratio>, got 'geom:1'"),
+    "series-bad-coefficient": ({}, ("series", "--p", "1,x", "--q", "1"), "bad coefficient 'x'"),
+}
+
+
+@pytest.mark.parametrize("files, argv, message", _EXIT_TWO.values(), ids=_EXIT_TWO)
+def test_each_refused_input_exits_two_with_its_message(files, argv, message, tmp_path):
+    paths = {kind: tmp_path / f"input.{kind}" for kind in files}
+    for kind, text in files.items():
+        paths[kind].write_text(text)
+    code, out, err = run_cli(*[arg.format_map(paths) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")

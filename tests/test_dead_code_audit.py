@@ -10,6 +10,10 @@ names it anywhere in ``src/pcmcat``, ``tests``, ``perfbench`` or
 an attribute or a string constant names it: code reaches a method through
 an object, and the benchmark's tracer names the methods it wraps by string.
 
+No module under ``src/pcmcat`` reads an underscore attribute, through
+anything but ``self`` or ``cls``, that it does not define itself: the module
+that owns a structure is the one that reads its private state.
+
 ``tests/plain.py`` holds the plain searches the test modules share: each of
 its top-level definitions must be reached from a test module, by name or
 through a definition so reached.  No module under ``tests`` imports a test
@@ -178,3 +182,46 @@ def test_the_import_rule_flags_a_test_module_imported_by_another():
         ("plain", f"from {c}.sub import x\n"),
     )}
     assert imported_test_modules(modules) == {a: [b], b: [a], "plain": [c]}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def foreign_private_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """``module: obj._name`` for each read of an underscore attribute through
+    anything but ``self`` or ``cls`` that the reading module does not define:
+    by assigning it on some object, or as a function, method or class name."""
+    out = []
+    for module, tree in modules.items():
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and _private(node.attr) and node.attr not in defined \
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                out.append(f"{module}: {ast.unparse(node)}")
+    return out
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "pcmcat").glob("*.py"))}
+    assert foreign_private_reads(modules) == []
+
+
+def test_the_ownership_rule_flags_a_read_of_anothers_private_state():
+    modules = {name: ast.parse(text) for name, text in (
+        ("owner", "class Table:\n"
+                  "    def __init__(self):\n        self._rows = []\n"
+                  "    def _row(self, k):\n        return self._rows[k]\n"
+                  "def widen(a, b):\n    return a._rows + b._row(0) + b.__dict__\n"),
+        ("reader", "def peek(table):\n"
+                   "    own = table.rows, table.__class__\n"
+                   "    return table._rows, table._row(0), self._cache\n"),
+    )}
+    assert foreign_private_reads(modules) == ["reader: table._rows", "reader: table._row"]

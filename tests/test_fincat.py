@@ -77,6 +77,18 @@ def test_missing_composite_fails_validation():
     assert report.detail == "composite missing"
 
 
+def test_a_composite_entry_for_a_pair_that_does_not_compose_is_refused():
+    with pytest.raises(ValidationError, match=r"^composite entry \('g', 'f'\) names a pair "
+                                              "that is not composable$"):
+        FinCategory(("U", "V"), (("f", "U", "V"), ("g", "U", "V")), {("g", "f"): "f"})
+
+
+def test_the_hom_lists_its_arrows_sorted_by_name():
+    cat = FinCategory(("U", "V"), (("b", "U", "V"), ("a10", "U", "V"), ("a2", "U", "V")), {})
+    assert cat.hom("U", "V") == ("a10", "a2", "b")
+    assert cyclic_category(12).hom("*", "*")[:4] == ("z0", "z1", "z10", "z11")
+
+
 def test_from_monoid_accepts_z3_table():
     table = {(f"g{a}", f"g{b}"): f"g{(a+b) % 3}" for a in range(3) for b in range(3)}
     cat = from_monoid([f"g{k}" for k in range(3)], table, "g0")
@@ -269,8 +281,8 @@ def test_kernel_matches_reference_on_random_tables():
         assert report.line() == plain.validate(cat).line()
         details[(len(cat.objects), report.detail or "pass")] += 1
         for u, v in itertools.product(cat.objects, repeat=2):
-            assert cat.hom(u, v) == tuple(
-                a for a in cat.arrows if (cat.src(a), cat.tgt(a)) == (u, v))
+            assert cat.hom(u, v) == tuple(sorted(
+                a for a in cat.arrows if (cat.src(a), cat.tgt(a)) == (u, v)))
     for objects, outcome in itertools.product((1, 2), (
             "pass", "composite missing", "left identity law fails",
             "right identity law fails", "associativity fails")):

@@ -133,6 +133,14 @@ def test_zero_laws():
     assert check_zero_laws(make_relations_pcm(2, 2)).passed
 
 
+def test_zero_laws_fail_where_three_zeros_are_refused():
+    at_most_two = Pcm(name="at-most-two", contains=INT_FF.contains,
+                      oracle=lambda fam: NOT_SUMMABLE if len(fam) > 2 else INT_FF.oracle(fam),
+                      sample_elements=(0, 1))
+    assert check_zero_laws(at_most_two).line() == (
+        "CHECK zero[at-most-two] FAIL witness={i0=0,i1=0,i2=0}  # zeros do not sum to zero")
+
+
 def test_run_pcm_suite_is_all_pass_for_int():
     for report in run_pcm_suite(INT_FF, family_size=3, trials=50):
         assert report.passed, report.line()

@@ -4,7 +4,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 
-from pcmcat.category import cyclotomic_category, from_semiring, resolve_base
+from pcmcat.category import PcmCategory, cyclotomic_category, from_semiring, resolve_base
 from pcmcat.cauchy import cauchy_product, eta_functor, gamma_functor
 from pcmcat.errors import BadResidueError, NotPrimeError, ValidationError
 from pcmcat.fincat import cyclic_category
@@ -245,3 +245,43 @@ def test_obstruction_exhaustive_over_small_object_maps():
             result = object_obstruction(gamma, delta)
             constants = set(gamma.values()) | set(delta.values())
             assert result.consistent == (len(constants) == 1)
+
+
+INT = from_semiring("int")
+
+
+def _int_data(**changes) -> SubstitutionData:
+    """The sign character of Z2 on the integers, with ``changes`` planted."""
+    fields = dict(source=INT, index=cyclic_category(2), target=INT, scalar_map=lambda n: n,
+                  monoid_map={"z0": 1, "z1": -1})
+    return SubstitutionData(**{**fields, **changes})
+
+
+def test_the_sign_character_on_the_integers_passes_every_check():
+    data = _int_data()
+    assert validate_substitution_data(data).passed
+    assert check_triangles(data).passed and check_hom_property(data).passed
+
+
+@pytest.mark.parametrize("check, changes, line", [
+    (validate_substitution_data, {"monoid_map": {"z0": 2, "z1": -1}},
+     "CHECK substitution-data FAIL witness=z0  # monoid unit not preserved"),
+    (check_triangles, {"monoid_map": {"z0": 2, "z1": -1}},
+     "CHECK substitution-triangles FAIL witness=1  # h after eta differs from f"),
+    (check_triangles, {"scalar_map": lambda n: 2 * n},
+     "CHECK substitution-triangles FAIL witness=z0  # h after gamma differs from g"),
+    (check_hom_property, {"scalar_map": lambda n: n * n},
+     "CHECK substitution-hom FAIL witness=[{z0=-1,z1=1};{z0=3,z1=-2}]  # additivity fails"),
+    # the identity is declared 2 while 1 is the unit
+    (check_hom_property, {"source": PcmCategory("unit-2", INT.objects, INT.hom_pcm,
+                                                INT.compose, lambda x: 2)},
+     "CHECK substitution-hom FAIL witness={z0=-1,z1=1}  "
+     "# arrow does not decompose along embeddings"),
+    # the declared identity 2 is a right unit, so arrows decompose, but not a left one
+    (check_hom_property, {"source": PcmCategory("right-unit-2", INT.objects, INT.hom_pcm,
+                                                lambda g, f: g if f == 2 else g * f,
+                                                lambda x: 2)},
+     "CHECK substitution-hom FAIL witness={z0=-1,z1=1}  # value not forced by the embeddings"),
+], ids=["unit", "eta", "gamma", "additivity", "decomposition", "forced"])
+def test_each_substitution_check_reports_its_planted_failure(check, changes, line):
+    assert check(_int_data(**changes)).line() == line
