@@ -13,8 +13,7 @@ before reading ``values`` by position, so a misordered arrow raises
 ``CarrierMismatchError`` rather than being misread.  The index builds the
 factorization table (``FinCategory.factorizations``); ``compose`` keeps one
 plan per triple of objects and ``sum_arrows`` one per hom, each built once
-its objects are checked.  ``check_associativity`` gives ``compose`` a memo of
-base products per middle arrow, read through ``category.memoized_compose``.
+its objects are checked.
 
 The summability checks stay on even where the construction guarantees
 success: a refusal means the base instance is broken, and is raised.  Over
@@ -196,13 +195,9 @@ class CauchyCategory:
         plan = self._plans[key] = (hom(v, w), hom(u, v), hom(u, w), self.base.hom_pcm(x, z), rows)
         return plan
 
-    def compose(self, g: CauchyArrow, f: CauchyArrow, *,
-                products: dict | None = None) -> CauchyArrow:
+    def compose(self, g: CauchyArrow, f: CauchyArrow) -> CauchyArrow:
         """Convolution: (g f)(c) sums g(b) f(a) over all factorizations c = b.a;
-        a factor whose keys are not the sorted hom raises ``CarrierMismatchError``.
-
-        ``products`` is a memo of base products that the caller keeps,
-        read and filled through ``category.memoized_compose``."""
+        a factor whose keys are not the sorted hom raises ``CarrierMismatchError``."""
         if f.tgt != g.src:
             raise CarrierMismatchError(f"cannot compose {g.tgt}<-{g.src} after {f.tgt}<-{f.src}")
         key = (f.src, g.src, g.tgt)
@@ -213,8 +208,6 @@ class CauchyCategory:
             raise self._misread(f, f.src[1], f.tgt[1])
         gs, fs = g.values, f.values
         base_compose = self.base.compose
-        if products is not None:
-            base_compose = memoized_compose(base_compose, products)
         values = []
         for c, pairs in rows:
             result = target_pcm.sum(IndexedFamily(tuple([
@@ -358,7 +351,7 @@ def cauchy_product(base: PcmCategory, index: FinCategory) -> CauchyCategory:
 # --------------------------------------------------------------------------
 
 
-def check_identity_laws(cc: CauchyCategory) -> Report:
+def check_identity_laws(cc) -> Report:
     name = f"identity-laws[{cc.name}]"
     for src, tgt in itertools.product(cc.objects, repeat=2):
         id_src, id_tgt = cc.identity(src), cc.identity(tgt)
@@ -370,23 +363,18 @@ def check_identity_laws(cc: CauchyCategory) -> Report:
     return passing(name)
 
 
-def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
-    """(h.g).f against h.(g.f) over triples of sample arrows.
+def check_associativity(cc, seed: int = 0) -> Report:
+    """(h.g).f against h.(g.f) over triples of sample arrows, in list order.
 
-    The triples are listed first: every one, path by path in
-    ``product(hs, gs, fs)`` order, when there are at most 512; else 500
-    seeded draws.  They are then
-    evaluated grouped by their middle arrow g, so that within a group each
-    ``h.g`` and each ``g.f`` is composed once, and each product of two base
-    arrows once: the group keeps a memo of base products, which
-    ``CauchyCategory.compose`` reads through ``category.memoized_compose``.  The
-    sample arrows draw their coefficients from a pool of at most 4 base
-    values, so the same pairs recur.  A group's composites and its memo are
-    dropped before the next group starts: each composite has the group's g
-    as a factor, so no later triple reuses it.  The outcome is the one of
-    running the list in order: the earliest triple that fails decides the
-    witness, and one that raises before any earlier failure has its
-    exception re-raised.
+    The triples are every one, path by path in ``product(hs, gs, fs)``
+    order, when there are at most 512; else 500 seeded draws.  The first
+    triple that fails is the witness; an exception propagates.  ``cc`` is
+    read only through ``objects``, ``hom_pcm``, ``compose`` and ``name``, so
+    a base category is checked as ``C[D]`` is.  One
+    ``category.memoized_compose`` memo keeps each composite of two sample
+    arrows for the call: with coefficients from a pool of at most 4 base
+    values the same pair recurs, as ``h.g`` in one triple and ``g.f`` in
+    another.
     """
     name = f"associativity[{cc.name}]"
     paths = []
@@ -411,41 +399,11 @@ def check_associativity(cc: CauchyCategory, seed: int = 0) -> Report:
             triples.append((rng.choice(hs), rng.choice(gs), rng.choice(fs)))
         detail = "500 sampled triples"
 
-    # Positions by middle arrow, groups in order of their first triple.  The
-    # sample arrows are distinct objects kept alive by ``triples``, so they
-    # are keyed by identity rather than hashed coefficient by coefficient.
-    groups: dict[int, list[int]] = {}
-    for k, (_, g, _) in enumerate(triples):
-        groups.setdefault(id(g), []).append(k)
-    compose = cc.compose
-    first, outcome = len(triples), None
-    for positions in groups.values():
-        if positions[0] > first:
-            break
-        after_g, before_g = {}, {}  # id(h) -> h.g and id(f) -> g.f
-        products: dict = {}  # the group's base products, see ``CauchyCategory.compose``
-        for k in positions:
-            if k > first:
-                break
-            h, g, f = triples[k]
-            try:
-                hg = after_g.get(id(h))
-                if hg is None:
-                    hg = after_g[id(h)] = compose(h, g, products=products)
-                left = compose(hg, f, products=products)
-                gf = before_g.get(id(f))
-                if gf is None:
-                    gf = before_g[id(f)] = compose(g, f, products=products)
-                if left == compose(h, gf, products=products):
-                    continue
-                outcome = failing(name, (h, g, f))
-            except Exception as exc:  # held: an earlier triple may yet fail
-                outcome = exc
-            first = k
-            break
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome or passing(name, detail=detail)
+    compose, pair = cc.compose, memoized_compose(cc.compose, {})
+    for h, g, f in triples:
+        if compose(pair(h, g), f) != compose(h, pair(g, f)):
+            return failing(name, (h, g, f))
+    return passing(name, detail=detail)
 
 
 # --------------------------------------------------------------------------

@@ -114,17 +114,23 @@ class FinCategory:
     def factorizations(self, u: str, v: str, w: str) -> dict[str, tuple]:
         """Each c of hom(u, w), in order, with one ``("b*a", j, k)`` per c = b.a:
         b and a run through hom(v, w) and hom(u, v), and j and k are their
-        places there.  Built once per triple, off a total, well-typed table."""
+        places there.  Built once per triple; the first b.a that is missing or
+        lies outside hom(u, w) raises ``ValidationError``."""
         table = self._tables.get((u, v, w))
         if table is None:
             number, place, rows = self._number, self._pos, self._rows
             a_hom = [(a, k, place[number[a]]) for k, a in enumerate(self.hom(u, v))]
             c_hom = self.hom(u, w)
             buckets: dict[int, list] = {number[c]: [] for c in c_hom}
-            for j, b in enumerate(self.hom(v, w)):
-                row = rows[number[b]]
-                for a, k, p in a_hom:
-                    buckets[row[p]].append((f"{b}*{a}", j, k))
+            try:
+                for j, b in enumerate(self.hom(v, w)):
+                    row = rows[number[b]]
+                    for a, k, p in a_hom:
+                        buckets[row[p]].append((f"{b}*{a}", j, k))
+            except KeyError:  # the loop stopped at the first such pair (b, a)
+                composite = None if row[p] is None else self.arrows[row[p]]
+                raise ValidationError(f"composite of ({b!r}, {a!r}) is {composite!r}, "
+                                      f"not an arrow of D({u},{w})") from None
             table = self._tables[u, v, w] = {
                 c: tuple(pairs) for c, pairs in zip(c_hom, buckets.values())}
         return table

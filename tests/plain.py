@@ -687,10 +687,10 @@ class Recorder:
         return logged
 
     def composing(self, compose):
-        """``compose`` with each call logged; keyword arguments pass through."""
-        def logged(g, f, **kwargs):
+        """``compose`` with each call logged."""
+        def logged(g, f):
             self.log.append(("compose", None, (g, f)))
-            return compose(g, f, **kwargs)
+            return compose(g, f)
 
         return logged
 

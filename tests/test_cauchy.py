@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plain import Recorder, convolution
+import plain
+from plain import Recorder, convolution, outcome
 from pcmcat.category import (
+    BUILTIN_BASES,
     Matrix,
     PcmCategory,
     PcmFunctor,
@@ -43,6 +45,7 @@ from pcmcat.errors import (
 )
 from pcmcat.family import family_of
 from pcmcat.fincat import (
+    FinCategory,
     Functor,
     cyclic_category,
     cyclic_reduction_functor,
@@ -506,6 +509,54 @@ def test_cauchy_validation_checks():
     assert check_associativity(parallel).passed
 
 
+def test_cauchy_product_refuses_an_invalid_index():
+    broken = FinCategory(("*",), (("f", "*", "*"),), {}, name="broken")
+    with pytest.raises(ValidationError, match=r"^index category invalid: CHECK category\[broken\] "
+                                              r"FAIL witness=\[f;f\]  # composite missing$"):
+        cauchy_product(INT, broken)
+
+
+# The law checkers of C[D] read only ``objects``, ``hom_pcm``, ``compose``,
+# ``identity`` and ``name``, so they run on a base category too.
+CATEGORY_BASES = [d for d in BUILTIN_BASES if isinstance(resolve_base(d), PcmCategory)]
+
+
+@pytest.mark.parametrize("descriptor", CATEGORY_BASES)
+def test_the_convolution_law_checkers_pass_on_each_builtin_category_base(descriptor):
+    base = resolve_base(descriptor)
+    assert check_identity_laws(base).passed
+    assert check_associativity(base).passed
+
+
+def test_associativity_fails_on_the_jordan_product_of_matrices():
+    """g.f = (gf + fg)/2 keeps the identity neutral but does not associate."""
+    base = matrix_category([2])
+
+    def jordan(g, f):
+        total = _exact_product(g, f) + _exact_product(f, g)
+        return Matrix.of([[v / 2 for v in row] for row in total.rows])
+
+    cat = PcmCategory("matrix:2-jordan", base.objects, base.hom_pcm, jordan, base.identity,
+                      base.arrow_hom)
+    assert check_identity_laws(cat).passed
+    report = check_associativity(cat)
+    assert report.line() == (
+        "CHECK associativity[matrix:2-jordan] FAIL "
+        "witness=[[[1,-1],[0,0]];[[0,-1],[-1,1]];[[-1,0],[-1,0]]]")
+    assert outcome(check_associativity, cat) == outcome(plain.associativity, cat)
+
+
+def test_identity_laws_fail_on_a_base_that_breaks_the_right_unit_law_on_one_arrow():
+    def multiply(g, f):
+        return 3 if (g, f) == (2, 1) else g * f
+
+    cat = PcmCategory("int-right-unit", INT.objects, INT.hom_pcm, multiply, INT.identity,
+                      INT.arrow_hom)
+    report = check_identity_laws(cat)
+    assert report.line() == ("CHECK identity-laws[int-right-unit] FAIL witness=2"
+                             "  # right identity law fails")
+
+
 def test_sampled_associativity_composes_each_inner_pair_once():
     cc = cauchy_product(matrix_category([2]), Z3)
     paths = []
@@ -517,15 +568,19 @@ def test_sampled_associativity_composes_each_inner_pair_once():
     for _ in range(500):
         hs, gs, fs = rng.choice(paths)
         triples.append((rng.choice(hs), rng.choice(gs), rng.choice(fs)))
-    after_g = {(h, g) for h, g, _ in triples}
-    before_g = {(g, f) for _, g, f in triples}
+    pairs = {(h, g) for h, g, _ in triples} | {(g, f) for _, g, f in triples}
     rec = Recorder()
     cc.compose = rec.composing(cc.compose)
     assert check_associativity(cc, seed=0).detail == "500 sampled triples"
     calls = rec.calls("compose")
-    # Two outer composes per triple, one inner compose per distinct pair.
-    assert len(calls) == 2 * 500 + len(after_g) + len(before_g)
-    assert after_g | before_g <= set(calls)
+    # Two outer composes per triple, one compose per distinct pair of sample
+    # arrows, whether it first comes up as h.g or as g.f.
+    assert len(calls) == 2 * 500 + len(pairs) == 2 * 500 + 477
+    sample_ids = {id(a) for path in paths for arrows in path for a in arrows}
+    inner = collections.Counter(
+        (id(g), id(f)) for g, f in calls if id(g) in sample_ids and id(f) in sample_ids
+    )
+    assert len(inner) == len(pairs) and set(inner.values()) == {1}
 
 
 def test_exhaustive_associativity_composes_each_inner_pair_once():
@@ -539,14 +594,14 @@ def test_exhaustive_associativity_composes_each_inner_pair_once():
     report = check_associativity(cc)
     calls = rec.calls("compose")
     assert report.detail == f"exhaustive over {total} triples"
-    # Each pair of sample arrows is composed once as h.g and once as g.f;
-    # every other call composes one of those composites.
-    assert len(calls) == 2 * total + 2 * len(samples) ** 2
+    # Each pair of sample arrows is composed once, as h.g or as g.f, whichever
+    # comes first; every other call composes one of those composites.
+    assert len(calls) == 2 * total + len(samples) ** 2 == 735
     sample_ids = {id(a) for a in samples}
     inner = collections.Counter(
         (id(g), id(f)) for g, f in calls if id(g) in sample_ids and id(f) in sample_ids
     )
-    assert len(inner) == len(samples) ** 2 and set(inner.values()) == {2}
+    assert len(inner) == len(samples) ** 2 and set(inner.values()) == {1}
 
 
 def test_parallel_pair_index_full_law_suite():

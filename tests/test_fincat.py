@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 
@@ -81,6 +82,33 @@ def test_a_composite_entry_for_a_pair_that_does_not_compose_is_refused():
     with pytest.raises(ValidationError, match=r"^composite entry \('g', 'f'\) names a pair "
                                               "that is not composable$"):
         FinCategory(("U", "V"), (("f", "U", "V"), ("g", "U", "V")), {("g", "f"): "f"})
+
+
+def test_factorizations_name_the_first_pair_whose_composite_is_missing_or_misplaced():
+    with pytest.raises(ValidationError, match=r"^composite of \('f', 'f'\) is None, "
+                                              r"not an arrow of D\(U,U\)$"):
+        FinCategory(("U",), (("f", "U", "U"),), {}).factorizations("U", "U", "U")
+    # g.f is recorded, but as an arrow V -> V rather than one of D(U,V)
+    cat = FinCategory(("U", "V"), (("f", "U", "V"), ("g", "V", "V")), {("g", "f"): "id_V"})
+    with pytest.raises(ValidationError, match=r"^composite of \('g', 'f'\) is 'id_V', "
+                                              r"not an arrow of D\(U,V\)$"):
+        cat.factorizations("U", "V", "V")
+    assert cat.factorizations("U", "U", "V") == {"f": (("f*id_U", 0, 0),)}
+
+
+@pytest.mark.parametrize("identities, message", [
+    ({"U": "e"}, "identity 'e' of 'U' is not an arrow"),
+    ({"U": "f"}, "identity 'f' is not an endo-arrow of 'U'"),
+])
+def test_the_constructor_refuses_a_bad_identity(identities, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        FinCategory(("U", "V"), (("f", "U", "V"),), {}, identities=identities)
+
+
+def test_compose_refuses_a_pair_that_does_not_compose():
+    cat = two_object_five_arrow_category()
+    with pytest.raises(ValidationError, match=r"^'id_U' and 'id_V' are not composable$"):
+        cat.compose("id_U", "id_V")
 
 
 def test_the_hom_lists_its_arrows_sorted_by_name():

@@ -232,6 +232,13 @@ def test_minimize_rejects_passing_report():
         minimize(passing("nothing"))
 
 
+def test_minimize_rejects_a_failing_report_without_a_recheck():
+    from pcmcat.report import failing
+
+    with pytest.raises(NotFailingError, match="^report carries no re-checkable witness$"):
+        minimize(failing("no-recheck", family_of([1])))
+
+
 def test_minimize_keeps_already_minimal_witness():
     cat = k_bounded_category(2)
     report = check_strong_distributivity(cat, trials=10)

@@ -436,6 +436,15 @@ def test_a_fold_that_disagrees_with_op_is_refused(fold, message):
             build(wrong)
 
 
+def test_a_monoid_whose_unit_is_not_neutral_is_refused():
+    # max is commutative and associative, but max(1, 5) is not 1
+    wrong = Monoid(name="(N,max) unit 5", unit=5, op=max,
+                   contains=lambda x: isinstance(x, int), sample=(1,))
+    for build in BUILDERS:
+        with pytest.raises(NotAMonoidError, match=r"^\(N,max\) unit 5: unit law fails on 1$"):
+            build(wrong)
+
+
 def test_mod_add_is_one_monoid_per_modulus():
     assert mod_add(4) is mod_add(4)
     assert mod_add(4) is not mod_add(5)

@@ -9,7 +9,7 @@ here, so nothing is written under ``perfbench/``.
 import types
 from pathlib import Path
 
-from pcmcat import laws
+from pcmcat import cauchy, laws
 from pcmcat.category import resolve_base
 from pcmcat.cauchy import cauchy_product
 from pcmcat.fincat import cyclic_category
@@ -59,3 +59,16 @@ def test_a_traced_compose_shows_its_base_compositions_and_product_sums():
     assert tracing.self_times(tracer)["cauchy.compose"][0] == 1
     assert tracing.calls_under(tracer, "category.compose", "cauchy.compose") == 9
     assert tracing.calls_under(tracer, "pcm.sum", "cauchy.compose") == 3
+
+
+def test_a_traced_associativity_check_shows_every_convolution():
+    """``kbounded:1[Z2]`` has 343 triples of its 7 sample arrows: two outer
+    composes per triple and one per pair of sample arrows, each through
+    ``CauchyCategory.compose``, so its memo hides no convolution from the
+    benchmark's ``cauchy.compose.calls``."""
+    tracing = load_tracing()
+    cc = cauchy_product(resolve_base("kbounded:1"), cyclic_category(2))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        tracer.item("associativity", lambda: cauchy.check_associativity(cc))
+    assert tracing.calls_under(tracer, "cauchy.compose", "cauchy.check_associativity") == 735

@@ -4,10 +4,16 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 
-from pcmcat.category import PcmCategory, cyclotomic_category, from_semiring, resolve_base
+from pcmcat.category import (
+    PcmCategory,
+    cyclotomic_category,
+    from_semiring,
+    matrix_category,
+    resolve_base,
+)
 from pcmcat.cauchy import cauchy_product, eta_functor, gamma_functor
-from pcmcat.errors import BadResidueError, NotPrimeError, ValidationError
-from pcmcat.fincat import cyclic_category
+from pcmcat.errors import BadResidueError, NotPrimeError, NotSummableError, ValidationError
+from pcmcat.fincat import cyclic_category, two_object_parallel_pair
 from pcmcat.pcm import Cyclotomic, Residue
 from pcmcat.universal import (
     ObstructionResult,
@@ -74,6 +80,36 @@ def test_validate_rejects_a_scalar_map_whose_image_family_is_refused():
     assert report.line() == (
         "CHECK substitution-data FAIL witness={i0=1,i1=1,i2=1}  # image family not summable"
     )
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("source", matrix_category([1, 2]), "source must have a single object"),
+    ("target", matrix_category([1, 2]), "target must have a single object"),
+    ("index", two_object_parallel_pair(), "index must be a one-object category"),
+])
+def test_substitution_data_refuses_a_category_with_two_objects(field, value, message):
+    data = dict(source=from_semiring("int"), index=cyclic_category(2),
+                target=from_semiring("int"), scalar_map=lambda n: n,
+                monoid_map={"z0": 1, "z1": 1})
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SubstitutionData(**{**data, field: value})
+
+
+def test_substitution_raises_when_the_target_refuses_the_family():
+    """1 + z + z^2 into the 2-bounded integers: the three terms 1 are refused."""
+    data = SubstitutionData(
+        source=from_semiring("int"),
+        index=cyclic_category(3),
+        target=resolve_base("kbounded:2"),
+        scalar_map=lambda n: n,
+        monoid_map={f"z{m}": 1 for m in range(3)},
+    )
+    cc = cauchy_product(data.source, data.index)
+    obj = cc.objects[0]
+    alpha = cc.make_arrow(obj, obj, {"z0": 1, "z1": 1, "z2": 1})
+    with pytest.raises(NotSummableError, match=r"^target refused the substitution family "
+                                               r"\(\('z0', 1\), \('z1', 1\), \('z2', 1\)\)$"):
+        substitution_hom(data, alpha)
 
 
 def test_substitution_evaluates_sign_character():
