@@ -15,6 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable
 
 from .errors import NotAMonoidError, ParseError, ShapeMismatchError, ValidationError
@@ -517,19 +518,6 @@ def memoized_compose(compose, memo: dict):
 # --------------------------------------------------------------------------
 
 
-def _distributivity_fails(cat, compose, pp: Pcm, fam_f, fam_g, rf, rg) -> bool:
-    """Whether ``fam_f`` and ``fam_g``, with sums ``rf`` and ``rg``, break
-    joint distributivity in ``pp``; a refused family is no witness."""
-    if not (isinstance(rf, Summable) and isinstance(rg, Summable)):
-        return False
-    rp = pp.sum(IndexedFamily(tuple(
-        (f"{j}.{i}", compose(g, f)) for j, g in fam_g.entries for i, f in fam_f.entries
-    )))
-    if not isinstance(rp, Summable):
-        return True
-    return rp.value != cat.compose(rg.value, rf.value)
-
-
 def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
                                 seed: int = 0) -> Report:
     """Search for (f-family, g-family) pairs violating joint distributivity.
@@ -552,29 +540,34 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
     the oracle; each family of composites still goes through ``Pcm.sum``.
     """
     name = f"strong-distributivity[{cat.name}]"
+    pair = memoized_compose(cat.compose, {})
 
-    def violation(x, y, z, fam_f, fam_g):
+    def fails(pp, fam_f, fam_g, rf, rg, compose=pair) -> bool:
+        """Whether ``fam_f`` and ``fam_g``, with sums ``rf`` and ``rg``, break
+        joint distributivity in ``pp``; a refused family is no witness."""
+        if not (isinstance(rf, Summable) and isinstance(rg, Summable)):
+            return False
+        rp = pp.sum(IndexedFamily(tuple(
+            (f"{j}.{i}", compose(g, f)) for j, g in fam_g.entries for i, f in fam_f.entries
+        )))
+        return not isinstance(rp, Summable) or rp.value != cat.compose(rg.value, rf.value)
+
+    def failure(x, y, z, fam_f, fam_g):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
-        return _distributivity_fails(cat, cat.compose, pp, fam_f, fam_g,
-                                     pf.sum(fam_f), pg.sum(fam_g))
+        return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
+                       recheck=lambda w: fails(pp, *w, pf.sum(w[0]), pg.sum(w[1]), cat.compose))
 
-    def recheck_at(x, y, z):
-        return lambda witness: violation(x, y, z, *witness)
-
-    compose = memoized_compose(cat.compose, {})
     for x, y, z in _object_triples(cat):
         pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
-        fams_f = tuple(families_over(pf.grid[:3], 2))
         fams_g = tuple(families_over(pg.grid[:3], 2))
         sums_g: list = [None] * len(fams_g)
-        for fam_f in fams_f:
+        for fam_f in families_over(pf.grid[:3], 2):
             rf = pf.oracle(fam_f)
             for k, fam_g in enumerate(fams_g):
                 if sums_g[k] is None:
                     sums_g[k] = pg.oracle(fam_g)
-                if _distributivity_fails(cat, compose, pp, fam_f, fam_g, rf, sums_g[k]):
-                    return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
-                                   recheck=recheck_at(x, y, z))
+                if fails(pp, fam_f, fam_g, rf, sums_g[k]):
+                    return failure(x, y, z, fam_f, fam_g)
     rng = random.Random(f"{seed}:strong-dist:{cat.name}")
     triples = list(_object_triples(cat))
     for _ in range(trials):
@@ -582,10 +575,8 @@ def check_strong_distributivity(cat, max_family: int = 4, trials: int = 200,
         pf, pg = cat.hom_pcm(x, y), cat.hom_pcm(y, z)
         fam_f = random_family(pf.grid, max_family, rng, prefix="f")
         fam_g = random_family(pg.grid, max_family, rng, prefix="g")
-        if _distributivity_fails(cat, compose, cat.hom_pcm(x, z), fam_f, fam_g,
-                                 pf.oracle(fam_f), pg.oracle(fam_g)):
-            return failing(name, (fam_f, fam_g), detail=f"hom ({x},{y},{z})",
-                           recheck=recheck_at(x, y, z))
+        if fails(cat.hom_pcm(x, z), fam_f, fam_g, pf.oracle(fam_f), pg.oracle(fam_g)):
+            return failure(x, y, z, fam_f, fam_g)
     return passing(name)
 
 
@@ -612,23 +603,16 @@ def check_left_right_distributivity(cat) -> Report:
     summable families of at most 3 members in each hom, against 4 grid arrows."""
     name = f"left-right-distributivity[{cat.name}]"
     for x, y, z in _object_triples(cat):
-        pf, pg = cat.hom_pcm(x, y), cat.hom_pcm(y, z)
-        for fam, total in summable_families(pf, 3, limit=12):
-            for h in pg.grid[:4]:
-                mapped = make_family([(lbl, cat.compose(h, v)) for lbl, v in fam.entries])
-                result = cat.hom_pcm(x, z).sum(mapped)
-                if not isinstance(result, Summable):
-                    return failing(name, fam, detail=f"left family not summable, h={h}")
-                if result.value != cat.compose(h, total.value):
-                    return failing(name, fam, detail=f"left distributivity fails, h={h}")
-        for fam, total in summable_families(pg, 3, limit=12):
-            for h in pf.grid[:4]:
-                mapped = make_family([(lbl, cat.compose(v, h)) for lbl, v in fam.entries])
-                result = cat.hom_pcm(x, z).sum(mapped)
-                if not isinstance(result, Summable):
-                    return failing(name, fam, detail=f"right family not summable, h={h}")
-                if result.value != cat.compose(total.value, h):
-                    return failing(name, fam, detail=f"right distributivity fails, h={h}")
+        pf, pg, pp = cat.hom_pcm(x, y), cat.hom_pcm(y, z), cat.hom_pcm(x, z)
+        for side, pcm, hs, act in (("left", pf, pg.grid[:4], cat.compose),
+                                   ("right", pg, pf.grid[:4], lambda h, v: cat.compose(v, h))):
+            for fam, total in summable_families(pcm, 3, limit=12):
+                for h in hs:
+                    result = pp.sum(make_family([(lbl, act(h, v)) for lbl, v in fam.entries]))
+                    if not isinstance(result, Summable):
+                        return failing(name, fam, detail=f"{side} family not summable, h={h}")
+                    if result.value != act(h, total.value):
+                        return failing(name, fam, detail=f"{side} distributivity fails, h={h}")
     return passing(name)
 
 
@@ -645,37 +629,28 @@ def check_reordering(cat) -> Report:
         g_families = _Replayed(summable_families(pg, 3, limit=6))
         for fam_f, _ in summable_families(pf, 3, limit=6):
             for fam_g, _ in g_families:
-                rows = []  # for fixed i, sum over j
-                composed = []  # composed[i][j] = (j, g_j o f_i)
-                for i, f in fam_f.entries:
-                    row = [(j, cat.compose(g, f)) for j, g in fam_g.entries]
-                    composed.append(row)
-                    result = pp.sum(make_family(row))
+                i_labels, j_labels = fam_f.labels, fam_g.labels
+                composed, rows = [], []  # composed[i][k] = g_k o f_i
+                for i, f in fam_f.entries:  # each row summed once its composites are made
+                    composed.append([cat.compose(g, f) for _, g in fam_g.entries])
+                    result = pp.sum(make_family(zip(j_labels, composed[-1])))
                     if not isinstance(result, Summable):
                         return failing(name, (fam_f, fam_g), detail="row not summable")
                     rows.append((i, result.value))
                 cols = []
-                for k, (j, _) in enumerate(fam_g.entries):
-                    col = make_family([(i, row[k][1])
-                                       for (i, _), row in zip(fam_f.entries, composed)])
-                    result = pp.sum(col)
+                for k, j in enumerate(j_labels):  # an empty f-family sums one empty column per j
+                    column = [(i, row[k]) for i, row in zip(i_labels, composed)]
+                    result = pp.sum(make_family(column))
                     if not isinstance(result, Summable):
                         return failing(name, (fam_f, fam_g), detail="column not summable")
                     cols.append((j, result.value))
                 by_rows = pp.sum(IndexedFamily(tuple(rows)))
                 by_cols = pp.sum(IndexedFamily(tuple(cols)))
-                whole = pp.sum(IndexedFamily(tuple(
-                    (f"{j}.{i}", row[k][1])
-                    for k, (j, _) in enumerate(fam_g.entries)
-                    for (i, _), row in zip(fam_f.entries, composed)
-                )))
-                if not (
-                    isinstance(by_rows, Summable)
-                    and isinstance(by_cols, Summable)
-                    and isinstance(whole, Summable)
-                    and by_rows.value == whole.value
-                    and by_cols.value == whole.value
-                ):
+                whole = pp.sum(IndexedFamily(tuple((f"{j}.{i}", row[k])
+                                                   for k, j in enumerate(j_labels)
+                                                   for i, row in zip(i_labels, composed))))
+                if not all(isinstance(r, Summable) for r in (by_rows, by_cols, whole)) \
+                        or by_rows.value != whole.value or by_cols.value != whole.value:
                     return failing(name, (fam_f, fam_g), detail="iterated sums disagree")
     return passing(name)
 
@@ -689,63 +664,42 @@ def check_composing_sums(cat) -> Report:
             if len(fam) == 0:
                 continue
             for n in (2, 3):
-                entries = []
-                for combo in itertools.product(fam.entries, repeat=n):
-                    label = "*".join(lbl for lbl, _ in combo)
-                    value = combo[0][1]
-                    for _, nxt in combo[1:]:
-                        value = cat.compose(value, nxt)
-                    entries.append((label, value))
-                result = pcm.sum(IndexedFamily(tuple(entries)))
-                if not isinstance(result, Summable):
+                power = IndexedFamily(tuple(
+                    ("*".join(lbl for lbl, _ in word), reduce(cat.compose, [v for _, v in word]))
+                    for word in itertools.product(fam.entries, repeat=n)))
+                if not isinstance(pcm.sum(power), Summable):
                     return failing(name, fam, detail=f"power {n} not summable")
     return passing(name)
 
 
-def _find_identity_word(cat, others, identity):
-    """A word of 1 to 4 non-identity members composing to the identity, if any."""
-    for length in range(1, 5):
-        for word in itertools.product(others, repeat=length):
-            value = word[0]
-            for nxt in word[1:]:
-                value = cat.compose(value, nxt)
-            if value == identity:
-                return word
-    return None
-
-
 def check_monoid_sums(cat) -> Report:
-    """Repeated identities are summable whenever some word of non-identity
-    members of a summable identity-containing family composes to the identity:
-    1 to 8 identities, and 8 copies of each of 3 grid arrows out of the object."""
+    """Repeated identities are summable whenever some word of 1 to 4
+    non-identity members of a summable identity-containing family composes
+    to the identity: 1 to 8 identities, and 8 copies of each of 3 grid
+    arrows out of the object."""
     name = f"monoid-sums[{cat.name}]"
     applied = False
     for x in cat.objects:
         pcm = cat.hom_pcm(x, x)
         identity = cat.identity(x)
         for fam, _ in summable_families(pcm, 3, limit=30):
-            values = list(fam.values)
+            values = fam.values
             if identity not in values:
                 continue
             others = [v for v in values if v != identity]
-            if not others:
-                continue
-            word = _find_identity_word(cat, others, identity)
-            if word is None:
+            if not any(reduce(cat.compose, word) == identity for length in range(1, 5)
+                       for word in itertools.product(others, repeat=length)):
                 continue
             applied = True
             for m in range(1, 9):
-                repeated = family_of([identity] * m, prefix="one")
-                if not isinstance(pcm.sum(repeated), Summable):
+                if not isinstance(pcm.sum(family_of([identity] * m, prefix="one")), Summable):
                     return failing(name, fam, detail=f"sum of {m} identities refused")
             for y in cat.objects:
                 out = cat.hom_pcm(x, y)
                 for f in out.grid[:3]:
-                    repeated = family_of([f] * 8, prefix="f")
-                    if not isinstance(out.sum(repeated), Summable):
+                    if not isinstance(out.sum(family_of([f] * 8, prefix="f")), Summable):
                         return failing(name, fam, detail="sum of 8 copies refused")
-    detail = "" if applied else "no identity-word family found; vacuous"
-    return passing(name, detail=detail)
+    return passing(name, detail="" if applied else "no identity-word family found; vacuous")
 
 
 def check_zero_absorption(cat) -> Report:

@@ -228,7 +228,7 @@ class CauchyCategory:
         """Summable exactly when the flattened coefficient family is; pointwise sums."""
         if fam.entries:
             first = fam.entries[0][1]
-            src, tgt = first.src, first.tgt
+            src, tgt = first.src if src is None else src, first.tgt if tgt is None else tgt
             for _, arrow in fam.entries:
                 if arrow.src != src or arrow.tgt != tgt:
                     raise CarrierMismatchError("arrows in a family must share src and tgt")

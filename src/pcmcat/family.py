@@ -134,6 +134,8 @@ class Partition:
 
 def bell_number(n: int) -> int:
     """Count of set partitions of an n-element set (Bell triangle)."""
+    if n < 0:
+        raise ValueError(f"a set has no negative size; got n = {n}")
     if n == 0:
         return 1
     row = [1]

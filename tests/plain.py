@@ -448,7 +448,8 @@ def sum_arrows(cc, fam, src=None, tgt=None):
             raise ValidationError("summing an empty arrow family needs src and tgt")
     else:
         heads = {(arrow.src, arrow.tgt) for _, arrow in fam.entries}
-        if len(heads) > 1:
+        given = {(a if src is None else src, b if tgt is None else tgt) for a, b in heads}
+        if len(heads) > 1 or given != heads:
             raise CarrierMismatchError("arrows in a family must share src and tgt")
         (src, tgt), = heads
     (x, u), (y, v) = src, tgt

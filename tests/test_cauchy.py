@@ -266,6 +266,12 @@ SUM_FAULTS = {
     "unknown object pair": (
         lambda cc: (family_of([]), ("*", "W"), ("*", "W")),
         ValidationError, "unknown object pair ('*', 'W') or ('*', 'W')"),
+    "ends that contradict the family": (
+        lambda cc: (family_of([cc.make_arrow(U, V, {"a": 1})]), V, V),
+        CarrierMismatchError, "arrows in a family must share src and tgt"),
+    "a source that contradicts the family": (
+        lambda cc: (family_of([cc.make_arrow(U, V, {"a": 1})]), V, None),
+        CarrierMismatchError, "arrows in a family must share src and tgt"),
 }
 
 
@@ -282,6 +288,17 @@ def test_sum_arrows_raises_each_fault_with_its_message(fault):
         with pytest.raises(error) as raised:
             cc.sum_arrows(*args(cc))
         assert str(raised.value) == message
+
+
+def test_a_hom_oracle_refuses_an_arrow_of_another_hom():
+    """hom(V, V)'s oracle sums in hom(V, V): an arrow U -> V raises where it
+    would otherwise sum to an arrow outside the carrier."""
+    cc = cauchy_product(INT, two_object_five_arrow_category())
+    a = cc.make_arrow(U, V, {"a": 1})
+    for oracle in (cc.hom_pcm(V, V).oracle, lambda fam: plain.sum_arrows(cc, fam, V, V)):
+        with pytest.raises(CarrierMismatchError, match="must share src and tgt"):
+            oracle(family_of([a]))
+    assert cc.hom_pcm(U, V).oracle(family_of([a])) == Summable(a)
 
 
 # Coefficient tuples of Z3 arrows whose keys are not the sorted hom

@@ -8,10 +8,12 @@ g-families again for every f-family.  Each checker must agree with its plain
 search report for report (line, witness, detail and, where there is one,
 minimized witness) or raise the same exception at the same call, and every
 oracle or composition call it makes first must come in the same order as
-the plain search's.
+the plain search's.  Over ``DERIVED_CATEGORIES`` each checker makes a pinned
+number of calls, and every category-level law of the suite has a plain search.
 """
 
 import collections
+import itertools
 
 import pytest
 
@@ -25,6 +27,7 @@ from pcmcat.category import (
     check_reordering,
     check_strong_distributivity,
     check_zero_absorption,
+    derived_laws,
     from_semiring,
     resolve_base,
     shipped_categories,
@@ -32,6 +35,7 @@ from pcmcat.category import (
 from pcmcat.cauchy import CauchyCategory, cauchy_product
 from pcmcat.errors import PcmcatError
 from pcmcat.fincat import cyclic_category, two_object_five_arrow_category
+from pcmcat.laws import run_category_suite, run_pcm_suite
 from pcmcat.pcm import Pcm, Summable
 from pcmcat.report import serialize
 
@@ -264,3 +268,44 @@ def test_reordering_composes_each_pair_once_per_family_pair(cat):
         composes[side] = len(rec.calls("compose"))
     # the plain search composes each pair for the rows, the columns and the whole
     assert 0 < 3 * composes["new"] == composes["old"]
+
+
+# The calls each checker makes over DERIVED_CATEGORIES, repeats included, as
+# ``shown`` counts them: a rewrite that drops a memo or enumerates twice moves
+# them, where ``assert_same`` only bounds them by the plain search's.
+RECORDED_CALLS = {
+    "strong-distributivity": 15171,
+    "reordering": 5416,
+    "left-right": 7403,
+    "composing-sums": 787,
+    "monoid-sums": 3363,
+    "zero-absorption": 713,
+}
+
+
+@pytest.mark.parametrize("law", RECORDED_CALLS)
+def test_each_category_checker_makes_its_pinned_number_of_calls(law):
+    check = DERIVED[law][0] if law in DERIVED else check_strong_distributivity
+    assert sum(shown(check, cat)[2] for cat in DERIVED_CATEGORIES) == RECORDED_CALLS[law]
+
+
+def _law(report) -> str:
+    return report.name.split("[", 1)[0]
+
+
+@pytest.mark.parametrize("cat", [resolve_base("int"), resolve_base("matrix:2"),
+                                 cauchy_product(resolve_base("int"), cyclic_category(2))],
+                         ids=lambda cat: cat.name)
+def test_every_category_level_law_of_the_suite_has_a_plain_reference(cat):
+    """The category suite ends with strong distributivity and then
+    ``derived_laws``, and each derived law is one that a plain search in
+    ``DERIVED`` reports: no derived law runs without a reference."""
+    referenced = {_law(search(cat)) for _, search in DERIVED.values()}
+    derived = derived_laws(cat)
+    assert [_law(report) for report in derived if _law(report) not in referenced] == []
+    homs = [report.name for x, y in itertools.product(cat.objects, repeat=2)
+            for report in run_pcm_suite(cat.hom_pcm(x, y), family_size=3, trials=20)]
+    suite = [report.name for report in run_category_suite(cat, family_size=3, trials=20)]
+    assert suite[:len(homs)] == homs
+    assert suite[len(homs):] == ([f"strong-distributivity[{cat.name}]"]
+                                 + [report.name for report in derived])

@@ -101,6 +101,12 @@ def test_enumerate_partitions_at_the_exhaustive_bound():
     assert len(parts) == bell_number(8) == 4140
 
 
+def test_bell_number_counts_from_one_and_refuses_a_negative_size():
+    assert [bell_number(n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    with pytest.raises(ValueError, match="negative size"):
+        bell_number(-1)
+
+
 def test_enumerate_partitions_rejects_large_sets():
     with pytest.raises(TooLargeError):
         enumerate_partitions([f"x{i}" for i in range(9)])
